@@ -19,7 +19,6 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 from .errors import DataError
-from .lexicon import _require_columns
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +110,13 @@ def parse_timestamp(raw: str, source_tz: str = "UTC") -> datetime:
 
 def _parse_date(raw: str) -> date:
     return date.fromisoformat(raw.strip())
+
+
+def _require_columns(reader: csv.DictReader, path: Path, required: tuple[str, ...]) -> None:
+    names = reader.fieldnames or []
+    missing = [c for c in required if c not in names]
+    if missing:
+        raise DataError(f"{path}: missing required column(s) {missing}, found {names}")
 
 
 def _open(path: str | Path):

@@ -2,8 +2,11 @@
 
 Terms are short token sequences (one to five tokens). Matching is exact
 contiguous subsequence matching over the message tokens, implemented with
-an n-gram hash index so a message costs O(tokens * max_term_len) lookups
-regardless of lexicon size.
+an n-gram hash index behind a first-token prefilter: a start position whose
+token begins no term is skipped, and the others try n-grams only up to the
+longest term beginning with that token. Payloads are opaque, so the classify
+stage indexes the ESG and sentiment lexicons together and scans each message
+once.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .ingest import _require_columns
 from .taxonomy import Node, parse_node
 
 MAX_TERM_TOKENS = 5
+
+Hit = tuple[int, tuple[str, ...], object]  # (start position, term, payload)
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -55,26 +61,31 @@ class TokenMatcher:
 
     def __init__(self, entries: Iterable[tuple[tuple[str, ...], object]]):
         self._index: dict[tuple[str, ...], list[object]] = {}
-        self.max_len = 1
+        # first token -> length of the longest term that starts with it
+        self._reach: dict[str, int] = {}
         for term, payload in entries:
             if not term:
                 raise DataError("empty term cannot be indexed")
             self._index.setdefault(term, []).append(payload)
-            self.max_len = max(self.max_len, len(term))
+            self._reach[term[0]] = max(self._reach.get(term[0], 0), len(term))
 
-    def find(self, tokens: Sequence[str]) -> list[tuple[int, tuple[str, ...], object]]:
+    def find(self, tokens: Sequence[str]) -> list[Hit]:
         """All occurrences of indexed terms in a token sequence.
 
-        Returns (start position, term, payload) triples; overlapping and
-        repeated occurrences are all reported.
+        Hits are ordered by start, then term length, then the order payloads
+        were indexed in; overlapping and repeated occurrences are all reported.
         """
-        hits = []
-        n = len(tokens)
+        hits: list[Hit] = []
+        index, reach = self._index, self._reach
         tokens = tuple(tokens)
-        for start in range(n):
-            for length in range(1, min(self.max_len, n - start) + 1):
-                gram = tokens[start : start + length]
-                for payload in self._index.get(gram, ()):
+        n = len(tokens)
+        for start, token in enumerate(tokens):
+            longest = reach.get(token)
+            if longest is None:
+                continue
+            for end in range(start + 1, min(start + longest, n) + 1):
+                gram = tokens[start:end]
+                for payload in index.get(gram, ()):
                     hits.append((start, gram, payload))
         return hits
 
@@ -117,11 +128,10 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     return entries
 
 
-def _require_columns(reader: csv.DictReader, path: Path, required: tuple[str, ...]) -> None:
-    names = reader.fieldnames or []
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise DataError(f"{path}: missing required column(s) {missing}, found {names}")
+def esg_labels(hits: Iterable[Hit]) -> tuple[frozenset[Node], tuple[str, ...]]:
+    """Label set and distinct matched terms, in hit order, of the Node-payload hits."""
+    esg = [(gram, node) for _, gram, node in hits if isinstance(node, Node)]
+    return frozenset(n for _, n in esg), tuple(dict.fromkeys(" ".join(g) for g, _ in esg))
 
 
 @dataclass(frozen=True)
@@ -145,14 +155,8 @@ class EsgClassifier:
         self._matcher = TokenMatcher((e.term, e.node) for e in self.entries)
 
     def classify_tokens(self, message_id: str, tokens: Sequence[str]) -> ClassifiedMessage:
-        hits = self._matcher.find(tokens)
-        nodes = frozenset(payload for _, _, payload in hits)  # type: ignore[misc]
-        terms: list[str] = []
-        for _, gram, _ in hits:
-            text = " ".join(gram)
-            if text not in terms:
-                terms.append(text)
-        return ClassifiedMessage(message_id=message_id, nodes=nodes, matched_terms=tuple(terms))
+        nodes, terms = esg_labels(self._matcher.find(tokens))
+        return ClassifiedMessage(message_id=message_id, nodes=nodes, matched_terms=terms)
 
     def classify(self, message_id: str, text: str) -> ClassifiedMessage:
         return self.classify_tokens(message_id, tokenize(text))

@@ -47,7 +47,7 @@ from .ingest import (
     read_market_index,
     read_prices,
 )
-from .lexicon import EsgClassifier, load_esg_lexicon, tokenize
+from .lexicon import TokenMatcher, esg_labels, load_esg_lexicon, tokenize
 from .report import (
     render_event_counts_csv,
     render_removal_histogram_csv,
@@ -55,7 +55,7 @@ from .report import (
     render_results_text,
     render_scaar_curve_csv,
 )
-from .sentiment import DEFAULT_SIGN_THRESHOLD, SentimentScorer, load_sentiment_lexicon
+from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, load_sentiment_lexicon, mean_weight
 from .study import (
     EstimationConfig,
     EventAbnormals,
@@ -204,19 +204,20 @@ _WORKER_ENGINE: "_ClassifyEngine | None" = None
 
 
 class _ClassifyEngine:
-    def __init__(self, esg_lexicon_path: str, sentiment_lexicon_path: str):
-        self.classifier = EsgClassifier(load_esg_lexicon(esg_lexicon_path))
-        self.scorer = SentimentScorer(load_sentiment_lexicon(sentiment_lexicon_path))
+    """One index over both lexicons: Node payloads for ESG, float weights for sentiment."""
 
-    def rows(self, batch: Sequence[tuple[str, str]]) -> list[tuple[str, str, str]]:
+    def __init__(self, esg_lexicon_path: str, sentiment_lexicon_path: str):
+        esg = [(e.term, e.node) for e in load_esg_lexicon(esg_lexicon_path)]
+        sentiment = [(e.term, e.weight) for e in load_sentiment_lexicon(sentiment_lexicon_path)]
+        self.matcher = TokenMatcher(esg + sentiment)
+
+    def rows(self, texts: Sequence[str]) -> list[tuple[frozenset[Node], str, str]]:
+        """(label set, joined matched terms, str(score)) per message text."""
         out = []
-        for msg_id, text in batch:
-            tokens = tokenize(text)
-            classified = self.classifier.classify_tokens(msg_id, tokens)
-            nodes = "|".join(n.value for n in sorted(classified.nodes, key=node_sort_key))
-            terms = "|".join(classified.matched_terms)
-            score = self.scorer.score_tokens(tokens)
-            out.append((nodes, terms, str(score)))
+        for text in texts:
+            hits = self.matcher.find(tokenize(text))
+            nodes, terms = esg_labels(hits)
+            out.append((nodes, "|".join(terms), str(mean_weight(hits))))
         return out
 
 
@@ -225,9 +226,9 @@ def _init_worker(esg_path: str, senti_path: str) -> None:
     _WORKER_ENGINE = _ClassifyEngine(esg_path, senti_path)
 
 
-def _worker_rows(batch: Sequence[tuple[str, str]]) -> list[tuple[str, str, str]]:
+def _worker_rows(texts: Sequence[str]) -> list[tuple[frozenset[Node], str, str]]:
     assert _WORKER_ENGINE is not None
-    return _WORKER_ENGINE.rows(batch)
+    return _WORKER_ENGINE.rows(texts)
 
 
 def _batched(items: Iterator, size: int) -> Iterator[list]:
@@ -261,6 +262,8 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
     report = IngestReport(path=str(messages_path))
     stream = iter_messages(messages_path, source_tz=cfg.source_tz, report=report)
     node_counts: dict[Node, int] = {node: 0 for node in REPORT_ORDER}
+    # label set -> (nodes column, closure over ancestors); few distinct sets recur
+    label_cache: dict[frozenset[Node], tuple[str, frozenset[Node]]] = {}
     n_messages = 0
 
     pool: ProcessPoolExecutor | None = None
@@ -278,24 +281,29 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
             writer.writerow(CLASSIFIED_COLUMNS)
             for mega in _batched(stream, 20000):
                 batches = [mega[i : i + 2000] for i in range(0, len(mega), 2000)]
-                payloads = [[(m.id, m.text) for m in b] for b in batches]
+                payloads = [[m.text for m in b] for b in batches]
                 if pool is not None:
                     results = pool.map(_worker_rows, payloads)
                 else:
                     assert engine is not None
                     results = (engine.rows(p) for p in payloads)
                 for batch, rows in zip(batches, results):
-                    for msg, (nodes, terms, score) in zip(batch, rows):
+                    for msg, (labels, terms, score) in zip(batch, rows):
+                        cached = label_cache.get(labels)
+                        if cached is None:
+                            # Summary counts include ancestors: a subcategory
+                            # message is also a pillar and ESG_ALL message.
+                            cached = label_cache[labels] = (
+                                "|".join(n.value for n in sorted(labels, key=node_sort_key)),
+                                expand_to_ancestors(labels),
+                            )
+                        nodes, closure = cached
                         writer.writerow(
                             [msg.id, msg.firm, msg.timestamp.isoformat(), nodes, terms, score]
                         )
                         n_messages += 1
-                        if nodes:
-                            # Summary counts include ancestors: a subcategory
-                            # message is also a pillar and ESG_ALL message.
-                            labels = frozenset(parse_node(n) for n in nodes.split("|"))
-                            for node in expand_to_ancestors(labels):
-                                node_counts[node] += 1
+                        for node in closure:
+                            node_counts[node] += 1
     finally:
         if pool is not None:
             pool.shutdown()
@@ -349,7 +357,10 @@ def _iter_classified(path: Path, calendar: TradingCalendar, exchange_tz: str, dr
                 continue
             names = (row["nodes"] or "").split("|")
             nodes = frozenset(parse_node(n) for n in names if n)
-            score = float(row["score"] or 0.0)
+            try:
+                score = float(row["score"] or 0.0)
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: bad score {row['score']!r}") from None
             yield AssignedMessage(
                 firm=(row["firm"] or "").strip(), day_index=idx, nodes=nodes, score=score
             )
@@ -388,18 +399,18 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     unconfounded, removed = exclude_confounded(detected, confounds, calendar, cfg.detection)
     kept, positives = select_risk_events(unconfounded)
 
-    removal_by_event = {id(rem.event): rem for rem in removed}
+    removal_by_event = {rem.event: rem for rem in removed}
     events_path = cfg.events_path()
     with open(events_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
         for event in detected:
-            rem = removal_by_event.get(id(event))
+            rem = removal_by_event.get(event)
             if rem is not None:
                 kept_flag = "false"
                 reason = f"confounded_{rem.kind.name.lower()}"
                 distance = str(rem.distance)
-            elif event.sign.value == "positive":
+            elif event.sign is Sign.POSITIVE:
                 kept_flag, reason, distance = "false", "positive_sign", ""
             else:
                 kept_flag, reason, distance = "true", "", ""
@@ -443,13 +454,12 @@ def load_kept_events(path: str | Path) -> list[tuple[str, Node, date]]:
         for row in reader:
             if (row.get("kept") or "").strip() != "true":
                 continue
-            out.append(
-                (
-                    (row.get("firm") or "").strip(),
-                    parse_node(row.get("node") or ""),
-                    date.fromisoformat((row.get("date") or "").strip()),
-                )
-            )
+            raw_day = (row.get("date") or "").strip()
+            try:
+                day = date.fromisoformat(raw_day)
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: bad date {raw_day!r}") from None
+            out.append(((row.get("firm") or "").strip(), parse_node(row.get("node") or ""), day))
     return out
 
 

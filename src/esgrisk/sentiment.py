@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .lexicon import MAX_TERM_TOKENS, TokenMatcher, _require_columns, tokenize
+from .ingest import _require_columns
+from .lexicon import MAX_TERM_TOKENS, Hit, TokenMatcher, tokenize
 
 DEFAULT_SIGN_THRESHOLD = 0.05
 
@@ -70,20 +71,22 @@ def load_sentiment_lexicon(path: str | Path) -> list[SentimentEntry]:
     return entries
 
 
+def mean_weight(hits: Iterable[Hit]) -> float:
+    """Mean of the float-payload hits' weights, summed in hit order; 0.0 if none."""
+    weights = [w for _, _, w in hits if isinstance(w, float)]
+    return float(sum(weights) / len(weights)) if weights else 0.0
+
+
 class SentimentScorer:
     """Scores token sequences against a sentiment lexicon."""
 
     def __init__(self, entries: Iterable[SentimentEntry]):
         self.entries = list(entries)
-        self._matcher = TokenMatcher((e.term, e.weight) for e in self.entries)
+        self._matcher = TokenMatcher((e.term, float(e.weight)) for e in self.entries)
 
     def score_tokens(self, tokens: Sequence[str]) -> float:
         """Mean weight over matched term occurrences; 0.0 if none match."""
-        hits = self._matcher.find(tokens)
-        if not hits:
-            return 0.0
-        weights = [payload for _, _, payload in hits]
-        return float(sum(weights) / len(weights))
+        return mean_weight(self._matcher.find(tokens))
 
     def score_message(self, text: str) -> float:
         return self.score_tokens(tokenize(text))

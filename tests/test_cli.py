@@ -181,6 +181,49 @@ def test_data_error_exits_3(cli_run, tmp_path):
     assert "data error" in all_output(result)
 
 
+def corrupt_csv(src, dst, column, value, row_filter=lambda row: True):
+    """Copy a CSV, setting `column` to `value` on the first row that passes
+    `row_filter`; returns that row's line number."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    col = header.index(column)
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if row_filter(dict(zip(header, cells))):
+            cells[col] = value
+            lines[i - 1] = ",".join(cells)
+            dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return i
+    raise AssertionError(f"no row of {src} passes the filter")
+
+
+def test_bad_score_in_classified_exits_3(cli_run, tmp_path):
+    bad = tmp_path / "classified.csv"
+    line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "score", "abc")
+    result = CliRunner().invoke(
+        main,
+        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: bad score 'abc'" in all_output(result)
+
+
+def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
+    bad = tmp_path / "events.csv"
+    line = corrupt_csv(
+        cli_run["out"] / "events.csv", bad, "date", "2020-13-45",
+        row_filter=lambda row: row["kept"] == "true",
+    )
+    result = CliRunner().invoke(
+        main,
+        ["study", "--outdir", str(tmp_path / "out"), "--events", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: bad date '2020-13-45'" in all_output(result)
+
+
 def test_detect_before_classify_exits_2(cli_run, tmp_path):
     result = CliRunner().invoke(
         main,

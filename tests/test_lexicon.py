@@ -2,6 +2,8 @@ import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgrisk.demodata import demo_esg_lexicon_path
 from esgrisk.errors import DataError
@@ -152,3 +154,45 @@ def test_token_matcher_reports_every_occurrence():
     starts = sorted((start, len(gram)) for start, gram, _ in hits)
     # "oil spill" at 0 and 4, "spill" alone at 1 and 5
     assert starts == [(0, 2), (1, 1), (4, 2), (5, 1)]
+
+
+# Entries the property test always indexes: overlapping terms, a term that
+# is a prefix of another, a term mapped to two nodes, and one term that sits
+# in both lexicons (Node and float payloads for the same tokens).
+FIXED_ENTRIES = [
+    (("a", "b"), Node.CLIMATE_CHANGE),
+    (("b", "c"), Node.HUMAN_CAPITAL),
+    (("a",), Node.NATURAL_CAPITAL),
+    (("a", "b", "c", "d"), Node.PRODUCT_LIABILITY),
+    (("c",), Node.CORPORATE_GOVERNANCE),
+    (("c",), Node.CORPORATE_BEHAVIOR),
+    (("d", "a"), Node.SOCIAL_OPPORTUNITIES),
+    (("d", "a"), -0.5),
+    (("b",), 0.25),
+]
+
+VOCAB = ["a", "b", "c", "d", "e"]
+term_st = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5).map(tuple)
+payload_st = st.one_of(
+    st.sampled_from(SUBCATEGORIES), st.floats(-1.0, 1.0, allow_nan=False)
+)
+
+
+def brute_force_find(entries, tokens):
+    """Every contiguous slice of every length, in (start, length, entry) order."""
+    hits = []
+    for start in range(len(tokens)):
+        for length in range(1, len(tokens) - start + 1):
+            gram = tuple(tokens[start : start + length])
+            hits.extend((start, gram, payload) for term, payload in entries if term == gram)
+    return hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extra=st.lists(st.tuples(term_st, payload_st), max_size=8),
+    tokens=st.lists(st.sampled_from(VOCAB + ["zz"]), max_size=25),
+)
+def test_token_matcher_equals_brute_force(extra, tokens):
+    entries = FIXED_ENTRIES + extra
+    assert TokenMatcher(entries).find(tokens) == brute_force_find(entries, tokens)

@@ -4,12 +4,16 @@ from datetime import date
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import corpus_paths, make_run_config
 
 from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from esgrisk.errors import ConfigError, DataError
+from esgrisk.lexicon import EsgClassifier, load_esg_lexicon, tokenize
 from esgrisk.pipeline import (
     CLASSIFIED_COLUMNS,
+    _ClassifyEngine,
     EVENT_COLUMNS,
     load_kept_events,
     load_run_config,
@@ -19,7 +23,7 @@ from esgrisk.pipeline import (
     run_study,
     write_resolved_config,
 )
-from esgrisk.sentiment import Sign
+from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
 from esgrisk.synth import PlantedEvent, SynthConfig, evaluate_detection, generate
 from esgrisk.taxonomy import Node
 
@@ -223,6 +227,52 @@ def test_classify_parallel_matches_serial(std_corpus, tmp_path):
         tmp_path / "parallel" / "classified.csv",
         shallow=False,
     )
+
+
+@pytest.fixture(scope="module")
+def overlapping_lexicons(tmp_path_factory):
+    """The demo lexicons plus "oil spill" as a second ESG node and as a
+    sentiment term, so one term carries payloads of both lexicons."""
+    root = tmp_path_factory.mktemp("lexicons")
+    esg, senti = root / "esg.csv", root / "senti.csv"
+    esg.write_text(
+        demo_esg_lexicon_path().read_text(encoding="utf-8") + "oil spill,NaturalCapital\n",
+        encoding="utf-8",
+    )
+    senti.write_text(
+        demo_sentiment_lexicon_path().read_text(encoding="utf-8") + "oil spill,-0.7\n",
+        encoding="utf-8",
+    )
+    return esg, senti
+
+
+def lexicon_words(*paths):
+    words = set()
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                words.update(row["term"].split())
+    return sorted(words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_engine_rows_match_classifier_and_scorer(overlapping_lexicons, data):
+    esg, senti = overlapping_lexicons
+    words = lexicon_words(esg, senti) + ["the", "#OilSpill", "@user", "http://t.co/x", "!"]
+    texts = data.draw(
+        st.lists(st.lists(st.sampled_from(words), max_size=30).map(" ".join), max_size=5)
+    )
+    classifier = EsgClassifier(load_esg_lexicon(esg))
+    scorer = SentimentScorer(load_sentiment_lexicon(senti))
+    expected = []
+    for text in texts:
+        tokens = tokenize(text)
+        labeled = classifier.classify_tokens("m", tokens)
+        expected.append(
+            (labeled.nodes, "|".join(labeled.matched_terms), str(scorer.score_tokens(tokens)))
+        )
+    assert _ClassifyEngine(str(esg), str(senti)).rows(texts) == expected
 
 
 def test_detect_without_confound_calendars(std_corpus, std_run, tmp_path):
