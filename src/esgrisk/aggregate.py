@@ -8,23 +8,17 @@ share denominator during detection.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .taxonomy import Node, expand_to_ancestors, node_sort_key
+from .taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key
 from .trading import TradingCalendar
 
-
-@dataclass(frozen=True)
-class AssignedMessage:
-    """A classified message after trading-day assignment."""
-
-    firm: str
-    day_index: int
-    nodes: frozenset[Node]  # subcategories only; closure happens here
-    score: float
+# firm, trading-day index, subcategory labels (closure happens here), score
+Record = tuple[str, int, frozenset[Node], float]
 
 
 @dataclass
@@ -52,55 +46,37 @@ class CategorySeries:
         return float(self.counts[day_index] / total)
 
 
-class Aggregate:
-    """All series for one corpus, keyed by (firm, node)."""
+def build_series(records: Iterable[Record], calendar: TradingCalendar) -> list[CategorySeries]:
+    """Count day-assigned messages per (firm, node, day) and sum their scores.
 
-    def __init__(self, calendar: TradingCalendar):
-        self.calendar = calendar
-        self.totals: dict[str, np.ndarray] = {}
-        self._counts: dict[tuple[str, Node], np.ndarray] = {}
-        self._senti: dict[tuple[str, Node], np.ndarray] = {}
-
-    def series(self, firm: str, node: Node) -> CategorySeries | None:
-        key = (firm, node)
-        if key not in self._counts:
-            return None
-        return CategorySeries(
-            firm=firm,
-            node=node,
-            counts=self._counts[key],
-            senti_sum=self._senti[key],
-            totals=self.totals[firm],
-        )
-
-    def __iter__(self) -> Iterator[CategorySeries]:
-        """Non-empty series in deterministic (firm, taxonomy) order."""
-        for firm, node in sorted(self._counts, key=lambda k: (k[0], node_sort_key(k[1]))):
-            series = self.series(firm, node)
-            assert series is not None
-            yield series
-
-    def firms(self) -> list[str]:
-        return sorted(self.totals)
-
-
-def build_series(records: Iterable[AssignedMessage], calendar: TradingCalendar) -> Aggregate:
-    """Accumulate day-assigned messages into count and sentiment series."""
+    Returns the non-empty series in (firm, taxonomy) order; a firm's series
+    share one totals array. Each node's counts and sums are one bincount over
+    the messages whose closure holds it, so sums add in record order.
+    """
     n_days = len(calendar)
-    agg = Aggregate(calendar)
-    for rec in records:
-        totals = agg.totals.get(rec.firm)
-        if totals is None:
-            totals = np.zeros(n_days, dtype=np.int64)
-            agg.totals[rec.firm] = totals
-        totals[rec.day_index] += 1
-        for node in expand_to_ancestors(rec.nodes):
-            key = (rec.firm, node)
-            counts = agg._counts.get(key)
-            if counts is None:
-                counts = np.zeros(n_days, dtype=np.int64)
-                agg._counts[key] = counts
-                agg._senti[key] = np.zeros(n_days, dtype=np.float64)
-            counts[rec.day_index] += 1
-            agg._senti[key][rec.day_index] += rec.score
-    return agg
+    firm_codes: dict[str, int] = {}
+    masks: dict[frozenset[Node], int] = {}  # label set -> closure, bit i for REPORT_ORDER[i]
+    keys, bits, scores = array("q"), array("q"), array("d")  # key = firm code * n_days + day
+    for firm, day, labels, score in records:
+        mask = masks.get(labels)
+        if mask is None:
+            mask = masks[labels] = sum(1 << node_sort_key(n) for n in expand_to_ancestors(labels))
+        keys.append(firm_codes.setdefault(firm, len(firm_codes)) * n_days + day)
+        bits.append(mask)
+        scores.append(score)
+
+    size = len(firm_codes) * n_days
+    key, bits_arr, scores_arr = np.asarray(keys), np.asarray(bits), np.asarray(scores)
+    totals = np.bincount(key, minlength=size).reshape(-1, n_days)
+    per_node = []
+    for bit, node in enumerate(REPORT_ORDER):
+        has = (bits_arr & (1 << bit)) != 0
+        counts = np.bincount(key[has], minlength=size).reshape(-1, n_days)
+        sums = np.bincount(key[has], weights=scores_arr[has], minlength=size).reshape(-1, n_days)
+        per_node.append((node, counts, sums))
+    return [
+        CategorySeries(firm, node, counts[code], sums[code], totals[code])
+        for firm, code in sorted(firm_codes.items())
+        for node, counts, sums in per_node
+        if counts[code].any()
+    ]

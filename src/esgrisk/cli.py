@@ -212,15 +212,7 @@ def pipeline(config_path, outdir, robustness, **flags) -> None:
 @_guarded
 def synth(config_path, outdir, seed, n_firms, n_days) -> None:
     """Generate a synthetic corpus with known ground truth."""
-    raw: dict = {}
-    if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"bad YAML in {config_path}: {exc}") from exc
+    raw = pl.read_yaml_mapping(config_path) if config_path is not None else {}
     if seed is not None:
         raw["seed"] = seed
     if n_firms is not None:

@@ -19,15 +19,18 @@ import csv
 import dataclasses
 import json
 import logging
+import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+import numpy as np
 import yaml
 
-from .aggregate import AssignedMessage, build_series
+from .aggregate import build_series
 from .detect import (
     DetectionConfig,
     RemovedEvent,
@@ -67,7 +70,8 @@ from .study import (
     compute_event_abnormals,
 )
 from .taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key, parse_node
-from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_index
+from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_indices, epoch_us
+from .trading import assign_trading_index  # noqa: F401 (bench/tracing.py patches it here)
 
 log = logging.getLogger(__name__)
 
@@ -165,21 +169,25 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def read_yaml_mapping(path: str | Path) -> dict:
+    """The top-level mapping of a YAML config file; empty for an empty file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"bad YAML in {path}: {exc}") from exc
+    if loaded is None:
+        return {}
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config {path} must be a mapping")
+    return loaded
+
+
 def load_run_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Read a YAML config file and apply nested overrides on top."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"bad YAML in {path}: {exc}") from exc
-        if loaded is not None:
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"config {path} must be a mapping")
-            raw = loaded
+    raw = read_yaml_mapping(path) if path is not None else {}
     if overrides:
         raw = _deep_merge(raw, overrides)
     return run_config_from_dict(raw)
@@ -330,17 +338,15 @@ class DetectOutputs:
     dropped_messages: int  # timestamps outside the calendar
 
 
-@dataclass
-class _DropCounter:
-    count: int = 0
+def _read_classified(path: Path):
+    """Read a classified.csv into firm names and one column per field.
 
-
-def _iter_classified(path: Path, calendar: TradingCalendar, exchange_tz: str, drops: _DropCounter):
-    """Yield AssignedMessage records from a classified.csv, counting drops.
-
-    Messages whose timestamp falls outside the calendar's assignable range
-    are skipped (with the count surfaced in the detect summary).
+    Per row: firm code, UTC epoch-microsecond stamp, label set (parsed once
+    per distinct `nodes` string) and score. Bad values raise DataError.
     """
+    codes: dict[str, int] = {}
+    label_sets: dict[str, frozenset[Node]] = {}
+    firms, stamps, labels, scores = array("q"), array("q"), [], array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in CLASSIFIED_COLUMNS if c not in (reader.fieldnames or [])]
@@ -350,20 +356,26 @@ def _iter_classified(path: Path, calendar: TradingCalendar, exchange_tz: str, dr
             try:
                 ts = parse_timestamp(row["timestamp"] or "")
             except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: bad timestamp in classified file")
-            idx = assign_trading_index(ts, calendar, exchange_tz)
-            if idx is None:
-                drops.count += 1
-                continue
-            names = (row["nodes"] or "").split("|")
-            nodes = frozenset(parse_node(n) for n in names if n)
+                raise DataError(f"{path}:{reader.line_num}: bad timestamp in classified file") from None
+            raw_nodes = row["nodes"] or ""
+            nodes = label_sets.get(raw_nodes)
+            if nodes is None:
+                try:
+                    nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
+                except DataError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+                label_sets[raw_nodes] = nodes
             try:
                 score = float(row["score"] or 0.0)
             except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: bad score {row['score']!r}") from None
-            yield AssignedMessage(
-                firm=(row["firm"] or "").strip(), day_index=idx, nodes=nodes, score=score
-            )
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{reader.line_num}: bad score {row['score']!r}")
+            firms.append(codes.setdefault((row["firm"] or "").strip(), len(codes)))
+            stamps.append(epoch_us(ts))
+            labels.append(nodes)
+            scores.append(score)
+    return list(codes), firms, stamps, labels, scores
 
 
 def run_detect(cfg: RunConfig) -> DetectOutputs:
@@ -386,10 +398,12 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
         rows, _ = read_calendar_events(cfg.require_path("controversy"), EventKind.CONTROVERSY)
         confounds.extend(rows)
 
-    drops = _DropCounter()
-    agg = build_series(_iter_classified(classified, calendar, cfg.exchange_tz, drops), calendar)
+    names, firms, stamps, labels, scores = _read_classified(classified)
+    days = assign_trading_indices(stamps, calendar, cfg.exchange_tz)
+    rows = zip(firms, memoryview(days), labels, scores)
+    records = ((names[f], day, nodes, score) for f, day, nodes, score in rows if day >= 0)
     detected: list[RiskEvent] = []
-    for series in agg:
+    for series in build_series(records, calendar):
         outliers = esd_outliers(series.counts, cfg.detection)
         detected.extend(
             filter_and_merge(outliers, series, calendar, cfg.detection, cfg.sentiment_threshold)
@@ -439,7 +453,7 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
         kept=kept,
         positives=positives,
         removed=removed,
-        dropped_messages=drops.count,
+        dropped_messages=int(np.count_nonzero(days < 0)),
     )
 
 
@@ -459,7 +473,11 @@ def load_kept_events(path: str | Path) -> list[tuple[str, Node, date]]:
                 day = date.fromisoformat(raw_day)
             except ValueError:
                 raise DataError(f"{path}:{reader.line_num}: bad date {raw_day!r}") from None
-            out.append(((row.get("firm") or "").strip(), parse_node(row.get("node") or ""), day))
+            try:
+                node = parse_node(row.get("node") or "")
+            except DataError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            out.append(((row.get("firm") or "").strip(), node, day))
     return out
 
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import ConfigError, DataError
 from .lexicon import load_esg_lexicon
 from .sentiment import Sign, load_sentiment_lexicon
 from .taxonomy import Node, expand_to_ancestors, node_sort_key, parse_node
-from .trading import DEFAULT_EXCHANGE_TZ, MARKET_CLOSE, TradingCalendar
+from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, close_instants
 
 # Vocabulary for messages that should match nothing; kept disjoint from
 # both demo lexicons so synthetic texts classify exactly as planted.
@@ -245,22 +244,10 @@ class _MessageWriter:
         self._fh.close()
 
 
-def _day_windows(
-    calendar_days: Sequence[date], tz: str
-) -> list[tuple[datetime, int]]:
+def _day_windows(calendar_days: Sequence[date], tz: str) -> list[tuple[datetime, int]]:
     """Per trading day: UTC start of its close-to-close window and span in seconds."""
-    zone = ZoneInfo(tz)
-    closes_utc: list[datetime] = []
-    first_prev = datetime.combine(calendar_days[0] - timedelta(days=1), MARKET_CLOSE, zone)
-    closes_utc.append(first_prev.astimezone(timezone.utc))
-    for day in calendar_days:
-        closes_utc.append(datetime.combine(day, MARKET_CLOSE, zone).astimezone(timezone.utc))
-    windows = []
-    for i in range(len(calendar_days)):
-        lower = closes_utc[i]
-        span = int((closes_utc[i + 1] - lower).total_seconds())
-        windows.append((lower, span))
-    return windows
+    closes = close_instants(calendar_days, tz)
+    return [(lo, int((hi - lo).total_seconds())) for lo, hi in zip(closes, closes[1:])]
 
 
 def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:

@@ -9,15 +9,18 @@ weekend and holiday posts roll forward to the next trading day.
 from __future__ import annotations
 
 from bisect import bisect_left
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time, timedelta, timezone
 from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 from .errors import DataError
 from .ingest import MarketIndexRow
 
 MARKET_CLOSE = time(16, 0)
 DEFAULT_EXCHANGE_TZ = "America/New_York"
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class TradingCalendar:
@@ -91,4 +94,30 @@ def assign_trading_index(
     idx = calendar.position(candidate)
     if idx >= len(calendar):
         return None
+    return idx
+
+
+def epoch_us(ts: datetime) -> int:
+    """Exact microseconds since the Unix epoch of an aware datetime."""
+    return (ts - EPOCH) // timedelta(microseconds=1)
+
+
+def close_instants(days: Sequence[date], exchange_tz: str = DEFAULT_EXCHANGE_TZ) -> list[datetime]:
+    """UTC instants of the 16:00 closes that bound each trading day's window.
+
+    Element 0 is the close of the calendar day before days[0], element i+1
+    the close of days[i]: day i owns the window (closes[i], closes[i+1]].
+    """
+    zone = ZoneInfo(exchange_tz)
+    days = (days[0] - timedelta(days=1), *days)
+    return [datetime.combine(day, MARKET_CLOSE, zone).astimezone(timezone.utc) for day in days]
+
+
+def assign_trading_indices(
+    stamps_us, calendar: TradingCalendar, exchange_tz: str = DEFAULT_EXCHANGE_TZ
+) -> np.ndarray:
+    """assign_trading_index over UTC epoch-microsecond stamps, with -1 for None."""
+    edges = np.array([epoch_us(c) for c in close_instants(calendar.dates, exchange_tz)])
+    idx = np.searchsorted(edges, np.asarray(stamps_us, dtype=np.int64), side="left") - 1
+    idx[idx >= len(calendar)] = -1
     return idx

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 from conftest import corpus_paths, make_run_config
 
-from esgrisk.aggregate import AssignedMessage, build_series
+from esgrisk.aggregate import build_series
 from esgrisk.detect import (
     DetectionConfig,
     esd_outliers,
@@ -229,12 +229,7 @@ def test_criterion_5_detection_power_on_planted_spikes(tmp_path):
                 continue
             tokens = tokenize(msg.text)
             labeled = classifier.classify_tokens(msg.id, tokens)
-            records.append(
-                AssignedMessage(
-                    firm=msg.firm, day_index=idx, nodes=labeled.nodes,
-                    score=scorer.score_tokens(tokens),
-                )
-            )
+            records.append((msg.firm, idx, labeled.nodes, scorer.score_tokens(tokens)))
         detected = []
         for series in build_series(records, calendar):
             events = filter_and_merge(

@@ -1,10 +1,13 @@
 import random
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from esgrisk.aggregate import AssignedMessage, build_series
-from esgrisk.taxonomy import PARENT, SUBCATEGORIES, Node
+from esgrisk.aggregate import build_series
+from esgrisk.taxonomy import PARENT, SUBCATEGORIES, Node, expand_to_ancestors, node_sort_key
 from esgrisk.trading import TradingCalendar
 
 
@@ -18,27 +21,27 @@ def weekday_calendar(n, start=date(2020, 1, 6)):
 
 
 def msg(firm, day_index, nodes=(), score=0.0):
-    return AssignedMessage(
-        firm=firm, day_index=day_index, nodes=frozenset(nodes), score=score
-    )
+    return (firm, day_index, frozenset(nodes), score)
+
+
+def by_key(series_list):
+    return {(s.firm, s.node): s for s in series_list}
 
 
 def test_closure_counting():
     cal = weekday_calendar(5)
-    agg = build_series(
-        [msg("A", 2, {Node.CLIMATE_CHANGE}) for _ in range(3)], cal
-    )
+    series = by_key(build_series([msg("A", 2, {Node.CLIMATE_CHANGE}) for _ in range(3)], cal))
     for node in (Node.CLIMATE_CHANGE, Node.ENVIRONMENT, Node.ESG_ALL):
-        assert agg.series("A", node).counts[2] == 3
-    assert agg.series("A", Node.SOCIAL) is None
+        assert series["A", node].counts[2] == 3
+    assert ("A", Node.SOCIAL) not in series
+    assert len(series) == 3
 
 
 def test_totals_count_unmatched_messages():
     cal = weekday_calendar(3)
     records = [msg("A", 1, {Node.CORPORATE_GOVERNANCE}) for _ in range(4)]
     records += [msg("A", 1) for _ in range(96)]
-    agg = build_series(records, cal)
-    series = agg.series("A", Node.CORPORATE_GOVERNANCE)
+    series = by_key(build_series(records, cal))["A", Node.CORPORATE_GOVERNANCE]
     assert series.counts[1] == 4
     assert series.totals[1] == 100
     assert series.share(1) == pytest.approx(0.04)
@@ -46,8 +49,7 @@ def test_totals_count_unmatched_messages():
 
 def test_missing_days_are_zero():
     cal = weekday_calendar(4)
-    agg = build_series([msg("A", 0, {Node.HUMAN_CAPITAL})], cal)
-    series = agg.series("A", Node.HUMAN_CAPITAL)
+    series = by_key(build_series([msg("A", 0, {Node.HUMAN_CAPITAL})], cal))["A", Node.HUMAN_CAPITAL]
     assert list(series.counts) == [1, 0, 0, 0]
     assert series.share(2) == 0.0
     assert series.sentiment(2) is None
@@ -61,20 +63,22 @@ def test_total_conservation_and_hierarchy_bounds():
         k = rng.randint(0, 2)
         nodes = frozenset(rng.sample(SUBCATEGORIES, k))
         records.append(msg(rng.choice("AB"), rng.randrange(30), nodes, rng.uniform(-1, 1)))
-    agg = build_series(records, cal)
+    series_list = build_series(records, cal)
+    series = by_key(series_list)
 
-    # conservation: firm totals sum to the number of that firm's messages
-    for firm in agg.firms():
-        assert agg.totals[firm].sum() == sum(1 for r in records if r.firm == firm)
+    # conservation: firm totals sum to the number of that firm's messages,
+    # and every series of a firm shares that firm's totals
+    for firm in ("A", "B"):
+        firm_totals = [s.totals for s in series_list if s.firm == firm]
+        assert firm_totals[0].sum() == sum(1 for r in records if r[0] == firm)
+        assert all((t == firm_totals[0]).all() for t in firm_totals)
 
     # set-union counting: pillar >= subcategory, root >= pillar, pointwise
-    for series in agg:
-        node = series.node
-        parent = PARENT[node]
+    for s in series_list:
+        parent = PARENT[s.node]
         if parent is not None:
-            parent_series = agg.series(series.firm, parent)
-            assert (parent_series.counts >= series.counts).all()
-        assert (series.totals >= series.counts).all()
+            assert (series[s.firm, parent].counts >= s.counts).all()
+        assert (s.totals >= s.counts).all()
 
 
 def test_daily_sentiment_is_mean_of_scores():
@@ -83,34 +87,87 @@ def test_daily_sentiment_is_mean_of_scores():
         msg("A", 0, {Node.PRODUCT_LIABILITY}, 0.3),
         msg("A", 0, {Node.PRODUCT_LIABILITY}, -0.5),
     ]
-    agg = build_series(records, cal)
-    assert agg.series("A", Node.PRODUCT_LIABILITY).sentiment(0) == pytest.approx(-0.1)
+    series = by_key(build_series(records, cal))["A", Node.PRODUCT_LIABILITY]
+    assert series.sentiment(0) == pytest.approx(-0.1)
 
 
 def test_multilabel_message_counts_once_per_node():
     cal = weekday_calendar(2)
-    agg = build_series(
-        [msg("A", 0, {Node.HUMAN_CAPITAL, Node.CORPORATE_GOVERNANCE}, -0.2)], cal
-    )
-    assert agg.series("A", Node.HUMAN_CAPITAL).counts[0] == 1
-    assert agg.series("A", Node.CORPORATE_GOVERNANCE).counts[0] == 1
+    series_list = build_series([msg("A", 0, {Node.HUMAN_CAPITAL, Node.CORPORATE_GOVERNANCE}, -0.2)], cal)
+    series = by_key(series_list)
+    assert series["A", Node.HUMAN_CAPITAL].counts[0] == 1
+    assert series["A", Node.CORPORATE_GOVERNANCE].counts[0] == 1
     # one message under two pillars still counts once at the root
-    assert agg.series("A", Node.ESG_ALL).counts[0] == 1
-    assert agg.totals["A"][0] == 1
+    assert series["A", Node.ESG_ALL].counts[0] == 1
+    assert all(s.totals[0] == 1 for s in series_list)
 
 
 def test_iteration_order_is_deterministic():
-    from esgrisk.taxonomy import node_sort_key
-
     cal = weekday_calendar(2)
     records = [
         msg("B", 0, {Node.CLIMATE_CHANGE}),
         msg("A", 0, {Node.CORPORATE_BEHAVIOR}),
         msg("A", 1, {Node.NATURAL_CAPITAL}),
     ]
-    agg = build_series(records, cal)
-    keys = [(s.firm, s.node) for s in agg]
+    keys = [(s.firm, s.node) for s in build_series(records, cal)]
     assert keys == sorted(keys, key=lambda k: (k[0], node_sort_key(k[1])))
     # within firm A: Environment block precedes Governance block
     a_nodes = [node for firm, node in keys if firm == "A"]
     assert a_nodes.index(Node.NATURAL_CAPITAL) < a_nodes.index(Node.CORPORATE_BEHAVIOR)
+
+
+def dict_oracle(records, n_days):
+    """Per-record accumulation into per-(firm, node) arrays, one scalar at a time."""
+    totals, counts, senti = {}, {}, {}
+    for firm, day, nodes, score in records:
+        totals.setdefault(firm, np.zeros(n_days, dtype=np.int64))[day] += 1
+        for node in expand_to_ancestors(nodes):
+            key = (firm, node)
+            if key not in counts:
+                counts[key] = np.zeros(n_days, dtype=np.int64)
+                senti[key] = np.zeros(n_days, dtype=np.float64)
+            counts[key][day] += 1
+            senti[key][day] += score
+    return totals, counts, senti
+
+
+# inexact values, so that adding them in another order changes the low bits
+scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-17, 0.1, 0.7, -1 / 3, 2 / 3, -0.3]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_days=st.integers(1, 8),
+    raw=st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B", "AA"]),
+            st.integers(0, 7),
+            st.frozensets(st.sampled_from(SUBCATEGORIES), max_size=3),
+            scores,
+        ),
+        max_size=120,
+    ),
+)
+@example(n_days=1, raw=[("A", 0, frozenset({Node.HUMAN_CAPITAL}), x) for x in (1e-17, 1.0, -1.0)])
+def test_build_series_equals_dict_oracle(n_days, raw):
+    records = [(firm, day % n_days, nodes, score) for firm, day, nodes, score in raw]
+    series_list = build_series(records, weekday_calendar(n_days))
+    totals, counts, senti = dict_oracle(records, n_days)
+
+    assert [(s.firm, s.node) for s in series_list] == sorted(
+        counts, key=lambda k: (k[0], node_sort_key(k[1]))
+    )
+    for s in series_list:
+        key = (s.firm, s.node)
+        assert s.counts.dtype == np.int64 and s.senti_sum.dtype == np.float64
+        assert np.array_equal(s.counts, counts[key])
+        assert np.array_equal(s.totals, totals[s.firm])
+        # same additions in the same order: equal to the last bit
+        assert s.senti_sum.tobytes() == senti[key].tobytes()
+
+
+def test_no_records_gives_no_series():
+    assert build_series(iter([]), weekday_calendar(3)) == []

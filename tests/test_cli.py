@@ -197,16 +197,37 @@ def corrupt_csv(src, dst, column, value, row_filter=lambda row: True):
     raise AssertionError(f"no row of {src} passes the filter")
 
 
-def test_bad_score_in_classified_exits_3(cli_run, tmp_path):
+@pytest.mark.parametrize("score", ["abc", "nan", "inf"])
+def test_bad_score_in_classified_exits_3(cli_run, tmp_path, score):
     bad = tmp_path / "classified.csv"
-    line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "score", "abc")
+    line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "score", score)
     result = CliRunner().invoke(
         main,
         ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
         + corpus_args(cli_run["corpus"]),
     )
     assert result.exit_code == 3, all_output(result)
-    assert f"data error: {bad}:{line}: bad score 'abc'" in all_output(result)
+    assert f"data error: {bad}:{line}: bad score '{score}'" in all_output(result)
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, column, row_filter",
+    [
+        ("detect", "classified", "nodes", lambda row: True),
+        ("study", "events", "node", lambda row: row["kept"] == "true"),
+    ],
+    ids=["classified", "events"],
+)
+def test_unknown_node_in_artifact_names_the_row(cli_run, tmp_path, stage, artifact, column, row_filter):
+    bad = tmp_path / f"{artifact}.csv"
+    line = corrupt_csv(cli_run["out"] / f"{artifact}.csv", bad, column, "Bogus", row_filter)
+    result = CliRunner().invoke(
+        main,
+        [stage, "--outdir", str(tmp_path / "out"), f"--{artifact}", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: unknown taxonomy node: 'Bogus'" in all_output(result)
 
 
 def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
@@ -258,11 +279,19 @@ def test_synth_flag_overrides(tmp_path):
     assert (tmp_path / "c" / "messages.csv").exists()
 
 
-def test_synth_invalid_config_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n_days: 300\nplanted:\n  - {firm: 5, node: ClimateChange, day: 10}\n", "config error"),
+        ("- seed: 1\n- n_days: 300\n", "must be a mapping"),
+    ],
+    ids=["unknown-planted-firm", "list"],
+)
+def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"
-    config.write_text("n_days: 300\nplanted:\n  - {firm: 5, node: ClimateChange, day: 10}\n", encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     result = CliRunner().invoke(
         main, ["synth", "-c", str(config), "--outdir", str(tmp_path / "c")]
     )
-    assert result.exit_code == 2
-    assert "config error" in all_output(result)
+    assert result.exit_code == 2, all_output(result)
+    assert message in all_output(result)

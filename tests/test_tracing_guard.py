@@ -1,0 +1,62 @@
+"""The benchmark's traced run must keep working against the package.
+
+bench/tracing.py swaps wrappers in through each owner's ``__dict__``, so a
+function it patches that is renamed or deleted fails here, not only when
+the benchmark runs. Tracing must also leave detect's output unchanged.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from conftest import corpus_paths
+
+import esgrisk.aggregate as aggregate
+import esgrisk.ingest as ingest
+import esgrisk.lexicon as lexicon
+import esgrisk.pipeline as pipeline
+import esgrisk.sentiment as sentiment
+import esgrisk.study as study
+import esgrisk.synth as synth
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+OWNERS = (
+    aggregate, ingest, lexicon, pipeline, sentiment, study, synth,
+    lexicon.TokenMatcher, lexicon.EsgClassifier, sentiment.SentimentScorer,
+)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("esgrisk_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def detect_config(std_run, outdir):
+    paths = corpus_paths(std_run["corpus_dir"], outdir)
+    paths["classified"] = str(std_run["classify"].classified_path)
+    return pipeline.run_config_from_dict({"paths": paths})
+
+
+def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path):
+    tracing = load_tracing()
+    before = [dict(vars(owner)) for owner in OWNERS]
+
+    pipeline.run_detect(detect_config(std_run, tmp_path / "plain"))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        assert pipeline.build_series is not before[OWNERS.index(pipeline)]["build_series"]
+        pipeline.run_detect(detect_config(std_run, tmp_path / "traced"))
+    finally:
+        patches.restore()
+
+    for owner, saved in zip(OWNERS, before):
+        assert all(vars(owner)[name] is value for name, value in saved.items()), owner
+    plain = (tmp_path / "plain" / "events.csv").read_bytes()
+    assert plain == (tmp_path / "traced" / "events.csv").read_bytes()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["aggregate.series"] == metrics["detect.esd.calls"] > 0
+    assert metrics["detect.kept"] == len(std_run["detect"].kept)

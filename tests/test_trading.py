@@ -1,11 +1,20 @@
 import random
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgrisk.errors import DataError
-from esgrisk.trading import TradingCalendar, assign_trading_day, assign_trading_index
+from esgrisk.trading import (
+    TradingCalendar,
+    assign_trading_day,
+    assign_trading_index,
+    assign_trading_indices,
+    close_instants,
+    epoch_us,
+)
 
 NY = ZoneInfo("America/New_York")
 
@@ -98,3 +107,60 @@ def test_assignment_is_monotone_in_time():
     indices = [assign_trading_index(ts, c) for ts in stamps]
     kept = [i for i in indices if i is not None]
     assert kept == sorted(kept)
+
+
+# Weekdays of 2020 from late February to mid November: both US DST switches
+# (03-08, 11-01) and both EU ones (03-29, 10-25) fall inside.
+YEAR_DAYS = [
+    date(2020, 2, 24) + timedelta(days=i) for i in range(266)
+    if (date(2020, 2, 24) + timedelta(days=i)).weekday() < 5
+]
+
+
+@st.composite
+def calendars_and_stamps(draw):
+    """A calendar with holidays, and stamps at, and 1 µs around, 16:00 closes
+    of trading days, weekends, days before day 0 and days after the last close,
+    plus stamps anywhere in those days."""
+    tz = draw(st.sampled_from(["America/New_York", "Europe/London", "Asia/Tokyo"]))
+    start = draw(st.integers(0, len(YEAR_DAYS) - 2))
+    stop = draw(st.integers(start + 1, len(YEAR_DAYS)))
+    holidays = set()
+    if stop - start > 2:
+        holidays = draw(st.sets(st.integers(start + 1, stop - 1), max_size=10))
+    days = [YEAR_DAYS[i] for i in range(start, stop) if i not in holidays]
+    zone = ZoneInfo(tz)
+    stamps = []
+    for _ in range(draw(st.integers(1, 40))):
+        day = days[0] + timedelta(days=draw(st.integers(-4, (days[-1] - days[0]).days + 4)))
+        close = datetime.combine(day, time(16, 0), zone).astimezone(timezone.utc)
+        offset = draw(st.one_of(
+            st.sampled_from([-1, 0, 1]),
+            st.integers(-16 * 3600 * 10**6, 8 * 3600 * 10**6),
+        ))
+        stamps.append(close + timedelta(microseconds=offset))
+    return TradingCalendar(days), tz, stamps
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendars_and_stamps())
+def test_vectorised_assignment_equals_scalar(case):
+    calendar, tz, stamps = case
+    got = assign_trading_indices([epoch_us(ts) for ts in stamps], calendar, tz)
+    for ts, idx in zip(stamps, got.tolist()):
+        expected = assign_trading_index(ts, calendar, tz)
+        assert idx == (-1 if expected is None else expected), (ts, tz)
+
+
+def test_close_instants_bound_every_window():
+    closes = close_instants(DAYS)
+    assert len(closes) == len(DAYS) + 1
+    assert closes[0] == ny(2020, 3, 1, 16, 0)  # the calendar day before day 0
+    assert closes[1] == ny(2020, 3, 2, 16, 0)
+    # across the DST switch the UTC close moves from 21:00 to 20:00
+    assert (closes[5].hour, closes[6].hour) == (21, 20)
+    c = cal()
+    for i, (lo, hi) in enumerate(zip(closes, closes[1:])):
+        assert assign_trading_index(lo, c) == (i - 1 if i else None)
+        assert assign_trading_index(lo + timedelta(microseconds=1), c) == i
+        assert assign_trading_index(hi, c) == i
