@@ -1,10 +1,11 @@
 """File ingestion: messages, prices, market index, calendar events.
 
-All inputs are RFC-4180 CSV with a header row. Malformed rows are skipped
-with a warning and recorded in an IngestReport so that
-valid + skipped == total always holds; only structural problems that
-would corrupt downstream arithmetic (duplicate price rows, duplicate
-index dates, unreadable files) are fatal.
+All inputs are UTF-8, RFC-4180 CSV with a header row, read through
+read_rows; blank lines are skipped. Malformed rows are skipped with a
+warning and recorded in an IngestReport so that valid + skipped == total
+always holds; only structural problems that would corrupt downstream
+arithmetic (duplicate price rows, duplicate index dates, unreadable or
+undecodable files, malformed CSV records) are fatal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from operator import itemgetter
 from pathlib import Path
+from typing import Sequence
 from zoneinfo import ZoneInfo
 
 from .errors import DataError
@@ -112,27 +115,42 @@ def _parse_date(raw: str) -> date:
     return date.fromisoformat(raw.strip())
 
 
-def _require_columns(reader: csv.DictReader, path: Path, required: tuple[str, ...]) -> None:
-    names = reader.fieldnames or []
-    missing = [c for c in required if c not in names]
-    if missing:
-        raise DataError(f"{path}: missing required column(s) {missing}, found {names}")
+def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()):
+    """Yield (line_num, values) for each non-blank row of a headed UTF-8 CSV file.
 
-
-def _open(path: str | Path):
+    `values` holds the cells of the `required` then `optional` columns, in
+    that order, with csv.DictReader's reading of them: a cell beyond the
+    end of a short row, or of an absent optional column, is None; extra
+    cells are ignored; a header name given twice names its last column.
+    `line_num` is the row's last physical line. An unreadable file, a
+    missing required column, an undecodable byte or a malformed record
+    raises DataError naming the file.
+    """
     try:
-        return open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_messages(
-    path: str | Path, source_tz: str = "UTC"
-) -> tuple[list[Message], IngestReport]:
-    """Read a message corpus; see iter_messages for the streaming form."""
-    report = IngestReport(path=str(path))
-    messages = list(iter_messages(path, source_tz=source_tz, report=report))
-    return messages, report
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in required if c not in index]
+            if missing:
+                raise DataError(f"{path}: missing {what} columns {missing}, found {header}")
+            # rows are padded with None, so index -1 reads None for an absent column
+            cols = [index.get(c, -1) for c in (*required, *optional)]
+            pad = [None] * (len(header) + 1)
+            pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+            for row in reader:
+                if row:
+                    row.extend(pad)
+                    yield reader.line_num, pick(row)
+        except UnicodeDecodeError as exc:
+            line = reader.line_num + 1
+            raise DataError(f"{path}:{line}: {what} is not UTF-8 at or after this line ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: malformed {what} record: {exc}") from None
 
 
 def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport | None = None):
@@ -144,35 +162,32 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
     if report is None:
         report = IngestReport(path=str(path))
     seen_ids: set[str] = set()
-    with _open(path) as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, Path(path), ("id", "firm", "timestamp", "text"))
-        for row in reader:
-            line = reader.line_num
-            msg_id = (row.get("id") or "").strip()
-            firm = (row.get("firm") or "").strip()
-            raw_ts = (row.get("timestamp") or "").strip()
-            text = row.get("text")
-            if not msg_id:
-                report.skip(line, "missing id")
-                continue
-            if msg_id in seen_ids:
-                report.skip(line, f"duplicate id {msg_id!r}")
-                continue
-            if not firm:
-                report.skip(line, "missing firm")
-                continue
-            if text is None:
-                report.skip(line, "missing text column value")
-                continue
-            try:
-                ts = parse_timestamp(raw_ts, source_tz)
-            except (ValueError, KeyError):
-                report.skip(line, f"bad timestamp {raw_ts!r}")
-                continue
-            seen_ids.add(msg_id)
-            report.keep()
-            yield Message(id=msg_id, firm=firm, timestamp=ts, text=text)
+    for line, (msg_id, firm, raw_ts, text) in read_rows(
+        path, "messages", ("id", "firm", "timestamp", "text")
+    ):
+        msg_id = (msg_id or "").strip()
+        firm = (firm or "").strip()
+        raw_ts = (raw_ts or "").strip()
+        if not msg_id:
+            report.skip(line, "missing id")
+            continue
+        if msg_id in seen_ids:
+            report.skip(line, f"duplicate id {msg_id!r}")
+            continue
+        if not firm:
+            report.skip(line, "missing firm")
+            continue
+        if text is None:
+            report.skip(line, "missing text column value")
+            continue
+        try:
+            ts = parse_timestamp(raw_ts, source_tz)
+        except (ValueError, KeyError):
+            report.skip(line, f"bad timestamp {raw_ts!r}")
+            continue
+        seen_ids.add(msg_id)
+        report.keep()
+        yield Message(id=msg_id, firm=firm, timestamp=ts, text=text)
 
 
 def read_prices(path: str | Path) -> tuple[dict[str, list[PriceRow]], IngestReport]:
@@ -185,47 +200,42 @@ def read_prices(path: str | Path) -> tuple[dict[str, list[PriceRow]], IngestRepo
     report = IngestReport(path=str(path))
     raw: dict[str, list[tuple[date, float, float | None]]] = {}
     seen: set[tuple[str, date]] = set()
-    with _open(path) as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, Path(path), ("firm", "date", "close"))
-        has_ret = "return" in (reader.fieldnames or [])
-        for row in reader:
-            line = reader.line_num
-            firm = (row.get("firm") or "").strip()
-            if not firm:
-                report.skip(line, "missing firm")
-                continue
+    rows = read_rows(path, "prices", ("firm", "date", "close"), optional=("return",))
+    for line, (firm, raw_day, raw_close, raw_ret) in rows:
+        firm = (firm or "").strip()
+        if not firm:
+            report.skip(line, "missing firm")
+            continue
+        try:
+            day = _parse_date(raw_day or "")
+        except ValueError:
+            report.skip(line, f"bad date {raw_day!r}")
+            continue
+        try:
+            close = float(raw_close or "")
+        except ValueError:
+            report.skip(line, f"bad close {raw_close!r}")
+            continue
+        if not math.isfinite(close) or close <= 0:
+            report.skip(line, f"close must be positive, got {close}")
+            continue
+        ret: float | None = None
+        raw_ret = (raw_ret or "").strip()
+        if raw_ret:
             try:
-                day = _parse_date(row.get("date") or "")
+                ret = float(raw_ret)
             except ValueError:
-                report.skip(line, f"bad date {row.get('date')!r}")
+                report.skip(line, f"bad return {raw_ret!r}")
                 continue
-            try:
-                close = float(row.get("close") or "")
-            except ValueError:
-                report.skip(line, f"bad close {row.get('close')!r}")
+            if not math.isfinite(ret):
+                report.skip(line, f"non-finite return {ret}")
                 continue
-            if not math.isfinite(close) or close <= 0:
-                report.skip(line, f"close must be positive, got {close}")
-                continue
-            ret: float | None = None
-            if has_ret:
-                raw_ret = (row.get("return") or "").strip()
-                if raw_ret:
-                    try:
-                        ret = float(raw_ret)
-                    except ValueError:
-                        report.skip(line, f"bad return {raw_ret!r}")
-                        continue
-                    if not math.isfinite(ret):
-                        report.skip(line, f"non-finite return {ret}")
-                        continue
-            key = (firm, day)
-            if key in seen:
-                raise DataError(f"{path}:{line}: duplicate price row for {firm} {day}")
-            seen.add(key)
-            report.keep()
-            raw.setdefault(firm, []).append((day, close, ret))
+        key = (firm, day)
+        if key in seen:
+            raise DataError(f"{path}:{line}: duplicate price row for {firm} {day}")
+        seen.add(key)
+        report.keep()
+        raw.setdefault(firm, []).append((day, close, ret))
 
     out: dict[str, list[PriceRow]] = {}
     for firm, rows in raw.items():
@@ -246,29 +256,25 @@ def read_market_index(path: str | Path) -> tuple[list[MarketIndexRow], IngestRep
     report = IngestReport(path=str(path))
     rows: list[MarketIndexRow] = []
     seen: set[date] = set()
-    with _open(path) as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, Path(path), ("date", "return"))
-        for row in reader:
-            line = reader.line_num
-            try:
-                day = _parse_date(row.get("date") or "")
-            except ValueError:
-                report.skip(line, f"bad date {row.get('date')!r}")
-                continue
-            try:
-                ret = float(row.get("return") or "")
-            except ValueError:
-                report.skip(line, f"bad return {row.get('return')!r}")
-                continue
-            if not math.isfinite(ret):
-                report.skip(line, f"non-finite return {ret}")
-                continue
-            if day in seen:
-                raise DataError(f"{path}:{line}: duplicate market index date {day}")
-            seen.add(day)
-            report.keep()
-            rows.append(MarketIndexRow(day=day, ret=ret))
+    for line, (raw_day, raw_ret) in read_rows(path, "market index", ("date", "return")):
+        try:
+            day = _parse_date(raw_day or "")
+        except ValueError:
+            report.skip(line, f"bad date {raw_day!r}")
+            continue
+        try:
+            ret = float(raw_ret or "")
+        except ValueError:
+            report.skip(line, f"bad return {raw_ret!r}")
+            continue
+        if not math.isfinite(ret):
+            report.skip(line, f"non-finite return {ret}")
+            continue
+        if day in seen:
+            raise DataError(f"{path}:{line}: duplicate market index date {day}")
+        seen.add(day)
+        report.keep()
+        rows.append(MarketIndexRow(day=day, ret=ret))
     rows.sort(key=lambda r: r.day)
     return rows, report
 
@@ -279,21 +285,17 @@ def read_calendar_events(
     """Read firm,date confound events of one kind; empty files are fine."""
     report = IngestReport(path=str(path))
     rows: list[CalendarEventRow] = []
-    with _open(path) as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, Path(path), ("firm", "date"))
-        for row in reader:
-            line = reader.line_num
-            firm = (row.get("firm") or "").strip()
-            if not firm:
-                report.skip(line, "missing firm")
-                continue
-            try:
-                day = _parse_date(row.get("date") or "")
-            except ValueError:
-                report.skip(line, f"bad date {row.get('date')!r}")
-                continue
-            report.keep()
-            rows.append(CalendarEventRow(firm=firm, day=day, kind=kind))
+    for line, (firm, raw_day) in read_rows(path, "calendar", ("firm", "date")):
+        firm = (firm or "").strip()
+        if not firm:
+            report.skip(line, "missing firm")
+            continue
+        try:
+            day = _parse_date(raw_day or "")
+        except ValueError:
+            report.skip(line, f"bad date {raw_day!r}")
+            continue
+        report.keep()
+        rows.append(CalendarEventRow(firm=firm, day=day, kind=kind))
     rows.sort(key=lambda r: (r.firm, r.day))
     return rows, report

@@ -11,14 +11,13 @@ once.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .ingest import _require_columns
+from .ingest import read_rows
 from .taxonomy import Node, parse_node
 
 MAX_TERM_TOKENS = 5
@@ -98,33 +97,22 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     """
     entries: list[LexiconEntry] = []
     seen: set[tuple[tuple[str, ...], Node]] = set()
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, path, ("term", "node"))
-        for row in reader:
-            raw_term = (row.get("term") or "").strip()
-            raw_node = (row.get("node") or "").strip()
-            if not raw_term or not raw_node:
-                raise DataError(f"{path}:{reader.line_num}: term and node are both required")
-            term = tuple(tokenize(raw_term))
-            if not term:
-                raise DataError(f"{path}:{reader.line_num}: term {raw_term!r} has no tokens")
-            if len(term) > MAX_TERM_TOKENS:
-                raise DataError(
-                    f"{path}:{reader.line_num}: term {raw_term!r} exceeds "
-                    f"{MAX_TERM_TOKENS} tokens"
-                )
-            node = parse_node(raw_node)
-            key = (term, node)
-            if key in seen:
-                raise DataError(f"{path}:{reader.line_num}: duplicate entry {raw_term!r} -> {node}")
-            seen.add(key)
-            entries.append(LexiconEntry(term=term, node=node))
+    for line, (raw_term, raw_node) in read_rows(path, "lexicon", ("term", "node")):
+        raw_term = (raw_term or "").strip()
+        raw_node = (raw_node or "").strip()
+        if not raw_term or not raw_node:
+            raise DataError(f"{path}:{line}: term and node are both required")
+        term = tuple(tokenize(raw_term))
+        if not term:
+            raise DataError(f"{path}:{line}: term {raw_term!r} has no tokens")
+        if len(term) > MAX_TERM_TOKENS:
+            raise DataError(f"{path}:{line}: term {raw_term!r} exceeds {MAX_TERM_TOKENS} tokens")
+        node = parse_node(raw_node)
+        key = (term, node)
+        if key in seen:
+            raise DataError(f"{path}:{line}: duplicate entry {raw_term!r} -> {node}")
+        seen.add(key)
+        entries.append(LexiconEntry(term=term, node=node))
     return entries
 
 

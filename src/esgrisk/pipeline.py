@@ -49,6 +49,7 @@ from .ingest import (
     read_calendar_events,
     read_market_index,
     read_prices,
+    read_rows,
 )
 from .lexicon import TokenMatcher, esg_labels, load_esg_lexicon, tokenize
 from .report import (
@@ -347,34 +348,31 @@ def _read_classified(path: Path):
     codes: dict[str, int] = {}
     label_sets: dict[str, frozenset[Node]] = {}
     firms, stamps, labels, scores = array("q"), array("q"), [], array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in CLASSIFIED_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: missing classified columns {missing}")
-        for row in reader:
+    for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
+        path, "classified", CLASSIFIED_COLUMNS
+    ):
+        try:
+            ts = parse_timestamp(raw_ts or "")
+        except ValueError:
+            raise DataError(f"{path}:{line}: bad timestamp in classified file") from None
+        raw_nodes = raw_nodes or ""
+        nodes = label_sets.get(raw_nodes)
+        if nodes is None:
             try:
-                ts = parse_timestamp(row["timestamp"] or "")
-            except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: bad timestamp in classified file") from None
-            raw_nodes = row["nodes"] or ""
-            nodes = label_sets.get(raw_nodes)
-            if nodes is None:
-                try:
-                    nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
-                except DataError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-                label_sets[raw_nodes] = nodes
-            try:
-                score = float(row["score"] or 0.0)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{reader.line_num}: bad score {row['score']!r}")
-            firms.append(codes.setdefault((row["firm"] or "").strip(), len(codes)))
-            stamps.append(epoch_us(ts))
-            labels.append(nodes)
-            scores.append(score)
+                nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
+            except DataError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from None
+            label_sets[raw_nodes] = nodes
+        try:
+            score = float(raw_score or 0.0)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise DataError(f"{path}:{line}: bad score {raw_score!r}")
+        firms.append(codes.setdefault((firm or "").strip(), len(codes)))
+        stamps.append(epoch_us(ts))
+        labels.append(nodes)
+        scores.append(score)
     return list(codes), firms, stamps, labels, scores
 
 
@@ -460,24 +458,20 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
 def load_kept_events(path: str | Path) -> list[tuple[str, Node, date]]:
     """Read kept events from an events.csv."""
     out: list[tuple[str, Node, date]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in EVENT_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: missing event columns {missing}")
-        for row in reader:
-            if (row.get("kept") or "").strip() != "true":
-                continue
-            raw_day = (row.get("date") or "").strip()
-            try:
-                day = date.fromisoformat(raw_day)
-            except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: bad date {raw_day!r}") from None
-            try:
-                node = parse_node(row.get("node") or "")
-            except DataError as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-            out.append(((row.get("firm") or "").strip(), node, day))
+    rows = read_rows(path, "event", EVENT_COLUMNS)
+    for line, (firm, raw_node, raw_day, *_, kept, _, _) in rows:
+        if (kept or "").strip() != "true":
+            continue
+        raw_day = (raw_day or "").strip()
+        try:
+            day = date.fromisoformat(raw_day)
+        except ValueError:
+            raise DataError(f"{path}:{line}: bad date {raw_day!r}") from None
+        try:
+            node = parse_node(raw_node or "")
+        except DataError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
+        out.append(((firm or "").strip(), node, day))
     return out
 
 

@@ -8,7 +8,6 @@ so weak or ambiguous days are treated as risk-relevant.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .ingest import _require_columns
+from .ingest import read_rows
 from .lexicon import MAX_TERM_TOKENS, Hit, TokenMatcher, tokenize
 
 DEFAULT_SIGN_THRESHOLD = 0.05
@@ -40,34 +39,24 @@ def load_sentiment_lexicon(path: str | Path) -> list[SentimentEntry]:
     """Read a term,weight CSV; weights must be finite and within [-1, 1]."""
     entries: list[SentimentEntry] = []
     seen: set[tuple[str, ...]] = set()
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read sentiment lexicon {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, path, ("term", "weight"))
-        for row in reader:
-            raw_term = (row.get("term") or "").strip()
-            raw_weight = (row.get("weight") or "").strip()
-            if not raw_term or not raw_weight:
-                raise DataError(f"{path}:{reader.line_num}: term and weight are both required")
-            term = tuple(tokenize(raw_term))
-            if not term or len(term) > MAX_TERM_TOKENS:
-                raise DataError(f"{path}:{reader.line_num}: unusable term {raw_term!r}")
-            try:
-                weight = float(raw_weight)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{reader.line_num}: weight {raw_weight!r} is not a number"
-                ) from None
-            if not math.isfinite(weight) or not -1.0 <= weight <= 1.0:
-                raise DataError(f"{path}:{reader.line_num}: weight {weight} outside [-1, 1]")
-            if term in seen:
-                raise DataError(f"{path}:{reader.line_num}: duplicate sentiment term {raw_term!r}")
-            seen.add(term)
-            entries.append(SentimentEntry(term=term, weight=weight))
+    for line, (raw_term, raw_weight) in read_rows(path, "sentiment lexicon", ("term", "weight")):
+        raw_term = (raw_term or "").strip()
+        raw_weight = (raw_weight or "").strip()
+        if not raw_term or not raw_weight:
+            raise DataError(f"{path}:{line}: term and weight are both required")
+        term = tuple(tokenize(raw_term))
+        if not term or len(term) > MAX_TERM_TOKENS:
+            raise DataError(f"{path}:{line}: unusable term {raw_term!r}")
+        try:
+            weight = float(raw_weight)
+        except ValueError:
+            raise DataError(f"{path}:{line}: weight {raw_weight!r} is not a number") from None
+        if not math.isfinite(weight) or not -1.0 <= weight <= 1.0:
+            raise DataError(f"{path}:{line}: weight {weight} outside [-1, 1]")
+        if term in seen:
+            raise DataError(f"{path}:{line}: duplicate sentiment term {raw_term!r}")
+        seen.add(term)
+        entries.append(SentimentEntry(term=term, weight=weight))
     return entries
 
 

@@ -245,6 +245,66 @@ def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
     assert f"data error: {bad}:{line}: bad date '2020-13-45'" in all_output(result)
 
 
+def stage_args(cli_run, stage, outdir, flag, value):
+    """A stage's command line over the shared run's inputs, reading (never
+    writing) the shared artifact it needs, with `flag` pointed at `value`."""
+    args = [stage, "--outdir", str(outdir)] + corpus_args(cli_run["corpus"])
+    artifact = {"detect": "classified", "study": "events"}.get(stage)
+    if artifact is not None:
+        args += [f"--{artifact}", str(cli_run["out"] / f"{artifact}.csv")]
+    args[args.index(flag) + 1] = str(value)
+    return args
+
+
+@pytest.mark.parametrize(
+    "stage, flag, source",
+    [
+        ("classify", "--messages", "corpus/messages.csv"),
+        ("classify", "--esg-lexicon", "corpus/esg_lexicon.csv"),
+        ("detect", "--market-index", "corpus/market_index.csv"),
+        ("detect", "--classified", "out/classified.csv"),
+        ("study", "--events", "out/events.csv"),
+    ],
+    ids=["messages", "lexicon", "market_index", "classified", "events"],
+)
+def test_non_utf8_input_exits_3(cli_run, tmp_path, stage, flag, source):
+    bad = tmp_path / source.split("/")[1]
+    good = cli_run["corpus"].parent / source
+    bad.write_bytes(good.read_bytes().rstrip(b"\r\n") + b"\xff\n")
+    result = CliRunner().invoke(main, stage_args(cli_run, stage, tmp_path / "out", flag, bad))
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:" in all_output(result)
+    assert "is not UTF-8" in all_output(result)
+
+
+@pytest.mark.parametrize("stage", ["detect", "eval"])
+def test_directory_as_input_exits_3(cli_run, tmp_path, stage):
+    if stage == "detect":
+        args = stage_args(cli_run, "detect", tmp_path / "out", "--classified", tmp_path)
+    else:
+        args = [
+            "eval",
+            "--events", str(tmp_path),
+            "--truth", str(cli_run["corpus"] / "ground_truth.json"),
+            "--market-index", str(cli_run["corpus"] / "market_index.csv"),
+        ]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, all_output(result)
+    assert "data error: cannot read" in all_output(result)
+    assert str(tmp_path) in all_output(result)
+
+
+def test_oversized_field_exits_3(cli_run, tmp_path):
+    bad = tmp_path / "messages.csv"
+    bad.write_text(
+        "id,firm,timestamp,text\n1,FIRM0,2020-03-10T14:00:00Z," + "x" * 131_073 + "\n",
+        encoding="utf-8",
+    )
+    result = CliRunner().invoke(main, stage_args(cli_run, "classify", tmp_path / "out", "--messages", bad))
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:2: malformed messages record" in all_output(result)
+
+
 def test_detect_before_classify_exits_2(cli_run, tmp_path):
     result = CliRunner().invoke(
         main,

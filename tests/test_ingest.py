@@ -1,17 +1,25 @@
+import ast
 import csv
+import io
 from datetime import date, datetime, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import esgrisk
 from esgrisk.errors import DataError
 from esgrisk.ingest import (
     EventKind,
+    IngestReport,
+    iter_messages,
     parse_timestamp,
     read_calendar_events,
     read_market_index,
-    read_messages,
     read_prices,
+    read_rows,
 )
 
 
@@ -55,7 +63,8 @@ def test_read_messages_valid_row(tmp_path):
         ["id", "firm", "timestamp", "text"],
         [["1", "AAPL", "2020-03-10T14:00:00Z", "hello, \"quoted\" text"]],
     )
-    messages, report = read_messages(path)
+    report = IngestReport(path=str(path))
+    messages = list(iter_messages(path, report=report))
     assert len(messages) == 1
     m = messages[0]
     assert (m.id, m.firm) == ("1", "AAPL")
@@ -74,7 +83,8 @@ def test_read_messages_count_conservation(tmp_path):
         ["4", "MSFT", "2020-03-10 09:00", "ok naive"],
     ]
     path = write_csv(tmp_path / "m.csv", ["id", "firm", "timestamp", "text"], rows)
-    messages, report = read_messages(path)
+    report = IngestReport(path=str(path))
+    messages = list(iter_messages(path, report=report))
     assert len(messages) == 2
     assert report.total_rows == len(rows)
     assert report.valid_rows == 2
@@ -90,8 +100,8 @@ def test_read_messages_deterministic(tmp_path):
         ["id", "firm", "timestamp", "text"],
         [[str(i), "AAPL", "2020-03-10T14:00:00Z", f"t{i}"] for i in range(20)],
     )
-    first, _ = read_messages(path)
-    second, _ = read_messages(path)
+    first = list(iter_messages(path, report=IngestReport(path=str(path))))
+    second = list(iter_messages(path, report=IngestReport(path=str(path))))
     assert first == second
 
 
@@ -201,3 +211,72 @@ def test_read_calendar_events_empty_file(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         read_prices(tmp_path / "missing.csv")
+
+
+NAMES = ("a", "b", "c")
+ROWS = st.lists(
+    st.one_of(st.none(), st.lists(st.text(alphabet='x,"\n ', max_size=3), max_size=6)),
+    max_size=8,
+)
+
+
+def csv_text(header, rows):
+    """A CSV file body; a None row is a blank line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        if row is None:
+            buf.write("\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
+    rows=ROWS,
+    picks=st.data(),
+)
+@example(
+    header=["a", "b", "a"],
+    rows=[None, ["1"], ["1", "2", "3", "4"], [], ["x\ny", ""], None],
+    picks=None,
+)
+def test_read_rows_matches_dictreader(tmp_path_factory, header, rows, picks):
+    if picks is None:
+        required, optional = ["b", "a"], ["c", "a"]
+    else:
+        required = picks.draw(st.lists(st.sampled_from(sorted(set(header))), unique=True, min_size=1))
+        optional = picks.draw(st.lists(st.sampled_from(NAMES + ("z",)), unique=True, max_size=2))
+    path = tmp_path_factory.mktemp("rows") / "in.csv"
+    path.write_text(csv_text(header, rows), encoding="utf-8")
+    with open(path, newline="", encoding="utf-8") as fh:
+        oracle = csv.DictReader(fh)
+        expected = [
+            (oracle.line_num, tuple(row.get(c) for c in (*required, *optional))) for row in oracle
+        ]
+    assert list(read_rows(path, "test", required, optional)) == expected
+
+
+def test_read_rows_names_missing_columns(tmp_path):
+    path = write_csv(tmp_path / "m.csv", ["id", "text"], [["1", "x"]])
+    with pytest.raises(DataError, match=r"missing messages columns \['firm'\], found \['id', 'text'\]"):
+        list(read_rows(path, "messages", ("id", "firm")))
+
+
+def test_only_read_rows_parses_csv():
+    """Every CSV input goes through ingest.read_rows, so no module grows its own reader."""
+    package = Path(esgrisk.__file__).parent
+    ingest_py = package / "ingest.py"
+    tree = ast.parse(ingest_py.read_text(encoding="utf-8"))
+    helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "read_rows")
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if path == ingest_py and helper.lineno <= num <= helper.end_lineno:
+                continue
+            if "DictReader" in line or "csv.reader(" in line:
+                offenders.append(f"{path.relative_to(package)}:{num}: {line.strip()}")
+    assert offenders == []
