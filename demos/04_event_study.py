@@ -8,8 +8,6 @@ them across events. Two panels are compared: one with no effect and one
 with a -0.5% return injected on the event day.
 """
 
-from datetime import date
-
 import numpy as np
 
 from esgrisk.study import (
@@ -27,29 +25,29 @@ from esgrisk.taxonomy import Node
 config = EstimationConfig()  # 120-day window ending 2 days before the event
 
 # --- one event in detail ----------------------------------------------
+# The study works on stacked events: one row per event, here a single row.
 rng = np.random.default_rng(3)
 firm, market, idx = next(iter(simulate_event_panel(rng, 1, injected_ar=-0.005)))
 
-fit = fit_market_model(firm, market, idx, config)
-print(f"fitted model: alpha {fit.alpha:+.6f}, beta {fit.beta:.3f}, "
-      f"residual std {fit.resid_std:.4f}, {fit.n_obs} obs")
+est = idx + np.asarray(config.est_offsets())
+fit = fit_market_model(firm[None, est], market[None, est], config)
+print(f"fitted model: alpha {fit.alpha[0]:+.6f}, beta {fit.beta[0]:.3f}, "
+      f"residual std {fit.resid_std[0]:.4f}, {fit.n_obs[0]} obs")
 
-ar = abnormal_return(fit, float(firm[idx]), float(market[idx]))
-sar = standardize(fit, ar, float(market[idx]))
+ar = abnormal_return(fit, firm[idx], market[idx])[0]
+sar = standardize(fit, ar, market[idx])[0]
 print(f"event day: return {firm[idx]:+.4f}, market {market[idx]:+.4f}, "
       f"AR {ar:+.4f}, SAR {sar:+.3f}")
 
 # --- panels of 400 events ---------------------------------------------
 for label, injected in (("null", 0.0), ("injected -0.5%", -0.005)):
     rng = np.random.default_rng(99)  # same seed, so only the injection differs
-    events = [
-        compute_event_abnormals(f, m, i, config, firm=f"E{k}", day=date(2020, 6, 1))
-        for k, (f, m, i) in enumerate(
-            simulate_event_panel(rng, 400, post_days=5, injected_ar=injected)
-        )
-    ]
-    res = aggregate_node(Node.ESG_ALL, events, config)
-    t0 = bmp_tstat([e.sar[0] for e in events])
+    panel = simulate_event_panel(rng, 400, post_days=5, injected_ar=injected)
+    # each simulated event has its own firm and market series: one row each
+    firms, markets, days = (np.stack(a) for a in zip(*panel))
+    events = compute_event_abnormals(firms, markets, np.arange(len(days)), days, config)
+    res = aggregate_node(Node.ESG_ALL, events.take(events.dropped == ""), config)
+    t0 = bmp_tstat(events.sar[:, events.offsets.index(0)])
     print(f"\npanel '{label}' ({res.n} events)")
     print(f"  AAR(0)        {res.aar[0]:+.5f}   t {t0:+.2f}")
     print(f"  SCAAR[-1;+1]  {res.scaar[(-1, 1)]:+.3f}    t {res.t_scaar[(-1, 1)]:+.2f}")

@@ -44,7 +44,6 @@ from .sentiment import (
     SentimentScorer,
     Sign,
     classify_sign,
-    daily_sentiment,
     load_sentiment_lexicon,
 )
 from .study import (
@@ -59,7 +58,6 @@ from .study import (
     bmp_tstat,
     compute_event_abnormals,
     fit_market_model,
-    scaar_curve,
     standardize,
 )
 from .synth import (
@@ -80,7 +78,7 @@ from .taxonomy import (
     expand_to_ancestors,
     parse_node,
 )
-from .trading import TradingCalendar, assign_trading_day, assign_trading_index
+from .trading import TradingCalendar, assign_trading_index
 
 __version__ = "0.1.0"
 
@@ -125,13 +123,11 @@ __all__ = [
     "align_firm_returns",
     "align_market_returns",
     "ancestors",
-    "assign_trading_day",
     "assign_trading_index",
     "bmp_tstat",
     "build_series",
     "classify_sign",
     "compute_event_abnormals",
-    "daily_sentiment",
     "esd_outliers",
     "evaluate_detection",
     "exclude_confounded",
@@ -151,7 +147,6 @@ __all__ = [
     "run_detect",
     "run_pipeline",
     "run_study",
-    "scaar_curve",
     "select_risk_events",
     "simulate_event_panel",
     "standardize",

@@ -107,7 +107,10 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
             raise DataError(f"{path}:{line}: term {raw_term!r} has no tokens")
         if len(term) > MAX_TERM_TOKENS:
             raise DataError(f"{path}:{line}: term {raw_term!r} exceeds {MAX_TERM_TOKENS} tokens")
-        node = parse_node(raw_node)
+        try:
+            node = parse_node(raw_node)
+        except DataError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
         key = (term, node)
         if key in seen:
             raise DataError(f"{path}:{line}: duplicate entry {raw_term!r} -> {node}")

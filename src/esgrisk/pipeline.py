@@ -62,8 +62,6 @@ from .report import (
 from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, load_sentiment_lexicon, mean_weight
 from .study import (
     EstimationConfig,
-    EventAbnormals,
-    EventDropped,
     NodeStudyResult,
     aggregate_node,
     align_firm_returns,
@@ -489,37 +487,37 @@ class StudyOutputs:
 
 def study_events(
     event_keys: Sequence[tuple[str, Node, date]],
-    firm_returns: dict,
-    market_returns,
+    firm_returns: tuple[Sequence[str], np.ndarray],
+    market_returns: np.ndarray,
     calendar: TradingCalendar,
     config: EstimationConfig,
 ) -> tuple[list[NodeStudyResult], list[tuple[str, Node, date, str]]]:
-    """Compute per-node study results for (firm, node, date) events."""
-    cache: dict[tuple[str, date], EventAbnormals | EventDropped] = {}
-    by_node: dict[Node, list[EventAbnormals]] = {}
+    """Compute per-node study results for (firm, node, date) events.
+
+    `firm_returns` is align_firm_returns' (firm names, returns matrix).
+    Each distinct (firm, day) is studied once, in one stacked call.
+    """
+    firms, returns = firm_returns
+    row_of = {firm: i for i, firm in enumerate(firms)}
+    keys = sorted(event_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
+    stacked: dict[tuple[str, date], int] = {}
+    for firm, _, day in keys:
+        if firm in row_of:
+            stacked.setdefault((firm, day), len(stacked))
+    rows = np.array([row_of[firm] for firm, _ in stacked], dtype=np.intp)
+    days = np.array([calendar.index_of(day) for _, day in stacked], dtype=np.intp)
+    abnormals = compute_event_abnormals(returns, market_returns, rows, days, config)
+    by_node: dict[Node, list[int]] = {}
     drops: list[tuple[str, Node, date, str]] = []
-    for firm, node, day in sorted(event_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2])):
-        key = (firm, day)
-        got = cache.get(key)
-        if got is None:
-            returns = firm_returns.get(firm)
-            if returns is None:
-                got = EventDropped("no price data for firm")
-            else:
-                try:
-                    got = compute_event_abnormals(
-                        returns, market_returns, calendar.index_of(day), config,
-                        firm=firm, day=day,
-                    )
-                except EventDropped as exc:
-                    got = exc
-            cache[key] = got
-        if isinstance(got, EventDropped):
-            drops.append((firm, node, day, got.reason))
+    for firm, node, day in keys:
+        k = stacked.get((firm, day))
+        reason = "no price data for firm" if k is None else str(abnormals.dropped[k])
+        if reason:
+            drops.append((firm, node, day, reason))
         else:
-            by_node.setdefault(node, []).append(got)
+            by_node.setdefault(node, []).append(k)
     results = [
-        aggregate_node(node, by_node[node], config)
+        aggregate_node(node, abnormals.take(by_node[node]), config)
         for node in REPORT_ORDER
         if node in by_node
     ]
@@ -541,6 +539,7 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
     index_rows, _ = read_market_index(index_path)
     calendar = TradingCalendar.from_market_index(index_rows)
     firm_returns = align_firm_returns(prices, calendar)
+    del prices  # the price rows are not needed past alignment
     market_returns = align_market_returns(index_rows, calendar)
 
     outputs = _write_study_outputs(

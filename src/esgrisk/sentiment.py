@@ -77,16 +77,6 @@ class SentimentScorer:
         """Mean weight over matched term occurrences; 0.0 if none match."""
         return mean_weight(self._matcher.find(tokens))
 
-    def score_message(self, text: str) -> float:
-        return self.score_tokens(tokenize(text))
-
-
-def daily_sentiment(scores: Sequence[float]) -> float | None:
-    """Mean message score for one firm, node and day; None when no messages."""
-    if not scores:
-        return None
-    return float(sum(scores) / len(scores))
-
 
 def classify_sign(score: float, threshold: float = DEFAULT_SIGN_THRESHOLD) -> Sign:
     """Positive iff score >= threshold; the boundary itself is Positive."""

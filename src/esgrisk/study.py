@@ -6,6 +6,9 @@ forecast-error-corrected residual standard deviation
 
     SAR = AR / (s * sqrt(1 + 1/n + (R_m,t - mean_est(R_m))^2 / ssq_est(R_m))).
 
+Events are stacked: windows are (events x days) arrays with NaN on missing
+days, and one closed-form fit handles every row at once.
+
 Cross-event aggregation averages SARs per offset (SAAR) and the per-event
 sums of SARs over a window (SCAAR, no window-length renormalization).
 Significance uses the cross-sectional t on the standardized values
@@ -17,8 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,14 +32,6 @@ from .trading import TradingCalendar
 log = logging.getLogger(__name__)
 
 Window = tuple[int, int]
-
-
-class EventDropped(Exception):
-    """An event cannot be studied; carries the drop reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -78,23 +72,31 @@ class EstimationConfig:
 
 @dataclass(frozen=True)
 class MarketModelFit:
-    alpha: float
-    beta: float
-    resid_std: float
-    market_mean: float
-    market_ssq: float
-    n_obs: int
+    """Market-model coefficients of stacked events, one array entry per event.
+
+    `dropped` names why an event's fit is unusable, "" where it is usable;
+    the numbers of a dropped event are undefined.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    resid_std: np.ndarray
+    market_mean: np.ndarray
+    market_ssq: np.ndarray
+    n_obs: np.ndarray
+    dropped: np.ndarray
 
 
-def align_firm_returns(prices: Mapping[str, list[PriceRow]], calendar: TradingCalendar) -> dict[str, np.ndarray]:
-    """Per-firm return arrays on the calendar grid, NaN where missing.
+def align_firm_returns(
+    prices: Mapping[str, list[PriceRow]], calendar: TradingCalendar
+) -> tuple[list[str], np.ndarray]:
+    """Firm names and their (firms x days) returns on the calendar grid, NaN where missing.
 
     Price rows on dates outside the calendar are ignored with a log note:
     they cannot participate in a calendar-aligned study.
     """
-    out: dict[str, np.ndarray] = {}
-    for firm, rows in prices.items():
-        arr = np.full(len(calendar), np.nan)
+    out = np.full((len(prices), len(calendar)), np.nan)
+    for arr, (firm, rows) in zip(out, prices.items()):
         dropped = 0
         for row in rows:
             if row.ret is None:
@@ -105,8 +107,7 @@ def align_firm_returns(prices: Mapping[str, list[PriceRow]], calendar: TradingCa
             arr[calendar.index_of(row.day)] = row.ret
         if dropped:
             log.info("%s: %d price dates outside the trading calendar", firm, dropped)
-        out[firm] = arr
-    return out
+    return list(prices), out
 
 
 def align_market_returns(rows: Sequence, calendar: TradingCalendar) -> np.ndarray:
@@ -118,132 +119,126 @@ def align_market_returns(rows: Sequence, calendar: TradingCalendar) -> np.ndarra
 
 
 def fit_market_model(
-    firm_returns: np.ndarray,
-    market_returns: np.ndarray,
-    event_index: int,
-    config: EstimationConfig,
+    firm: np.ndarray, market: np.ndarray, config: EstimationConfig
 ) -> MarketModelFit:
-    """OLS of firm on market returns over the estimation window.
+    """Row-wise OLS of firm on market returns over stacked estimation windows.
 
-    Raises EventDropped when fewer than min_obs paired observations exist,
-    when the market regressor is constant, or when the fit leaves zero
-    residual variance (both degeneracies make SARs undefined).
+    `firm` and `market` are (events x days) arrays, NaN on missing days. An
+    event is dropped when fewer than min_obs days pair up ("thin estimation
+    window"), else when its market days are all equal ("degenerate
+    regressor"), else when the fit leaves zero residual variance
+    ("degenerate residuals"): each makes SARs undefined.
     """
-    n = firm_returns.shape[0]
-    idx = [event_index + off for off in config.est_offsets()]
-    idx = [i for i in idx if 0 <= i < n]
-    if not idx:
-        raise EventDropped("thin estimation window")
-    x_all = market_returns[idx]
-    y_all = firm_returns[idx]
-    ok = np.isfinite(x_all) & np.isfinite(y_all)
-    n_obs = int(ok.sum())
-    if n_obs < config.min_obs:
-        raise EventDropped("thin estimation window")
-    x = x_all[ok]
-    y = y_all[ok]
-    market_mean = float(x.mean())
-    market_ssq = float(((x - market_mean) ** 2).sum())
-    # x.mean() of a constant series carries rounding noise, so test the
-    # data itself, not the demeaned sum of squares alone
-    if market_ssq == 0.0 or float(x.max()) == float(x.min()):
-        raise EventDropped("degenerate regressor")
-    beta, alpha = np.polyfit(x, y, 1)
-    resid = y - (alpha + beta * x)
-    ssr = float(resid @ resid)
-    resid_std = math.sqrt(ssr / (n_obs - 2)) if ssr > 0.0 else 0.0
-    # residual spread at the rounding floor of the response scale means an
-    # exact linear (or constant) relation: SARs are undefined there
-    if resid_std <= float(np.abs(y).max()) * 1e-12:
-        raise EventDropped("degenerate residuals")
-    return MarketModelFit(
-        alpha=float(alpha),
-        beta=float(beta),
-        resid_std=resid_std,
-        market_mean=market_mean,
-        market_ssq=market_ssq,
-        n_obs=n_obs,
+    ok = np.isfinite(firm) & np.isfinite(market)
+    n_obs = ok.sum(axis=1)
+    x = np.where(ok, market, 0.0)
+    y = np.where(ok, firm, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        market_mean = x.sum(axis=1) / n_obs
+        firm_mean = y.sum(axis=1) / n_obs
+        dx = np.where(ok, x - market_mean[:, None], 0.0)
+        dy = y - firm_mean[:, None]  # needs no mask: dx is 0 off it, resid masked
+        market_ssq = (dx * dx).sum(axis=1)
+        beta = (dx * dy).sum(axis=1) / market_ssq
+        alpha = firm_mean - beta * market_mean
+        resid = np.where(ok, dy - beta[:, None] * dx, 0.0)
+        resid_std = np.sqrt((resid * resid).sum(axis=1) / (n_obs - 2))
+    # the demeaned sum of squares of a constant series carries rounding
+    # noise, so test the data itself as well
+    flat = (market_ssq == 0.0) | (
+        np.where(ok, market, -np.inf).max(axis=1) == np.where(ok, market, np.inf).min(axis=1)
     )
+    # residual spread at the rounding floor of the response scale means an
+    # exact linear (or constant) relation
+    exact = resid_std <= np.abs(y).max(axis=1, initial=0.0) * 1e-12
+    dropped = np.select(
+        [n_obs < config.min_obs, flat, exact],
+        ["thin estimation window", "degenerate regressor", "degenerate residuals"],
+        "",
+    )
+    return MarketModelFit(alpha, beta, resid_std, market_mean, market_ssq, n_obs, dropped)
 
 
-def abnormal_return(fit: MarketModelFit, firm_ret: float, market_ret: float) -> float:
-    """Prediction error of the market model on one day."""
+def abnormal_return(fit: MarketModelFit, firm_ret, market_ret):
+    """Prediction error of the market model; the last axis runs over the fit's events."""
     return firm_ret - fit.alpha - fit.beta * market_ret
 
 
-def standardize(fit: MarketModelFit, ar: float, market_ret: float) -> float:
-    """Scale an abnormal return by its forecast-error standard deviation."""
+def standardize(fit: MarketModelFit, ar, market_ret):
+    """Scale abnormal returns by their forecast-error standard deviation."""
     correction = 1.0 + 1.0 / fit.n_obs + (market_ret - fit.market_mean) ** 2 / fit.market_ssq
-    return ar / (fit.resid_std * math.sqrt(correction))
+    return ar / (fit.resid_std * np.sqrt(correction))
 
 
 @dataclass(frozen=True)
 class EventAbnormals:
-    """Per-event abnormal returns around the event day.
+    """ARs and SARs of stacked events: one row per event, one column per offset.
 
-    `ar`/`sar` hold every offset in [-curve_span, +curve_span] (plus any
-    configured offsets) where returns existed; required offsets are
-    guaranteed present, the rest are best effort for the curve.
+    `offsets` is the contiguous range of day offsets the columns hold, NaN
+    where a return is missing. `dropped` names why an event cannot be
+    studied, "" where it can; such an event's row is all NaN, and every
+    required offset of a studied event is finite.
     """
 
-    firm: str
-    day: date
-    fit: MarketModelFit
-    ar: dict[int, float]
-    sar: dict[int, float]
+    offsets: range
+    ar: np.ndarray
+    sar: np.ndarray
+    dropped: np.ndarray
 
-    def car(self, window: Window) -> float:
-        lo, hi = window
-        return sum(self.ar[off] for off in range(lo, hi + 1))
+    def columns(self, lo: int, hi: int) -> slice:
+        """The columns of offsets lo..hi, both included."""
+        return slice(lo - self.offsets.start, hi - self.offsets.start + 1)
 
-    def scar(self, window: Window, normalize: bool = False) -> float:
-        lo, hi = window
-        total = sum(self.sar[off] for off in range(lo, hi + 1))
-        if normalize:
-            total /= math.sqrt(hi - lo + 1)
-        return total
+    def take(self, rows) -> "EventAbnormals":
+        """The events at `rows`, given as indices or a boolean mask."""
+        return EventAbnormals(self.offsets, self.ar[rows], self.sar[rows], self.dropped[rows])
 
-    def covers(self, offsets: Iterable[int]) -> bool:
-        return all(off in self.sar for off in offsets)
+
+def _take(grid: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+    """grid[rows, cols], NaN where a column falls off the grid."""
+    inside = (cols >= 0) & (cols < grid.shape[1])
+    return np.where(inside, grid[rows, np.clip(cols, 0, grid.shape[1] - 1)], np.nan)
 
 
 def compute_event_abnormals(
     firm_returns: np.ndarray,
     market_returns: np.ndarray,
-    event_index: int,
+    rows: np.ndarray,
+    days: np.ndarray,
     config: EstimationConfig,
-    firm: str = "",
-    day: date | None = None,
 ) -> EventAbnormals:
-    """Fit the market model and collect ARs/SARs around one event.
+    """Fit the market model and collect ARs/SARs around stacked events.
 
-    Raises EventDropped if any required offset lacks a firm or market
-    return; offsets needed only for the running-sum curve may be missing.
+    Event k is firm row rows[k] of the (firms x days) `firm_returns` on day
+    days[k]. `market_returns` is one day series for every firm, or one row
+    per firm row. An event whose fit is usable is still dropped ("missing
+    event-window returns") if a required offset lacks a firm or market
+    return; offsets needed only for the running-sum curve may be NaN.
     """
-    fit = fit_market_model(firm_returns, market_returns, event_index, config)
-    required = set(config.required_offsets())
-    wanted = sorted(required | set(range(-config.curve_span, config.curve_span + 1)))
-    n = firm_returns.shape[0]
-    ar: dict[int, float] = {}
-    sar: dict[int, float] = {}
-    for off in wanted:
-        i = event_index + off
-        if not 0 <= i < n:
-            if off in required:
-                raise EventDropped("missing event-window returns")
-            continue
-        r_i = firm_returns[i]
-        r_m = market_returns[i]
-        if not (np.isfinite(r_i) and np.isfinite(r_m)):
-            if off in required:
-                raise EventDropped("missing event-window returns")
-            continue
-        a = abnormal_return(fit, float(r_i), float(r_m))
-        ar[off] = a
-        sar[off] = standardize(fit, a, float(r_m))
-    if day is None:
-        day = date.min
-    return EventAbnormals(firm=firm, day=day, fit=fit, ar=ar, sar=sar)
+    rows = np.asarray(rows, dtype=np.intp)
+    days = np.asarray(days, dtype=np.intp)
+    market_grid = np.atleast_2d(market_returns)
+    market_rows = rows[:, None] if len(market_grid) > 1 else 0
+
+    def windows(offsets) -> tuple[np.ndarray, np.ndarray]:
+        cols = days[:, None] + np.asarray(offsets, dtype=np.intp)
+        return _take(firm_returns, rows[:, None], cols), _take(market_grid, market_rows, cols)
+
+    fit = fit_market_model(*windows(config.est_offsets()), config)
+    required = config.required_offsets()
+    span = (-config.curve_span, *required, config.curve_span)
+    offsets = range(min(span), max(span) + 1)
+    # offsets x events, so that the per-event fit arrays broadcast along rows
+    firm, market = (w.T for w in windows(offsets))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ar = abnormal_return(fit, firm, market)
+        sar = standardize(fit, ar, market)
+    ar, sar = ar.T, sar.T
+    need = [off - offsets.start for off in required]
+    missing = np.isnan(ar[:, need]).any(axis=1)
+    dropped = np.where((fit.dropped == "") & missing, "missing event-window returns", fit.dropped)
+    ar[dropped != ""] = sar[dropped != ""] = np.nan
+    return EventAbnormals(offsets, ar, sar, dropped)
 
 
 def bmp_tstat(values: Sequence[float]) -> float | None:
@@ -261,16 +256,6 @@ def bmp_tstat(values: Sequence[float]) -> float | None:
     if sd <= float(np.abs(arr).max()) * 1e-12:
         return None
     return float(arr.mean() / (sd / math.sqrt(n)))
-
-
-def scaar_curve(saar_by_offset: Mapping[int, float]) -> list[tuple[int, float]]:
-    """Running sum of SAAR over increasing offsets (plot data)."""
-    path: list[tuple[int, float]] = []
-    total = 0.0
-    for off in sorted(saar_by_offset):
-        total += saar_by_offset[off]
-        path.append((off, total))
-    return path
 
 
 @dataclass
@@ -292,34 +277,33 @@ class NodeStudyResult:
 
 
 def aggregate_node(
-    node: Node, abnormals: Sequence[EventAbnormals], config: EstimationConfig
+    node: Node, abnormals: EventAbnormals, config: EstimationConfig
 ) -> NodeStudyResult:
-    """Average per-event (S)ARs into SAAR/SCAAR rows with BMP t-values.
+    """Average the studied events' (S)ARs into SAAR/SCAAR rows with BMP t-values.
 
     Every statistic uses the same event set, so window sums decompose
     exactly into their per-offset averages.
     """
-    result = NodeStudyResult(node=node, n=len(abnormals))
-    if not abnormals:
+    result = NodeStudyResult(node=node, n=len(abnormals.sar))
+    if not result.n:
         return result
     for off in config.saar_offsets:
-        sars = [e.sar[off] for e in abnormals]
-        ars = [e.ar[off] for e in abnormals]
-        result.saar[off] = float(np.mean(sars))
-        result.t_saar[off] = bmp_tstat(sars)
-        result.aar[off] = float(np.mean(ars))
-        result.t_aar[off] = bmp_tstat(ars)
+        col = abnormals.offsets.index(off)
+        sars, ars = abnormals.sar[:, col], abnormals.ar[:, col]
+        result.saar[off], result.t_saar[off] = float(np.mean(sars)), bmp_tstat(sars)
+        result.aar[off], result.t_aar[off] = float(np.mean(ars)), bmp_tstat(ars)
     for window in config.event_windows:
-        scars = [e.scar(window, config.scar_normalize) for e in abnormals]
-        cars = [e.car(window) for e in abnormals]
-        result.scaar[window] = float(np.mean(scars))
-        result.t_scaar[window] = bmp_tstat(scars)
-        result.caar[window] = float(np.mean(cars))
-        result.t_caar[window] = bmp_tstat(cars)
-    span = range(-config.curve_span, config.curve_span + 1)
-    covered = [e for e in abnormals if e.covers(span)]
+        cols = abnormals.columns(*window)
+        scars = abnormals.sar[:, cols].sum(axis=1)
+        if config.scar_normalize:
+            scars /= math.sqrt(window[1] - window[0] + 1)
+        cars = abnormals.ar[:, cols].sum(axis=1)
+        result.scaar[window], result.t_scaar[window] = float(np.mean(scars)), bmp_tstat(scars)
+        result.caar[window], result.t_caar[window] = float(np.mean(cars)), bmp_tstat(cars)
+    span = abnormals.sar[:, abnormals.columns(-config.curve_span, config.curve_span)]
+    covered = span[np.isfinite(span).all(axis=1)]
     result.curve_n = len(covered)
-    if covered:
-        saar_ext = {off: float(np.mean([e.sar[off] for e in covered])) for off in span}
-        result.curve = tuple(scaar_curve(saar_ext))
+    if result.curve_n:
+        running = np.cumsum(covered.mean(axis=0)).tolist()
+        result.curve = tuple(zip(range(-config.curve_span, config.curve_span + 1), running))
     return result

@@ -65,26 +65,13 @@ class TradingCalendar:
         return bisect_left(self.dates, day)
 
 
-def assign_trading_day(
-    ts_utc: datetime,
-    calendar: TradingCalendar,
-    exchange_tz: str = DEFAULT_EXCHANGE_TZ,
-) -> date | None:
-    """Map a UTC timestamp to the trading day whose close it precedes.
-
-    Returns None for timestamps that cannot be assigned: after the final
-    close of the calendar, or before the calendar's first day (there the
-    previous close is unknowable, so assignment would be a guess).
-    """
-    idx = assign_trading_index(ts_utc, calendar, exchange_tz)
-    return calendar.date_at(idx) if idx is not None else None
-
-
 def assign_trading_index(
     ts_utc: datetime,
     calendar: TradingCalendar,
     exchange_tz: str = DEFAULT_EXCHANGE_TZ,
 ) -> int | None:
+    """Index of the trading day whose close a UTC timestamp precedes; None after
+    the final close, or before the first day, where the previous close is unknown."""
     local = ts_utc.astimezone(ZoneInfo(exchange_tz))
     candidate = local.date()
     if local.time() > MARKET_CLOSE:  # 16:00:00 sharp still belongs to the closing day

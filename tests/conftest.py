@@ -8,9 +8,11 @@ return on the planted days so study-stage signs are unambiguous.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from esgrisk.pipeline import run_config_from_dict, run_pipeline
+from esgrisk.study import abnormal_return, fit_market_model, standardize
 from esgrisk.synth import PlantedEvent, SynthConfig, generate
 from esgrisk.taxonomy import Node
 
@@ -33,6 +35,17 @@ def std_synth_config(seed: int = STD_SEED) -> SynthConfig:
         injected_ar=-0.02,
         background_sentiment="positive",
     )
+
+
+def event_day_abnormals(panel, config):
+    """Event-day ARs and SARs of a simulate_event_panel draw, fitted as one stack."""
+    firm, market, idx = (np.stack(a) for a in zip(*panel))
+    rows = np.arange(len(idx))
+    est = idx[:, None] + np.asarray(config.est_offsets())
+    fit = fit_market_model(firm[rows[:, None], est], market[rows[:, None], est], config)
+    assert (fit.dropped == "").all()
+    ar = abnormal_return(fit, firm[rows, idx], market[rows, idx])
+    return ar, standardize(fit, ar, market[rows, idx])
 
 
 def corpus_paths(corpus_dir: Path, outdir: Path) -> dict:

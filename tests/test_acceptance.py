@@ -11,7 +11,7 @@ import time
 from datetime import date
 
 import numpy as np
-from conftest import corpus_paths, make_run_config
+from conftest import corpus_paths, event_day_abnormals, make_run_config
 
 from esgrisk.aggregate import build_series
 from esgrisk.detect import (
@@ -27,12 +27,9 @@ from esgrisk.sentiment import SentimentScorer, load_sentiment_lexicon
 from esgrisk.study import (
     EstimationConfig,
     EventAbnormals,
-    MarketModelFit,
-    abnormal_return,
     aggregate_node,
     bmp_tstat,
     fit_market_model,
-    standardize,
 )
 from esgrisk.synth import (
     PlantedEvent,
@@ -100,7 +97,7 @@ def test_criterion_2_market_model_matches_closed_form():
     rng = np.random.default_rng(1002)
     config = EstimationConfig()
     idx = [121 + off for off in config.est_offsets()]
-    worst = 0.0
+    markets, firms = [], []
     for _ in range(1000):
         market = rng.normal(0.0, 0.01, 123)
         firm = (
@@ -108,15 +105,19 @@ def test_criterion_2_market_model_matches_closed_form():
             + float(rng.uniform(0.8, 1.2)) * market
             + rng.normal(0.0, 0.02, 123)
         )
-        fit = fit_market_model(firm, market, 121, config)
-        x, y = market[idx], firm[idx]
+        markets.append(market[idx])
+        firms.append(firm[idx])
+    fit = fit_market_model(np.stack(firms), np.stack(markets), config)
+    assert (fit.dropped == "").all()
+    worst = 0.0
+    for k, (x, y) in enumerate(zip(markets, firms)):
         xm, ym = float(x.mean()), float(y.mean())
         beta = float((x - xm) @ (y - ym)) / float(((x - xm) ** 2).sum())
         alpha = ym - beta * xm
         worst = max(
             worst,
-            abs(fit.beta - beta) / abs(beta),
-            abs(fit.alpha - alpha) / abs(alpha),
+            abs(fit.beta[k] - beta) / abs(beta),
+            abs(fit.alpha[k] - alpha) / abs(alpha),
         )
     ok = worst <= 1e-10
     line = report(
@@ -136,11 +137,7 @@ def test_criterion_3_null_rejection_rate_is_calibrated():
     n_reps, n_events = 2000, 100
     rejections = 0
     for _ in range(n_reps):
-        sars = []
-        for firm, market, idx in simulate_event_panel(rng, n_events):
-            fit = fit_market_model(firm, market, idx, config)
-            ar = abnormal_return(fit, float(firm[idx]), float(market[idx]))
-            sars.append(standardize(fit, ar, float(market[idx])))
+        _, sars = event_day_abnormals(simulate_event_panel(rng, n_events), config)
         t = bmp_tstat(sars)
         if abs(t) > 1.96:
             rejections += 1
@@ -168,15 +165,9 @@ def test_criterion_4_injected_effect_is_recovered():
     aars = []
     tstats = []
     for _ in range(n_reps):
-        ars = []
-        sars = []
-        for firm, market, idx in simulate_event_panel(
-            rng, n_events, idio_vol=0.02, injected_ar=-0.003
-        ):
-            fit = fit_market_model(firm, market, idx, config)
-            ar = abnormal_return(fit, float(firm[idx]), float(market[idx]))
-            ars.append(ar)
-            sars.append(standardize(fit, ar, float(market[idx])))
+        ars, sars = event_day_abnormals(
+            simulate_event_panel(rng, n_events, idio_vol=0.02, injected_ar=-0.003), config
+        )
         aars.append(float(np.mean(ars)))
         tstats.append(bmp_tstat(sars))
     mean_aar = float(np.mean(aars))
@@ -326,18 +317,17 @@ def test_criterion_8_window_sums_decompose(std_run):
 
     rng = np.random.default_rng(1008)
     config = EstimationConfig()
-    fit = MarketModelFit(
-        alpha=0.0, beta=1.0, resid_std=0.02, market_mean=0.0, market_ssq=0.01, n_obs=120
-    )
+    offsets = range(-5, 6)
     for _ in range(50):
-        events = [
-            EventAbnormals(
-                firm="A", day=date(2020, 1, 2), fit=fit,
-                ar={off: float(rng.normal(0.0, 0.02)) for off in range(-5, 6)},
-                sar={off: float(rng.normal(0.0, 1.0)) for off in range(-5, 6)},
+        draws = [
+            (
+                [float(rng.normal(0.0, 0.02)) for _ in offsets],
+                [float(rng.normal(0.0, 1.0)) for _ in offsets],
             )
             for _ in range(int(rng.integers(2, 30)))
         ]
+        ar, sar = (np.array(rows) for rows in zip(*draws))
+        events = EventAbnormals(offsets, ar, sar, np.full(len(draws), ""))
         res = aggregate_node(Node.ESG_ALL, events, config)
         gap = abs(res.scaar[(-1, 1)] - (res.scaar[(-1, 0)] + res.saar[1]))
         worst = max(worst, gap)

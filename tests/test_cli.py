@@ -178,7 +178,7 @@ def test_data_error_exits_3(cli_run, tmp_path):
         ],
     )
     assert result.exit_code == 3
-    assert "data error" in all_output(result)
+    assert f"data error: {bad_lexicon}:2: unknown taxonomy node: 'NotANode'" in all_output(result)
 
 
 def corrupt_csv(src, dst, column, value, row_filter=lambda row: True):

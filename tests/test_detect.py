@@ -2,6 +2,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgrisk.aggregate import CategorySeries
 from esgrisk.detect import (
@@ -188,6 +190,30 @@ def test_final_events_are_gap_separated():
         events = filter_and_merge(days, series, cal, config)
         indices = [e.day_index for e in events]
         assert all(b - a > config.gap_days for a, b in zip(indices, indices[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    strong=st.lists(st.integers(0, 119), unique=True, max_size=30),
+    weak=st.lists(st.integers(0, 119), unique=True, max_size=10),
+    gap_days=st.integers(0, 8),
+)
+def test_merged_events_are_gap_separated_and_hold_their_days(strong, weak, gap_days):
+    # strong days pass the size and share filters, weak days (background
+    # counts) do not; outliers arrive unsorted
+    weak = [t for t in weak if t not in strong]
+    cal = weekday_calendar(120)
+    config = DetectionConfig(gap_days=gap_days)
+    events = filter_and_merge(strong + weak, merge_fixture(strong, n=120), cal, config)
+    indices = [e.day_index for e in events]
+    assert all(b - a > gap_days for a, b in zip(indices, indices[1:]))
+    merged = []
+    for event in events:
+        assert event.merged_outlier_days[0] == event.day
+        for day in event.merged_outlier_days:
+            assert 0 <= cal.index_of(day) - event.day_index <= gap_days
+            merged.append(cal.index_of(day))
+    assert merged == sorted(strong)
 
 
 def test_event_sign_comes_from_event_day_sentiment():

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,7 @@ def test_load_demo_lexicon():
 
 def test_load_rejects_unknown_node(tmp_path):
     path = write_lexicon(tmp_path / "lex.csv", [["oil spill", "Pollution"]])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: unknown taxonomy node"):
         load_esg_lexicon(path)
 
 

@@ -1,17 +1,21 @@
 import csv
 import random
+from datetime import date
 
 import pytest
 
+from esgrisk.aggregate import build_series
 from esgrisk.errors import DataError
+from esgrisk.lexicon import tokenize
 from esgrisk.sentiment import (
     SentimentEntry,
     SentimentScorer,
     Sign,
     classify_sign,
-    daily_sentiment,
     load_sentiment_lexicon,
 )
+from esgrisk.taxonomy import Node
+from esgrisk.trading import TradingCalendar
 
 
 def scorer(pairs):
@@ -20,31 +24,45 @@ def scorer(pairs):
     )
 
 
+def score(s, text):
+    return s.score_tokens(tokenize(text))
+
+
+def day_sentiment(scores):
+    """The sentiment build_series gives a day whose messages score `scores`
+    (one message on the day before keeps the series alive when there are none)."""
+    cal = TradingCalendar([date(2020, 1, 6), date(2020, 1, 7)])
+    nodes = frozenset({Node.PRODUCT_LIABILITY})
+    records = [("A", 0, nodes, 0.9)] + [("A", 1, nodes, v) for v in scores]
+    (series,) = [s for s in build_series(records, cal) if s.node is Node.PRODUCT_LIABILITY]
+    return series.sentiment(1)
+
+
 def test_score_is_mean_of_matched_weights():
     s = scorer([("good", 0.8), ("bad", -0.2)])
-    assert s.score_message("good but bad") == pytest.approx(0.3)
+    assert score(s, "good but bad") == pytest.approx(0.3)
 
 
 def test_score_no_match_is_zero():
     s = scorer([("good", 0.8)])
-    assert s.score_message("nothing here") == 0.0
-    assert s.score_message("") == 0.0
+    assert score(s, "nothing here") == 0.0
+    assert score(s, "") == 0.0
 
 
 def test_score_single_term():
     s = scorer([("awful", -1.0)])
-    assert s.score_message("awful day") == -1.0
+    assert score(s, "awful day") == -1.0
 
 
 def test_repeated_term_counts_every_occurrence():
     # two "bad" and one "good": mean of (-0.2, -0.2, 0.8)
     s = scorer([("good", 0.8), ("bad", -0.2)])
-    assert s.score_message("bad bad good") == pytest.approx(0.4 / 3)
+    assert score(s, "bad bad good") == pytest.approx(0.4 / 3)
 
 
 def test_multiword_sentiment_terms_match():
     s = scorer([("class action", -0.6)])
-    assert s.score_message("a class action was filed") == -0.6
+    assert score(s, "a class action was filed") == -0.6
 
 
 def test_score_stays_in_unit_interval():
@@ -54,13 +72,13 @@ def test_score_stays_in_unit_interval():
     words = [t for t, _ in vocab] + ["zz", "qq"]
     for _ in range(200):
         text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 15)))
-        assert -1.0 <= s.score_message(text) <= 1.0
+        assert -1.0 <= score(s, text) <= 1.0
 
 
 def test_daily_sentiment():
-    assert daily_sentiment([0.3, -0.5]) == pytest.approx(-0.1)
-    assert daily_sentiment([0.2]) == 0.2
-    assert daily_sentiment([]) is None
+    assert day_sentiment([0.3, -0.5]) == pytest.approx(-0.1)
+    assert day_sentiment([0.2]) == 0.2
+    assert day_sentiment([]) is None
 
 
 def test_daily_sentiment_order_invariant():
@@ -68,7 +86,7 @@ def test_daily_sentiment_order_invariant():
     scores = [rng.uniform(-1, 1) for _ in range(20)]
     shuffled = scores[:]
     rng.shuffle(shuffled)
-    assert daily_sentiment(scores) == pytest.approx(daily_sentiment(shuffled))
+    assert day_sentiment(scores) == pytest.approx(day_sentiment(shuffled))
 
 
 def test_classify_sign_examples():

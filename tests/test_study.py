@@ -1,21 +1,20 @@
 import math
-from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgrisk.errors import ConfigError
 from esgrisk.study import (
     EstimationConfig,
     EventAbnormals,
-    EventDropped,
     MarketModelFit,
     abnormal_return,
     aggregate_node,
     bmp_tstat,
     compute_event_abnormals,
     fit_market_model,
-    scaar_curve,
     standardize,
 )
 from esgrisk.taxonomy import Node
@@ -27,6 +26,56 @@ def closed_form_ols(x, y):
     dx = x - xm
     beta = float(dx @ (y - ym)) / float(dx @ dx)
     return ym - beta * xm, beta
+
+
+def oracle_fit(firm, market, event_index, config):
+    """The scalar per-event fit the stacked kernel replaced: np.polyfit over
+    one event's window. Returns (alpha, beta, resid_std, market_mean,
+    market_ssq, n_obs), or the drop reason."""
+    n = firm.shape[0]
+    idx = [event_index + off for off in config.est_offsets()]
+    idx = [i for i in idx if 0 <= i < n]
+    if not idx:
+        return "thin estimation window"
+    x_all = market[idx]
+    y_all = firm[idx]
+    ok = np.isfinite(x_all) & np.isfinite(y_all)
+    n_obs = int(ok.sum())
+    if n_obs < config.min_obs:
+        return "thin estimation window"
+    x = x_all[ok]
+    y = y_all[ok]
+    market_mean = float(x.mean())
+    market_ssq = float(((x - market_mean) ** 2).sum())
+    if market_ssq == 0.0 or float(x.max()) == float(x.min()):
+        return "degenerate regressor"
+    beta, alpha = np.polyfit(x, y, 1)
+    resid = y - (alpha + beta * x)
+    ssr = float(resid @ resid)
+    resid_std = math.sqrt(ssr / (n_obs - 2)) if ssr > 0.0 else 0.0
+    if resid_std <= float(np.abs(y).max()) * 1e-12:
+        return "degenerate residuals"
+    return float(alpha), float(beta), resid_std, market_mean, market_ssq, n_obs
+
+
+def window(series, event_index, offsets):
+    """series[event_index + offsets], NaN off either end of the series."""
+    cols = event_index + np.asarray(offsets)
+    inside = (cols >= 0) & (cols < len(series))
+    return np.where(inside, series[np.clip(cols, 0, len(series) - 1)], np.nan)
+
+
+def fit_one(firm, market, event_index, config=EstimationConfig()):
+    """The stacked fit of one event's estimation window."""
+    offsets = config.est_offsets()
+    return fit_market_model(
+        window(firm, event_index, offsets)[None], window(market, event_index, offsets)[None], config
+    )
+
+
+def one_event(firm, market, event_index, config=EstimationConfig()):
+    """Abnormals of one event: the firm as a one-row matrix."""
+    return compute_event_abnormals(firm[None], market, [0], [event_index], config)
 
 
 def simulated(rng, n=130, alpha=2e-4, beta=1.3, idio=0.02):
@@ -66,57 +115,107 @@ def test_required_offsets_union():
 def test_fit_recovers_known_coefficients():
     rng = np.random.default_rng(7)
     firm, market = simulated(rng, idio=1e-4)
-    fit = fit_market_model(firm, market, 121, EstimationConfig())
-    assert fit.beta == pytest.approx(1.3, abs=0.01)
-    assert fit.alpha == pytest.approx(2e-4, abs=5e-5)
-    assert fit.n_obs == 120
+    fit = fit_one(firm, market, 121)
+    assert fit.dropped[0] == ""
+    assert fit.beta[0] == pytest.approx(1.3, abs=0.01)
+    assert fit.alpha[0] == pytest.approx(2e-4, abs=5e-5)
+    assert fit.n_obs[0] == 120
 
 
 def test_fit_matches_closed_form():
     rng = np.random.default_rng(8)
     config = EstimationConfig()
-    offsets = list(config.est_offsets())
-    for _ in range(200):
-        firm, market = simulated(rng, beta=float(rng.uniform(-2, 2)))
-        fit = fit_market_model(firm, market, 121, config)
-        idx = [121 + off for off in offsets]
-        alpha, beta = closed_form_ols(market[idx], firm[idx])
-        assert fit.alpha == pytest.approx(alpha, rel=1e-10, abs=1e-14)
-        assert fit.beta == pytest.approx(beta, rel=1e-10)
-        resid = firm[idx] - (alpha + beta * market[idx])
-        assert fit.resid_std == pytest.approx(
+    idx = [121 + off for off in config.est_offsets()]
+    draws = [simulated(rng, beta=float(rng.uniform(-2, 2))) for _ in range(200)]
+    firm, market = (np.stack(a) for a in zip(*draws))
+    fit = fit_market_model(firm[:, idx], market[:, idx], config)
+    assert (fit.dropped == "").all()
+    for k in range(200):
+        alpha, beta = closed_form_ols(market[k, idx], firm[k, idx])
+        assert fit.alpha[k] == pytest.approx(alpha, rel=1e-10, abs=1e-14)
+        assert fit.beta[k] == pytest.approx(beta, rel=1e-10)
+        resid = firm[k, idx] - (alpha + beta * market[k, idx])
+        assert fit.resid_std[k] == pytest.approx(
             math.sqrt(float(resid @ resid) / (len(idx) - 2)), rel=1e-10
         )
-        assert fit.market_mean == pytest.approx(float(market[idx].mean()), rel=1e-10)
+        assert fit.market_mean[k] == pytest.approx(float(market[k, idx].mean()), rel=1e-10)
+
+
+@st.composite
+def fit_rows(draw):
+    """One event's series and day: NaN gaps, windows partly or wholly off the
+    series, constant markets, exact lines and constant firms among noisy fits."""
+    n = 40
+    kind = draw(st.sampled_from(["noise", "flat_market", "line", "flat_firm"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    market = rng.normal(0.0, 0.01, n)
+    if kind == "flat_market":
+        market[:] = float(rng.choice([0.004, -0.013, 0.1]))
+    alpha, beta = float(rng.uniform(-2e-4, 2e-4)), float(rng.uniform(-2.0, 2.0))
+    noise = draw(st.sampled_from([1e-6, 1e-3, 0.02]))
+    firm = alpha + beta * market
+    if kind in ("noise", "flat_market"):
+        firm = firm + rng.normal(0.0, noise, n)
+    elif kind == "flat_firm":
+        firm = np.full(n, alpha + 0.002)
+    gap_rate = draw(st.sampled_from([0.0, 0.1, 0.4, 0.7]))
+    firm[rng.random(n) < gap_rate] = np.nan
+    market[rng.random(n) < gap_rate / 4] = np.nan
+    return firm, market, draw(st.integers(-5, n + 25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(fit_rows(), min_size=1, max_size=8))
+def test_stacked_fit_matches_scalar_oracle(rows):
+    config = EstimationConfig(est_len=20, min_obs=12)
+    offsets = config.est_offsets()
+    firm = np.stack([window(f, i, offsets) for f, _, i in rows])
+    market = np.stack([window(m, i, offsets) for _, m, i in rows])
+    fit = fit_market_model(firm, market, config)
+    for k, (f, m, i) in enumerate(rows):
+        expected = oracle_fit(f, m, i, config)
+        if isinstance(expected, str):
+            assert fit.dropped[k] == expected
+            continue
+        assert fit.dropped[k] == ""
+        alpha, beta, resid_std, market_mean, market_ssq, n_obs = expected
+        ok = np.isfinite(firm[k]) & np.isfinite(market[k])
+        y_scale = float(np.abs(firm[k][ok]).max())
+        x_scale = float(np.abs(market[k][ok] - market_mean).max())
+        # relative to the value, or to the data's scale where the value is near 0
+        for got, want, scale in (
+            (fit.alpha[k], alpha, y_scale),
+            (fit.beta[k], beta, y_scale / x_scale),
+            (fit.resid_std[k], resid_std, 0.0),
+            (fit.market_mean[k], market_mean, x_scale),
+            (fit.market_ssq[k], market_ssq, 0.0),
+        ):
+            assert abs(got - want) <= 1e-10 * max(abs(want), scale), (got, want)
+        assert fit.n_obs[k] == n_obs
 
 
 def test_fit_thin_history_drops():
     rng = np.random.default_rng(9)
     firm, market = simulated(rng)
-    with pytest.raises(EventDropped) as exc:
-        fit_market_model(firm, market, 50, EstimationConfig())
-    assert exc.value.reason == "thin estimation window"
+    assert fit_one(firm, market, 50).dropped[0] == "thin estimation window"
 
 
 def test_fit_tolerates_gaps_down_to_min_obs():
     rng = np.random.default_rng(10)
     firm, market = simulated(rng)
     firm[10:30] = np.nan  # 20 missing days still leaves 100 paired obs
-    fit = fit_market_model(firm, market, 121, EstimationConfig())
-    assert fit.n_obs == 100
+    fit = fit_one(firm, market, 121)
+    assert fit.dropped[0] == ""
+    assert fit.n_obs[0] == 100
     firm[30] = np.nan  # 99 obs is below the floor
-    with pytest.raises(EventDropped) as exc:
-        fit_market_model(firm, market, 121, EstimationConfig())
-    assert exc.value.reason == "thin estimation window"
+    assert fit_one(firm, market, 121).dropped[0] == "thin estimation window"
 
 
 def test_fit_constant_market_drops():
     rng = np.random.default_rng(11)
     firm, _ = simulated(rng)
     market = np.full(130, 0.004)
-    with pytest.raises(EventDropped) as exc:
-        fit_market_model(firm, market, 121, EstimationConfig())
-    assert exc.value.reason == "degenerate regressor"
+    assert fit_one(firm, market, 121).dropped[0] == "degenerate regressor"
 
 
 def test_fit_exact_line_drops():
@@ -125,27 +224,25 @@ def test_fit_exact_line_drops():
     rng = np.random.default_rng(12)
     market = rng.normal(0.0, 0.01, 130)
     firm = 1e-4 + 1.1 * market
-    with pytest.raises(EventDropped) as exc:
-        fit_market_model(firm, market, 121, EstimationConfig())
-    assert exc.value.reason == "degenerate residuals"
+    assert fit_one(firm, market, 121).dropped[0] == "degenerate residuals"
 
 
 def test_fit_constant_firm_drops_exact_recovers_near():
     rng = np.random.default_rng(13)
     market = rng.normal(0.0, 0.01, 130)
     c = 0.002
-    with pytest.raises(EventDropped):
-        fit_market_model(np.full(130, c), market, 121, EstimationConfig())
+    assert fit_one(np.full(130, c), market, 121).dropped[0] != ""
     # with a sliver of noise the fit is well posed: beta near 0, alpha near c
     firm = c + rng.normal(0.0, 1e-8, 130)
-    fit = fit_market_model(firm, market, 121, EstimationConfig())
-    assert abs(fit.beta) < 1e-5
-    assert fit.alpha == pytest.approx(c, abs=1e-7)
+    fit = fit_one(firm, market, 121)
+    assert fit.dropped[0] == ""
+    assert abs(fit.beta[0]) < 1e-5
+    assert fit.alpha[0] == pytest.approx(c, abs=1e-7)
 
 
 FIT_FIXTURE = MarketModelFit(
     alpha=0.0, beta=2.0, resid_std=0.02,
-    market_mean=0.0, market_ssq=0.01, n_obs=120,
+    market_mean=0.0, market_ssq=0.01, n_obs=120, dropped="",
 )
 
 
@@ -154,9 +251,28 @@ def test_abnormal_return_fixtures():
     assert abnormal_return(FIT_FIXTURE, 0.02, 0.01) == pytest.approx(0.0)
     flat = MarketModelFit(
         alpha=0.0, beta=0.0, resid_std=0.02,
-        market_mean=0.0, market_ssq=0.01, n_obs=120,
+        market_mean=0.0, market_ssq=0.01, n_obs=120, dropped="",
     )
     assert abnormal_return(flat, 0.017, 0.05) == pytest.approx(0.017)
+
+
+def test_abnormal_return_and_standardize_broadcast_over_events():
+    # two events; rows of the returns are days, columns events
+    fit = MarketModelFit(
+        alpha=np.array([0.0, 0.001]), beta=np.array([2.0, 0.5]),
+        resid_std=np.array([0.02, 0.01]), market_mean=np.array([0.0, 0.002]),
+        market_ssq=np.array([0.01, 0.02]), n_obs=np.array([120, 90]),
+        dropped=np.array(["", ""]),
+    )
+    firm = np.array([[0.03, -0.01], [0.02, 0.004]])
+    market = np.array([[0.01, 0.02], [-0.01, 0.0]])
+    ar = abnormal_return(fit, firm, market)
+    sar = standardize(fit, ar, market)
+    for k in range(2):
+        one = MarketModelFit(*(np.asarray(v)[k] for v in vars(fit).values()))
+        for d in range(2):
+            assert ar[d, k] == abnormal_return(one, firm[d, k], market[d, k])
+            assert sar[d, k] == pytest.approx(standardize(one, ar[d, k], market[d, k]), rel=1e-15)
 
 
 def test_standardize_fixture():
@@ -174,7 +290,7 @@ def test_standardize_correction_vanishes_for_typical_day():
     # huge estimation sample, event day at the market mean: SAR -> AR / s
     fit = MarketModelFit(
         alpha=0.0, beta=1.0, resid_std=0.02,
-        market_mean=0.003, market_ssq=1e9, n_obs=10**9,
+        market_mean=0.003, market_ssq=1e9, n_obs=10**9, dropped="",
     )
     assert standardize(fit, -0.004, 0.003) == pytest.approx(-0.2, rel=1e-8)
 
@@ -182,70 +298,102 @@ def test_standardize_correction_vanishes_for_typical_day():
 def test_sar_invariant_under_firm_return_scaling():
     rng = np.random.default_rng(14)
     firm, market = simulated(rng)
-    config = EstimationConfig()
     for k in (3.0, 0.25):
-        fit1 = fit_market_model(firm, market, 121, config)
-        fit2 = fit_market_model(k * firm, market, 121, config)
-        ar1 = abnormal_return(fit1, float(firm[121]), float(market[121]))
-        ar2 = abnormal_return(fit2, float(k * firm[121]), float(market[121]))
-        assert ar2 == pytest.approx(k * ar1, rel=1e-9)
-        sar1 = standardize(fit1, ar1, float(market[121]))
-        sar2 = standardize(fit2, ar2, float(market[121]))
-        assert sar2 == pytest.approx(sar1, rel=1e-9)
+        fit1 = fit_one(firm, market, 121)
+        fit2 = fit_one(k * firm, market, 121)
+        ar1 = abnormal_return(fit1, firm[121], market[121])
+        ar2 = abnormal_return(fit2, k * firm[121], market[121])
+        assert ar2[0] == pytest.approx(k * ar1[0], rel=1e-9)
+        sar1 = standardize(fit1, ar1, market[121])
+        sar2 = standardize(fit2, ar2, market[121])
+        assert sar2[0] == pytest.approx(sar1[0], rel=1e-9)
 
 
 def test_compute_event_abnormals_collects_curve_offsets():
     rng = np.random.default_rng(15)
     firm, market = simulated(rng)
-    ev = compute_event_abnormals(firm, market, 121, EstimationConfig(), firm="A")
-    assert set(ev.sar) == set(range(-5, 6))
-    assert ev.covers(range(-5, 6))
+    ev = one_event(firm, market, 121)
+    assert ev.offsets == range(-5, 6)
+    assert ev.dropped[0] == ""
+    assert np.isfinite(ev.sar).all()
     # spot check one offset against a by-hand prediction error
-    expected = float(firm[121]) - ev.fit.alpha - ev.fit.beta * float(market[121])
-    assert ev.ar[0] == pytest.approx(expected, rel=1e-12)
+    fit = fit_one(firm, market, 121)
+    expected = float(firm[121]) - fit.alpha[0] - fit.beta[0] * float(market[121])
+    assert ev.ar[0, ev.offsets.index(0)] == pytest.approx(expected, rel=1e-12)
 
 
 def test_compute_event_abnormals_missing_required_drops():
     rng = np.random.default_rng(16)
     firm, market = simulated(rng)
     firm[121] = np.nan  # offset 0 is required by the default windows
-    with pytest.raises(EventDropped) as exc:
-        compute_event_abnormals(firm, market, 121, EstimationConfig())
-    assert exc.value.reason == "missing event-window returns"
+    ev = one_event(firm, market, 121)
+    assert ev.dropped[0] == "missing event-window returns"
+    assert np.isnan(ev.sar).all()
 
 
 def test_compute_event_abnormals_tolerates_missing_curve_day():
     rng = np.random.default_rng(17)
     firm, market = simulated(rng)
     firm[121 - 4] = np.nan  # only the running-sum curve wants offset -4
-    ev = compute_event_abnormals(firm, market, 121, EstimationConfig())
-    assert -4 not in ev.sar
-    assert ev.covers((-1, 0, 1))
-    assert not ev.covers(range(-5, 6))
+    ev = one_event(firm, market, 121)
+    assert ev.dropped[0] == ""
+    assert np.isnan(ev.sar[0, ev.offsets.index(-4)])
+    assert np.isfinite(ev.sar[0, ev.columns(-1, 1)]).all()
+    assert np.isnan(ev.sar[0, ev.columns(-5, 5)]).sum() == 1
 
 
 def test_compute_event_abnormals_truncated_event_window_drops():
     rng = np.random.default_rng(18)
     firm, market = simulated(rng, n=122)
-    with pytest.raises(EventDropped) as exc:
-        compute_event_abnormals(firm, market, 121, EstimationConfig())
-    assert exc.value.reason == "missing event-window returns"
+    assert one_event(firm, market, 121).dropped[0] == "missing event-window returns"
 
 
-def event_with(sars, firm="A"):
-    return EventAbnormals(
-        firm=firm, day=date(2020, 1, 2), fit=FIT_FIXTURE,
-        ar={off: v * 0.02 for off, v in sars.items()}, sar=dict(sars),
-    )
+def test_compute_event_abnormals_fit_drop_comes_first():
+    rng = np.random.default_rng(16)
+    firm, market = simulated(rng)
+    firm[10:31] = np.nan  # thin estimation window
+    firm[121] = np.nan  # and a missing event day
+    assert one_event(firm, market, 121).dropped[0] == "thin estimation window"
+
+
+def test_compute_event_abnormals_rows_match_single_events():
+    # three firms on one market, four events on various rows and days, one of
+    # them so early that its estimation window runs off the grid
+    rng = np.random.default_rng(21)
+    market = rng.normal(0.0, 0.01, 200)
+    firms = np.stack([0.5 * k * market + rng.normal(0.0, 0.02, 200) for k in range(3)])
+    firms[1, 100:110] = np.nan  # inside the estimation window of the day-150 event
+    rows, days = [2, 0, 1, 2], [180, 130, 150, 60]
+    stacked = compute_event_abnormals(firms, market, rows, days, EstimationConfig())
+    assert list(stacked.dropped) == ["", "", "", "thin estimation window"]
+    for k, (row, day) in enumerate(zip(rows, days)):
+        single = one_event(firms[row], market, day)
+        assert single.dropped[0] == stacked.dropped[k]
+        np.testing.assert_array_equal(single.sar[0], stacked.sar[k])
+    # one market row per firm row reads the same as the shared market
+    per_row = compute_event_abnormals(firms, np.stack([market] * 3), rows, days, EstimationConfig())
+    np.testing.assert_array_equal(per_row.sar, stacked.sar)
+
+
+def events_with(*sar_rows):
+    """Studied events from {offset: SAR} dicts over offsets -5..5; each AR is
+    0.02 x its SAR and an absent offset reads NaN."""
+    offsets = range(-5, 6)
+    sar = np.array([[row.get(off, np.nan) for off in offsets] for row in sar_rows])
+    sar = sar.reshape(len(sar_rows), len(offsets))
+    return EventAbnormals(offsets, 0.02 * sar, sar, np.full(len(sar_rows), ""))
 
 
 def test_car_and_scar_windows():
-    ev = event_with({-1: 0.5, 0: -2.0, 1: 0.3})
-    assert ev.scar((-1, 1)) == pytest.approx(-1.2)
-    assert ev.scar((-1, 0)) == pytest.approx(-1.5)
-    assert ev.scar((0, 0)) == pytest.approx(-2.0)
-    assert ev.scar((-1, 1), normalize=True) == pytest.approx(-1.2 / math.sqrt(3))
-    assert ev.car((-1, 1)) == pytest.approx(0.02 * -1.2)
+    config = EstimationConfig(event_windows=((-1, 1), (-1, 0), (0, 0)))
+    ev = events_with({-1: 0.5, 0: -2.0, 1: 0.3})
+    res = aggregate_node(Node.ESG_ALL, ev, config)
+    assert res.scaar[(-1, 1)] == pytest.approx(-1.2)
+    assert res.scaar[(-1, 0)] == pytest.approx(-1.5)
+    assert res.scaar[(0, 0)] == pytest.approx(-2.0)
+    assert res.caar[(-1, 1)] == pytest.approx(0.02 * -1.2)
+    normed = aggregate_node(Node.ESG_ALL, ev, EstimationConfig(scar_normalize=True))
+    assert normed.scaar[(-1, 1)] == pytest.approx(-1.2 / math.sqrt(3))
 
 
 def test_bmp_tstat_fixture():
@@ -273,24 +421,25 @@ def test_bmp_tstat_symmetries():
 
 
 def test_scaar_curve_running_sum():
-    curve = scaar_curve({-1: 0.1, 0: -0.2, 1: 0.1})
+    config = EstimationConfig(curve_span=1)
+    curve = aggregate_node(Node.ESG_ALL, events_with({-1: 0.1, 0: -0.2, 1: 0.1}), config).curve
     assert [off for off, _ in curve] == [-1, 0, 1]
     assert curve[0][1] == pytest.approx(0.1)
     assert curve[1][1] == pytest.approx(-0.1)
     assert curve[2][1] == pytest.approx(0.0, abs=1e-15)
-    assert scaar_curve({}) == []
+    assert aggregate_node(Node.ESG_ALL, events_with(), config).curve == ()
 
 
 def test_aggregate_node_means_and_additivity():
     rng = np.random.default_rng(20)
     config = EstimationConfig()
-    events = [
-        event_with({off: float(rng.normal(-0.5, 1.0)) for off in range(-5, 6)})
+    events = events_with(*(
+        {off: float(rng.normal(-0.5, 1.0)) for off in range(-5, 6)}
         for _ in range(9)
-    ]
+    ))
     result = aggregate_node(Node.CLIMATE_CHANGE, events, config)
     assert result.n == 9
-    assert result.saar[0] == pytest.approx(np.mean([e.sar[0] for e in events]), rel=1e-12)
+    assert result.saar[0] == pytest.approx(np.mean(events.sar[:, 5]), rel=1e-12)
     # window sums decompose into per-offset averages over the same events
     assert result.scaar[(-1, 1)] == pytest.approx(
         result.scaar[(-1, 0)] + result.saar[1], abs=1e-12
@@ -300,20 +449,20 @@ def test_aggregate_node_means_and_additivity():
     )
     assert result.curve_n == 9
     assert result.curve[-1][1] == pytest.approx(
-        sum(result.saar.get(off, np.mean([e.sar[off] for e in events])) for off in range(-5, 6)),
+        sum(result.saar.get(off, np.mean(events.sar[:, off + 5])) for off in range(-5, 6)),
         rel=1e-9,
     )
 
 
 def test_aggregate_node_empty():
-    result = aggregate_node(Node.ESG_ALL, [], EstimationConfig())
+    result = aggregate_node(Node.ESG_ALL, events_with(), EstimationConfig())
     assert result.n == 0
     assert result.saar == {} and result.scaar == {}
     assert result.curve == () and result.curve_n == 0
 
 
 def test_aggregate_node_single_event_has_no_t():
-    events = [event_with({off: 0.3 for off in range(-5, 6)})]
+    events = events_with({off: 0.3 for off in range(-5, 6)})
     result = aggregate_node(Node.HUMAN_CAPITAL, events, EstimationConfig())
     assert result.n == 1
     assert result.saar[0] == pytest.approx(0.3)
@@ -322,9 +471,9 @@ def test_aggregate_node_single_event_has_no_t():
 
 
 def test_aggregate_node_curve_skips_partial_events():
-    full = event_with({off: 0.1 for off in range(-5, 6)})
-    partial = event_with({off: 9.9 for off in (-1, 0, 1)})
-    result = aggregate_node(Node.ESG_ALL, [full, partial], EstimationConfig())
+    full = {off: 0.1 for off in range(-5, 6)}
+    partial = {off: 9.9 for off in (-1, 0, 1)}
+    result = aggregate_node(Node.ESG_ALL, events_with(full, partial), EstimationConfig())
     assert result.n == 2
     assert result.curve_n == 1
     # curve built from the fully covered event only
@@ -335,7 +484,7 @@ def test_aggregate_node_curve_skips_partial_events():
 
 
 def test_scar_normalization_flag():
-    events = [event_with({off: float(v) for off in range(-5, 6)}) for v in (0.2, -1.0, 0.7)]
+    events = events_with(*({off: float(v) for off in range(-5, 6)} for v in (0.2, -1.0, 0.7)))
     plain = aggregate_node(Node.ESG_ALL, events, EstimationConfig())
     normed = aggregate_node(Node.ESG_ALL, events, EstimationConfig(scar_normalize=True))
     assert normed.scaar[(-1, 1)] == pytest.approx(plain.scaar[(-1, 1)] / math.sqrt(3), rel=1e-12)

@@ -4,11 +4,12 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from conftest import event_day_abnormals
 
 from esgrisk.errors import ConfigError
 from esgrisk.ingest import parse_timestamp
 from esgrisk.sentiment import Sign
-from esgrisk.study import EstimationConfig, abnormal_return, fit_market_model
+from esgrisk.study import EstimationConfig
 from esgrisk.synth import (
     DetectionScore,
     GroundTruth,
@@ -234,21 +235,18 @@ def test_simulate_event_panel_injection_recovered():
     # on the event day is the injected abnormal return
     rng = np.random.default_rng(4)
     config = EstimationConfig()
-    for firm, market, idx in simulate_event_panel(
-        rng, 5, idio_vol=1e-9, injected_ar=-0.003
-    ):
-        fit = fit_market_model(firm, market, idx, config)
-        ar = abnormal_return(fit, float(firm[idx]), float(market[idx]))
-        assert ar == pytest.approx(-0.003, abs=1e-6)
+    ar, _ = event_day_abnormals(
+        simulate_event_panel(rng, 5, idio_vol=1e-9, injected_ar=-0.003), config
+    )
+    assert len(ar) == 5
+    assert ar == pytest.approx(np.full(5, -0.003), abs=1e-6)
 
 
 def test_simulate_event_panel_null_has_no_drift():
     rng = np.random.default_rng(6)
     config = EstimationConfig()
-    ars = []
-    for firm, market, idx in simulate_event_panel(rng, 300):
-        fit = fit_market_model(firm, market, idx, config)
-        ars.append(abnormal_return(fit, float(firm[idx]), float(market[idx])))
+    ars, _ = event_day_abnormals(simulate_event_panel(rng, 300), config)
+    assert len(ars) == 300
     # mean AR ~ N(0, 0.02 / sqrt(300)): zero to within 4 standard errors
     assert abs(float(np.mean(ars))) < 4 * 0.02 / np.sqrt(300)
 

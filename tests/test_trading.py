@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from esgrisk.errors import DataError
 from esgrisk.trading import (
     TradingCalendar,
-    assign_trading_day,
     assign_trading_index,
     assign_trading_indices,
     close_instants,
@@ -33,6 +32,12 @@ def cal():
 
 def ny(y, m, d, hh, mm, ss=0):
     return datetime(y, m, d, hh, mm, ss, tzinfo=NY).astimezone(timezone.utc)
+
+
+def assign_day(ts_utc, calendar, *exchange_tz):
+    """The trading date a timestamp is assigned to, None when it is not assigned."""
+    idx = assign_trading_index(ts_utc, calendar, *exchange_tz)
+    return None if idx is None else calendar.date_at(idx)
 
 
 def test_calendar_requires_increasing_dates():
@@ -61,40 +66,40 @@ def test_position_of_non_trading_date_is_next_trading_day():
 
 
 def test_assign_before_close_is_same_day():
-    assert assign_trading_day(ny(2020, 3, 10, 15, 59), cal()) == date(2020, 3, 10)
+    assert assign_day(ny(2020, 3, 10, 15, 59), cal()) == date(2020, 3, 10)
 
 
 def test_assign_at_close_is_same_day():
     # 16:00:00 sharp still belongs to the closing day
-    assert assign_trading_day(ny(2020, 3, 10, 16, 0, 0), cal()) == date(2020, 3, 10)
+    assert assign_day(ny(2020, 3, 10, 16, 0, 0), cal()) == date(2020, 3, 10)
 
 
 def test_assign_after_close_rolls_forward():
-    assert assign_trading_day(ny(2020, 3, 10, 16, 0, 1), cal()) == date(2020, 3, 11)
-    assert assign_trading_day(ny(2020, 3, 10, 23, 30), cal()) == date(2020, 3, 11)
+    assert assign_day(ny(2020, 3, 10, 16, 0, 1), cal()) == date(2020, 3, 11)
+    assert assign_day(ny(2020, 3, 10, 23, 30), cal()) == date(2020, 3, 11)
 
 
 def test_assign_weekend_rolls_to_monday():
-    assert assign_trading_day(ny(2020, 3, 7, 10, 0), cal()) == date(2020, 3, 9)
+    assert assign_day(ny(2020, 3, 7, 10, 0), cal()) == date(2020, 3, 9)
 
 
 def test_assign_out_of_range_is_dropped():
     c = cal()
     # before the first calendar day
-    assert assign_trading_day(ny(2020, 2, 28, 10, 0), c) is None
+    assert assign_day(ny(2020, 2, 28, 10, 0), c) is None
     # after the last close
-    assert assign_trading_day(ny(2020, 3, 13, 16, 0, 1), c) is None
-    assert assign_trading_day(ny(2020, 3, 14, 9, 0), c) is None
+    assert assign_day(ny(2020, 3, 13, 16, 0, 1), c) is None
+    assert assign_day(ny(2020, 3, 14, 9, 0), c) is None
 
 
 def test_assign_respects_exchange_timezone():
     c = cal()
     # 20:00 UTC on 2020-03-10 is 16:00 EDT: still the same trading day
     ts = datetime(2020, 3, 10, 20, 0, tzinfo=timezone.utc)
-    assert assign_trading_day(ts, c, "America/New_York") == date(2020, 3, 10)
+    assert assign_day(ts, c, "America/New_York") == date(2020, 3, 10)
     # but one second later rolls over
     ts2 = datetime(2020, 3, 10, 20, 0, 1, tzinfo=timezone.utc)
-    assert assign_trading_day(ts2, c, "America/New_York") == date(2020, 3, 11)
+    assert assign_day(ts2, c, "America/New_York") == date(2020, 3, 11)
 
 
 def test_assignment_is_monotone_in_time():
