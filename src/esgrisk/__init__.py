@@ -23,7 +23,6 @@ from .ingest import (
     IngestReport,
     MarketIndexRow,
     Message,
-    PriceRow,
     parse_timestamp,
     read_calendar_events,
     read_market_index,
@@ -107,7 +106,6 @@ __all__ = [
     "PILLARS",
     "PathsConfig",
     "PlantedEvent",
-    "PriceRow",
     "REPORT_ORDER",
     "RemovedEvent",
     "RiskEvent",

@@ -241,10 +241,10 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     for path in (events, truth, market_index):
         if not Path(path).exists():
             raise ConfigError(f"{path} does not exist")
-    detected = pl.load_kept_events(events)
-    ground = GroundTruth.load(truth)
     rows, _ = read_market_index(market_index)
     calendar = TradingCalendar.from_market_index(rows)
+    detected = pl.load_kept_events(events, calendar)
+    ground = GroundTruth.load(truth)
     score = evaluate_detection(detected, ground.negative_keys(), calendar, tolerance=tolerance)
     precision = "n/a" if score.precision is None else f"{score.precision:.4f}"
     recall = "n/a" if score.recall is None else f"{score.recall:.4f}"

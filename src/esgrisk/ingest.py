@@ -14,6 +14,7 @@ import csv
 import enum
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from operator import itemgetter
@@ -21,11 +22,16 @@ from pathlib import Path
 from typing import Sequence
 from zoneinfo import ZoneInfo
 
+import numpy as np
+
 from .errors import DataError
 
 log = logging.getLogger(__name__)
 
 MAX_SKIPS_STORED = 1000
+
+# read_prices' columns: firm names, then per valid row firm code, date ordinal and return
+PriceColumns = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
 
 
 class EventKind(enum.Enum):
@@ -42,14 +48,6 @@ class Message:
     firm: str
     timestamp: datetime  # timezone-aware, UTC
     text: str
-
-
-@dataclass(frozen=True)
-class PriceRow:
-    firm: str
-    day: date
-    close: float
-    ret: float | None  # simple return vs previous close; None on the first day
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,9 @@ class IngestReport:
             self.skips.append((line_num, reason))
         log.warning("%s:%d skipped: %s", self.path, line_num, reason)
 
-    def keep(self) -> None:
-        self.total_rows += 1
-        self.valid_rows += 1
+    def keep(self, rows: int = 1) -> None:
+        self.total_rows += rows
+        self.valid_rows += rows
 
     def as_dict(self) -> dict:
         return {
@@ -190,27 +188,30 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
         yield Message(id=msg_id, firm=firm, timestamp=ts, text=text)
 
 
-def read_prices(path: str | Path) -> tuple[dict[str, list[PriceRow]], IngestReport]:
-    """Read close prices per firm, sorted by date.
+def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
+    """Read close prices into columns sorted by (firm, date), firms coded by first valid row.
 
-    If the file has no `return` column, simple returns close_t/close_{t-1} - 1
-    are computed per firm; the first observed day has no return. A duplicate
-    (firm, date) pair is fatal.
+    A blank or absent `return` cell is close_t/close_{t-1} - 1 over the firm's
+    previous row, and NaN on its first row. A duplicate (firm, date) is fatal,
+    reported at its earliest repeat in file order after every row is read.
     """
     report = IngestReport(path=str(path))
-    raw: dict[str, list[tuple[date, float, float | None]]] = {}
-    seen: set[tuple[str, date]] = set()
+    codes: dict[str, int] = {}
+    ordinals: dict[str | None, int] = {}
+    keys, values = array("q"), array("d")  # (firm code, ordinal, line) and (close, return)
     rows = read_rows(path, "prices", ("firm", "date", "close"), optional=("return",))
     for line, (firm, raw_day, raw_close, raw_ret) in rows:
         firm = (firm or "").strip()
         if not firm:
             report.skip(line, "missing firm")
             continue
-        try:
-            day = _parse_date(raw_day or "")
-        except ValueError:
-            report.skip(line, f"bad date {raw_day!r}")
-            continue
+        day = ordinals.get(raw_day)
+        if day is None:
+            try:
+                day = ordinals[raw_day] = _parse_date(raw_day or "").toordinal()
+            except ValueError:
+                report.skip(line, f"bad date {raw_day!r}")
+                continue
         try:
             close = float(raw_close or "")
         except ValueError:
@@ -219,7 +220,7 @@ def read_prices(path: str | Path) -> tuple[dict[str, list[PriceRow]], IngestRepo
         if not math.isfinite(close) or close <= 0:
             report.skip(line, f"close must be positive, got {close}")
             continue
-        ret: float | None = None
+        ret = math.nan
         raw_ret = (raw_ret or "").strip()
         if raw_ret:
             try:
@@ -230,25 +231,23 @@ def read_prices(path: str | Path) -> tuple[dict[str, list[PriceRow]], IngestRepo
             if not math.isfinite(ret):
                 report.skip(line, f"non-finite return {ret}")
                 continue
-        key = (firm, day)
-        if key in seen:
-            raise DataError(f"{path}:{line}: duplicate price row for {firm} {day}")
-        seen.add(key)
-        report.keep()
-        raw.setdefault(firm, []).append((day, close, ret))
+        keys.extend((codes.setdefault(firm, len(codes)), day, line))
+        values.extend((close, ret))
+    report.keep(len(values) // 2)
 
-    out: dict[str, list[PriceRow]] = {}
-    for firm, rows in raw.items():
-        rows.sort(key=lambda r: r[0])
-        series: list[PriceRow] = []
-        prev_close: float | None = None
-        for day, close, ret in rows:
-            if ret is None and prev_close is not None:
-                ret = close / prev_close - 1.0
-            series.append(PriceRow(firm=firm, day=day, close=close, ret=ret))
-            prev_close = close
-        out[firm] = series
-    return out, report
+    firm_code, ordinal, lines = np.frombuffer(keys, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((ordinal, firm_code))  # stable, so repeats stay in file order
+    firm_code, ordinal, lines = firm_code[order], ordinal[order], lines[order]
+    close, ret = np.frombuffer(values).reshape(-1, 2)[order].T
+    same_firm = firm_code[1:] == firm_code[:-1]
+    repeat = same_firm & (ordinal[1:] == ordinal[:-1])
+    if repeat.any():
+        k = 1 + np.flatnonzero(repeat)[np.argmin(lines[1:][repeat])]
+        firm, day = list(codes)[firm_code[k]], date.fromordinal(int(ordinal[k]))
+        raise DataError(f"{path}:{lines[k]}: duplicate price row for {firm} {day}")
+    derive = np.flatnonzero(same_firm & np.isnan(ret[1:])) + 1
+    ret[derive] = close[derive] / close[derive - 1] - 1.0
+    return (list(codes), firm_code, ordinal, ret), report
 
 
 def read_market_index(path: str | Path) -> tuple[list[MarketIndexRow], IngestReport]:

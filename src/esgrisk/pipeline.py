@@ -453,8 +453,8 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     )
 
 
-def load_kept_events(path: str | Path) -> list[tuple[str, Node, date]]:
-    """Read kept events from an events.csv."""
+def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
+    """Read kept events from an events.csv; each must fall on a trading day."""
     out: list[tuple[str, Node, date]] = []
     rows = read_rows(path, "event", EVENT_COLUMNS)
     for line, (firm, raw_node, raw_day, *_, kept, _, _) in rows:
@@ -465,6 +465,8 @@ def load_kept_events(path: str | Path) -> list[tuple[str, Node, date]]:
             day = date.fromisoformat(raw_day)
         except ValueError:
             raise DataError(f"{path}:{line}: bad date {raw_day!r}") from None
+        if day not in calendar:
+            raise DataError(f"{path}:{line}: {day} is not a trading day in this calendar")
         try:
             node = parse_node(raw_node or "")
         except DataError as exc:
@@ -534,12 +536,11 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    event_keys = load_kept_events(events_path)
-    prices, _ = read_prices(prices_path)
     index_rows, _ = read_market_index(index_path)
     calendar = TradingCalendar.from_market_index(index_rows)
+    event_keys = load_kept_events(events_path, calendar)
+    prices, _ = read_prices(prices_path)
     firm_returns = align_firm_returns(prices, calendar)
-    del prices  # the price rows are not needed past alignment
     market_returns = align_market_returns(index_rows, calendar)
 
     outputs = _write_study_outputs(

@@ -20,12 +20,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import PriceRow
+from .ingest import PriceColumns
 from .taxonomy import Node
 from .trading import TradingCalendar
 
@@ -88,26 +88,26 @@ class MarketModelFit:
 
 
 def align_firm_returns(
-    prices: Mapping[str, list[PriceRow]], calendar: TradingCalendar
+    prices: PriceColumns, calendar: TradingCalendar
 ) -> tuple[list[str], np.ndarray]:
     """Firm names and their (firms x days) returns on the calendar grid, NaN where missing.
 
-    Price rows on dates outside the calendar are ignored with a log note:
+    Returns on dates outside the calendar are ignored with a log note:
     they cannot participate in a calendar-aligned study.
     """
-    out = np.full((len(prices), len(calendar)), np.nan)
-    for arr, (firm, rows) in zip(out, prices.items()):
-        dropped = 0
-        for row in rows:
-            if row.ret is None:
-                continue
-            if row.day not in calendar:
-                dropped += 1
-                continue
-            arr[calendar.index_of(row.day)] = row.ret
+    firms, firm_code, ordinal, ret = prices
+    has_ret = ~np.isnan(ret)
+    firm_code, ordinal, ret = firm_code[has_ret], ordinal[has_ret], ret[has_ret]
+    grid = np.array([day.toordinal() for day in calendar.dates], dtype=np.int64)
+    idx = np.searchsorted(grid, ordinal)
+    inside = grid[np.minimum(idx, len(grid) - 1)] == ordinal
+    out = np.full((len(firms), len(calendar)), np.nan)
+    out[firm_code[inside], idx[inside]] = ret[inside]
+    outside = np.bincount(firm_code[~inside], minlength=len(firms))
+    for name, dropped in zip(firms, outside.tolist()):
         if dropped:
-            log.info("%s: %d price dates outside the trading calendar", firm, dropped)
-    return list(prices), out
+            log.info("%s: %d price dates outside the trading calendar", name, dropped)
+    return list(firms), out
 
 
 def align_market_returns(rows: Sequence, calendar: TradingCalendar) -> np.ndarray:

@@ -1,4 +1,6 @@
+import csv
 import json
+from datetime import date, timedelta
 
 import pytest
 import yaml
@@ -243,6 +245,29 @@ def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
     )
     assert result.exit_code == 3, all_output(result)
     assert f"data error: {bad}:{line}: bad date '2020-13-45'" in all_output(result)
+
+
+@pytest.mark.parametrize("command", ["study", "eval"])
+def test_kept_event_off_the_calendar_names_the_row(cli_run, tmp_path, command):
+    events = cli_run["out"] / "events.csv"
+    with open(events, newline="", encoding="utf-8") as fh:
+        kept = next(row for row in csv.DictReader(fh) if row["kept"] == "true")
+    day = date.fromisoformat(kept["date"])
+    # the Saturday before: inside the calendar's range, but not one of its weekdays
+    saturday = (day - timedelta(days=(day.weekday() - 5) % 7)).isoformat()
+    bad = tmp_path / "events.csv"
+    line = corrupt_csv(events, bad, "date", saturday, lambda row: row["kept"] == "true")
+    corpus = cli_run["corpus"]
+    if command == "study":
+        args = ["study", "--outdir", str(tmp_path / "out"), "--events", str(bad)]
+        args += corpus_args(corpus)
+    else:
+        args = ["eval", "--events", str(bad), "--truth", str(corpus / "ground_truth.json"),
+                "--market-index", str(corpus / "market_index.csv")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, all_output(result)
+    message = f"data error: {bad}:{line}: {saturday} is not a trading day in this calendar"
+    assert message in all_output(result)
 
 
 def stage_args(cli_run, stage, outdir, flag, value):

@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import math
 from datetime import date, datetime, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -105,6 +106,13 @@ def test_read_messages_deterministic(tmp_path):
     assert first == second
 
 
+def firm_rows(prices, firm):
+    """The (ordinal, return) pairs of one firm's rows in read_prices' columns."""
+    firms, codes, ordinals, rets = prices
+    mask = codes == firms.index(firm)
+    return list(zip(ordinals[mask].tolist(), rets[mask].tolist()))
+
+
 def test_read_prices_computes_returns_when_column_absent(tmp_path):
     path = write_csv(
         tmp_path / "p.csv",
@@ -112,9 +120,9 @@ def test_read_prices_computes_returns_when_column_absent(tmp_path):
         [["AAPL", "2020-01-02", "100"], ["AAPL", "2020-01-03", "101"]],
     )
     prices, _ = read_prices(path)
-    rows = prices["AAPL"]
-    assert rows[0].ret is None
-    assert rows[1].ret == pytest.approx(0.01)
+    rows = firm_rows(prices, "AAPL")
+    assert math.isnan(rows[0][1])
+    assert rows[1][1] == pytest.approx(0.01)
 
 
 def test_read_prices_flat_close_zero_return(tmp_path):
@@ -124,7 +132,7 @@ def test_read_prices_flat_close_zero_return(tmp_path):
         [["AAPL", "2020-01-02", "100"], ["AAPL", "2020-01-03", "100"]],
     )
     prices, _ = read_prices(path)
-    assert prices["AAPL"][1].ret == 0.0
+    assert firm_rows(prices, "AAPL")[1][1] == 0.0
 
 
 def test_read_prices_sorts_by_date(tmp_path):
@@ -137,9 +145,9 @@ def test_read_prices_sorts_by_date(tmp_path):
         ],
     )
     prices, _ = read_prices(path)
-    days = [r.day for r in prices["AAPL"]]
+    days = [date.fromordinal(day) for day, _ in firm_rows(prices, "AAPL")]
     assert days == sorted(days)
-    assert prices["AAPL"][0].ret is None  # blank return cell stays missing
+    assert math.isnan(firm_rows(prices, "AAPL")[0][1])  # blank return cell stays missing
 
 
 def test_read_prices_duplicate_row_is_fatal(tmp_path):
@@ -164,7 +172,7 @@ def test_read_prices_skips_bad_rows(tmp_path):
         ],
     )
     prices, report = read_prices(path)
-    assert len(prices["AAPL"]) == 1
+    assert len(firm_rows(prices, "AAPL")) == 1
     assert report.skips_total == 3
 
 

@@ -178,7 +178,7 @@ def test_detect_summary_files(std_run):
 
 
 def test_load_kept_events_matches_outputs(std_run):
-    keys = load_kept_events(std_run["detect"].events_path)
+    keys = load_kept_events(std_run["detect"].events_path, std_run["detect"].calendar)
     assert keys == [(e.firm, e.node, e.day) for e in std_run["detect"].kept]
 
 

@@ -2,7 +2,9 @@
 
 bench/tracing.py swaps wrappers in through each owner's ``__dict__``, so a
 function it patches that is renamed or deleted fails here, not only when
-the benchmark runs. Tracing must also leave detect's output unchanged.
+the benchmark runs. Tracing must also leave detect's and the study's
+outputs unchanged, and the study's price reading and alignment must both
+show in the traced split.
 """
 
 import importlib.util
@@ -60,3 +62,27 @@ def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["aggregate.series"] == metrics["detect.esd.calls"] > 0
     assert metrics["detect.kept"] == len(std_run["detect"].kept)
+
+
+def test_tracer_keeps_study_outputs_and_times_prices(std_run, tmp_path):
+    tracing = load_tracing()
+
+    def study(outdir):
+        paths = corpus_paths(std_run["corpus_dir"], outdir)
+        paths["events"] = str(std_run["detect"].events_path)
+        pipeline.run_study(pipeline.run_config_from_dict({"paths": paths}))
+
+    study(tmp_path / "plain")
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        study(tmp_path / "traced")
+    finally:
+        patches.restore()
+
+    for name in ("results.csv", "drops.csv"):
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert plain == (tmp_path / "traced" / name).read_bytes(), name
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["ingest.read_prices.s"] > 0
+    assert metrics["study.align.s"] > 0
