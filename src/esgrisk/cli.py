@@ -19,6 +19,7 @@ import yaml
 from . import pipeline as pl
 from .errors import ConfigError, DataError, NumericError
 from .ingest import read_market_index
+from .sentiment import Sign
 from .synth import GroundTruth, evaluate_detection, generate, synth_config_from_dict
 from .taxonomy import REPORT_ORDER
 from .trading import TradingCalendar
@@ -47,91 +48,69 @@ def _guarded(fn):
     return wrapper
 
 
-_PATH_OPTIONS = [
-    ("messages", "message corpus CSV (id,firm,timestamp,text)"),
-    ("prices", "price CSV (firm,date,close[,return])"),
-    ("market_index", "market index CSV (date,return); defines the calendar"),
-    ("earnings", "earnings-release calendar CSV (firm,date)"),
-    ("controversy", "controversy-news calendar CSV (firm,date)"),
-    ("esg_lexicon", "ESG term lexicon CSV (term,node)"),
-    ("sentiment_lexicon", "sentiment lexicon CSV (term,weight)"),
-    ("classified", "classified-message artifact path"),
-    ("events", "events file path"),
+# One row per stage setting: (flag declarations, parameter, config key,
+# click options). Every flag defaults to None, so an absent flag never
+# overrides the config file.
+_SETTINGS = [
+    ("--outdir -o", "outdir", "paths.outdir", dict(help="output directory")),
+    ("--messages", "messages", "paths.messages", dict(help="message corpus CSV (id,firm,timestamp,text)")),
+    ("--prices", "prices", "paths.prices", dict(help="price CSV (firm,date,close[,return])")),
+    ("--market-index", "market_index", "paths.market_index",
+     dict(help="market index CSV (date,return); defines the calendar")),
+    ("--earnings", "earnings", "paths.earnings", dict(help="earnings-release calendar CSV (firm,date)")),
+    ("--controversy", "controversy", "paths.controversy",
+     dict(help="controversy-news calendar CSV (firm,date)")),
+    ("--esg-lexicon", "esg_lexicon", "paths.esg_lexicon", dict(help="ESG term lexicon CSV (term,node)")),
+    ("--sentiment-lexicon", "sentiment_lexicon", "paths.sentiment_lexicon",
+     dict(help="sentiment lexicon CSV (term,weight)")),
+    ("--classified", "classified", "paths.classified", dict(help="classified-message artifact path")),
+    ("--events", "events", "paths.events", dict(help="events file path")),
+    ("--z", "z", "detection.z", dict(type=float, help="detection threshold in std deviations")),
+    ("--window-len", "window_len", "detection.window_len",
+     dict(type=int, help="trailing window length in trading days")),
+    ("--min-tweets", "min_tweets", "detection.min_tweets",
+     dict(type=int, help="minimum messages on an outlier day")),
+    ("--min-share", "min_share", "detection.min_share",
+     dict(type=float, help="minimum share of the firm's daily volume")),
+    ("--gap-days", "gap_days", "detection.gap_days",
+     dict(type=int, help="merge outliers within this many trading days")),
+    ("--exclusion-halfwidth", "exclusion_halfwidth", "detection.exclusion_halfwidth",
+     dict(type=int, help="confound exclusion half width in trading days")),
+    ("--two-sided", "two_sided", "detection.two_sided",
+     dict(is_flag=True, help="flag dips as well as spikes")),
+    ("--est-len", "est_len", "study.est_len",
+     dict(type=int, help="estimation window length in trading days")),
+    ("--min-obs", "min_obs", "study.min_obs", dict(type=int, help="minimum estimation observations")),
+    ("--threshold", "threshold", "sentiment_threshold", dict(type=float, help="sentiment sign threshold")),
+    ("--exchange-tz", "exchange_tz", "exchange_tz", dict(help="exchange timezone for the 4 p.m. close rule")),
+    ("--source-tz", "source_tz", "source_tz", dict(help="timezone of naive message timestamps")),
+    ("--parallelism", "parallelism", "parallelism",
+     dict(type=int, help="worker processes for classification")),
+    ("--robustness", "robustness_est_len", "robustness_est_len",
+     dict(flag_value=90, help="also run the study with a 90-day estimation window")),
 ]
 
 
-def _stage_options(fn):
-    decorators = [
-        click.option("--config", "-c", "config_path", type=click.Path(), default=None,
-                     help="YAML config file; flags override it."),
-        click.option("--outdir", "-o", default=None, help="output directory"),
-    ]
-    for name, help_text in _PATH_OPTIONS:
-        flag = "--" + name.replace("_", "-")
-        decorators.append(click.option(flag, name, default=None, help=help_text))
-    decorators += [
-        click.option("--z", type=float, default=None, help="detection threshold in std deviations"),
-        click.option("--window-len", type=int, default=None, help="trailing window length in trading days"),
-        click.option("--min-tweets", type=int, default=None, help="minimum messages on an outlier day"),
-        click.option("--min-share", type=float, default=None, help="minimum share of the firm's daily volume"),
-        click.option("--gap-days", type=int, default=None, help="merge outliers within this many trading days"),
-        click.option("--exclusion-halfwidth", type=int, default=None,
-                     help="confound exclusion half width in trading days"),
-        click.option("--two-sided", is_flag=True, default=None, help="flag dips as well as spikes"),
-        click.option("--est-len", type=int, default=None, help="estimation window length in trading days"),
-        click.option("--min-obs", type=int, default=None, help="minimum estimation observations"),
-        click.option("--threshold", type=float, default=None, help="sentiment sign threshold"),
-        click.option("--exchange-tz", default=None, help="exchange timezone for the 4 p.m. close rule"),
-        click.option("--source-tz", default=None, help="timezone of naive message timestamps"),
-        click.option("--parallelism", type=int, default=None, help="worker processes for classification"),
-        click.option("--robustness", is_flag=True, default=False,
-                     help="also run the study with a 90-day estimation window"),
-    ]
-    for deco in reversed(decorators):
-        fn = deco(fn)
-    return fn
+def _stage_command(fn):
+    """Give a stage command `-c` and every _SETTINGS flag; call it with the
+    resolved RunConfig once resolved_config.yaml is written."""
 
+    @functools.wraps(fn)
+    def command(config_path, **values):
+        overrides: dict = {}
+        for _, param, key, _ in _SETTINGS:
+            if values[param] is not None:
+                section, _, name = key.rpartition(".")
+                (overrides.setdefault(section, {}) if section else overrides)[name] = values[param]
+        cfg = pl.load_run_config(config_path, overrides)
+        click.echo(f"resolved config: {pl.write_resolved_config(cfg, cfg.outdir())}")
+        fn(cfg)
 
-def _build_config(config_path, outdir, robustness, **flags) -> pl.RunConfig:
-    paths = {}
-    for name, _ in _PATH_OPTIONS:
-        if flags.get(name) is not None:
-            paths[name] = flags[name]
-    if outdir is not None:
-        paths["outdir"] = outdir
-    detection = {}
-    for key in ("z", "window_len", "min_tweets", "min_share", "gap_days", "exclusion_halfwidth"):
-        if flags.get(key) is not None:
-            detection[key] = flags[key]
-    if flags.get("two_sided"):
-        detection["two_sided"] = True
-    study = {}
-    for key in ("est_len", "min_obs"):
-        if flags.get(key) is not None:
-            study[key] = flags[key]
-    overrides: dict = {}
-    if paths:
-        overrides["paths"] = paths
-    if detection:
-        overrides["detection"] = detection
-    if study:
-        overrides["study"] = study
-    if flags.get("threshold") is not None:
-        overrides["sentiment_threshold"] = flags["threshold"]
-    if flags.get("exchange_tz") is not None:
-        overrides["exchange_tz"] = flags["exchange_tz"]
-    if flags.get("source_tz") is not None:
-        overrides["source_tz"] = flags["source_tz"]
-    if flags.get("parallelism") is not None:
-        overrides["parallelism"] = flags["parallelism"]
-    if robustness:
-        overrides["robustness_est_len"] = 90
-    return pl.load_run_config(config_path, overrides)
-
-
-def _echo_config(cfg: pl.RunConfig) -> None:
-    path = pl.write_resolved_config(cfg, cfg.outdir())
-    click.echo(f"resolved config: {path}")
+    command = _guarded(command)
+    for flags, param, _, kwargs in reversed(_SETTINGS):
+        command = click.option(*flags.split(), param, default=None, **kwargs)(command)
+    return click.option("--config", "-c", "config_path", type=click.Path(), default=None,
+                        help="YAML config file; flags override it.")(command)
 
 
 def _print_classify_summary(out: pl.ClassifyOutputs) -> None:
@@ -152,34 +131,7 @@ def _print_detect_summary(out: pl.DetectOutputs) -> None:
         click.echo(f"dropped {out.dropped_messages} messages outside the calendar range")
 
 
-@main.command()
-@_stage_options
-@_guarded
-def classify(config_path, outdir, robustness, **flags) -> None:
-    """Label and score a message corpus against the lexicons."""
-    cfg = _build_config(config_path, outdir, robustness, **flags)
-    _echo_config(cfg)
-    _print_classify_summary(pl.run_classify(cfg))
-
-
-@main.command()
-@_stage_options
-@_guarded
-def detect(config_path, outdir, robustness, **flags) -> None:
-    """Detect abnormal-volume events from a classified corpus."""
-    cfg = _build_config(config_path, outdir, robustness, **flags)
-    _echo_config(cfg)
-    _print_detect_summary(pl.run_detect(cfg))
-
-
-@main.command()
-@_stage_options
-@_guarded
-def study(config_path, outdir, robustness, **flags) -> None:
-    """Run the market-model event study on kept events."""
-    cfg = _build_config(config_path, outdir, robustness, **flags)
-    _echo_config(cfg)
-    out = pl.run_study(cfg)
+def _print_study_summary(out: pl.StudyOutputs) -> None:
     click.echo(out.results_text.read_text(encoding="utf-8"))
     click.echo(f"results: {out.results_csv}")
     if out.robustness is not None:
@@ -187,19 +139,34 @@ def study(config_path, outdir, robustness, **flags) -> None:
 
 
 @main.command()
-@_stage_options
-@_guarded
-def pipeline(config_path, outdir, robustness, **flags) -> None:
+@_stage_command
+def classify(cfg: pl.RunConfig) -> None:
+    """Label and score a message corpus against the lexicons."""
+    _print_classify_summary(pl.run_classify(cfg))
+
+
+@main.command()
+@_stage_command
+def detect(cfg: pl.RunConfig) -> None:
+    """Detect abnormal-volume events from a classified corpus."""
+    _print_detect_summary(pl.run_detect(cfg))
+
+
+@main.command()
+@_stage_command
+def study(cfg: pl.RunConfig) -> None:
+    """Run the market-model event study on kept events."""
+    _print_study_summary(pl.run_study(cfg))
+
+
+@main.command()
+@_stage_command
+def pipeline(cfg: pl.RunConfig) -> None:
     """Classify, detect and study in one run."""
-    cfg = _build_config(config_path, outdir, robustness, **flags)
-    _echo_config(cfg)
     classify_out, detect_out, study_out = pl.run_pipeline(cfg)
     _print_classify_summary(classify_out)
     _print_detect_summary(detect_out)
-    click.echo(study_out.results_text.read_text(encoding="utf-8"))
-    click.echo(f"results: {study_out.results_csv}")
-    if study_out.robustness is not None:
-        click.echo(f"robustness results: {study_out.robustness.results_csv}")
+    _print_study_summary(study_out)
 
 
 @main.command()
@@ -210,15 +177,12 @@ def pipeline(config_path, outdir, robustness, **flags) -> None:
 @click.option("--n-firms", type=int, default=None)
 @click.option("--n-days", type=int, default=None)
 @_guarded
-def synth(config_path, outdir, seed, n_firms, n_days) -> None:
+def synth(config_path, outdir, **flags) -> None:
     """Generate a synthetic corpus with known ground truth."""
     raw = pl.read_yaml_mapping(config_path) if config_path is not None else {}
-    if seed is not None:
-        raw["seed"] = seed
-    if n_firms is not None:
-        raw["n_firms"] = n_firms
-    if n_days is not None:
-        raw["n_days"] = n_days
+    for key, value in flags.items():
+        if value is not None:
+            raw[key] = value
     cfg = synth_config_from_dict(raw)
     truth = generate(cfg, outdir)
     out = Path(outdir)
@@ -245,6 +209,10 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     calendar = TradingCalendar.from_market_index(rows)
     detected = pl.load_kept_events(events, calendar)
     ground = GroundTruth.load(truth)
+    for firm, node, day, _, sign in ground.planted:
+        if sign is Sign.NEGATIVE and day not in calendar:
+            raise DataError(f"{truth}: planted entry ({firm}, {node.value}, {day}) "
+                            "is not on a trading day in this calendar")
     score = evaluate_detection(detected, ground.negative_keys(), calendar, tolerance=tolerance)
     precision = "n/a" if score.precision is None else f"{score.precision:.4f}"
     recall = "n/a" if score.recall is None else f"{score.recall:.4f}"

@@ -94,6 +94,11 @@ class PathsConfig:
     events: str | None = None  # defaults to <outdir>/events.csv
     outdir: str = "out"
 
+    def validate(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if not isinstance(value, str) and (value is not None or name == "outdir"):
+                raise ConfigError(f"paths.{name} must be a string, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -107,10 +112,16 @@ class RunConfig:
     robustness_est_len: int | None = None
 
     def validate(self) -> None:
+        self.paths.validate()
         self.detection.validate()
         self.study.validate()
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be at least 1, got {self.parallelism}")
+        robust, threshold = self.robustness_est_len, self.sentiment_threshold
+        if robust is not None and (isinstance(robust, bool) or not isinstance(robust, int) or robust < 3):
+            raise ConfigError(f"robustness_est_len must be null or an integer >= 3, got {robust!r}")
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ConfigError(f"sentiment_threshold must be a number, got {threshold!r}")
 
     def outdir(self) -> Path:
         return Path(self.paths.outdir)
@@ -131,31 +142,38 @@ class RunConfig:
         return path
 
 
-def _build_dataclass(cls, raw: dict, context: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+def _build_dataclass(cls, raw, context: str, convert=None):
+    """Build and validate `cls` from a config section; ConfigError on any bad value."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} config must be a mapping, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    return cls(**raw)
+    try:
+        obj = cls(**(convert(raw) if convert else raw))
+        obj.validate()
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad {context} config: {exc}") from exc
+    return obj
+
+
+def _study_tuples(raw: dict) -> dict:
+    raw = dict(raw)
+    if "event_windows" in raw:
+        raw["event_windows"] = tuple((int(lo), int(hi)) for lo, hi in raw["event_windows"])
+    if "saar_offsets" in raw:
+        raw["saar_offsets"] = tuple(int(o) for o in raw["saar_offsets"])
+    return raw
 
 
 def run_config_from_dict(raw: dict | None) -> RunConfig:
     raw = dict(raw or {})
-    paths = _build_dataclass(PathsConfig, dict(raw.pop("paths", {}) or {}), "paths")
-    detection = _build_dataclass(DetectionConfig, dict(raw.pop("detection", {}) or {}), "detection")
-    study_raw = dict(raw.pop("study", {}) or {})
-    if "event_windows" in study_raw:
-        study_raw["event_windows"] = tuple(
-            (int(lo), int(hi)) for lo, hi in study_raw["event_windows"]
-        )
-    if "saar_offsets" in study_raw:
-        study_raw["saar_offsets"] = tuple(int(o) for o in study_raw["saar_offsets"])
-    study = _build_dataclass(EstimationConfig, study_raw, "study")
-    cfg = _build_dataclass(
-        RunConfig, {**raw, "paths": paths, "detection": detection, "study": study}, "run"
-    )
-    cfg.validate()
-    return cfg
+    sections = {
+        "paths": _build_dataclass(PathsConfig, raw.pop("paths", None) or {}, "paths"),
+        "detection": _build_dataclass(DetectionConfig, raw.pop("detection", None) or {}, "detection"),
+        "study": _build_dataclass(EstimationConfig, raw.pop("study", None) or {}, "study", _study_tuples),
+    }
+    return _build_dataclass(RunConfig, {**raw, **sections}, "run")
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -546,8 +564,7 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
     outputs = _write_study_outputs(
         event_keys, firm_returns, market_returns, calendar, cfg.study, outdir, suffix=""
     )
-    if cfg.robustness_est_len:
-        robust_len = int(cfg.robustness_est_len)
+    if robust_len := cfg.robustness_est_len:
         robust_cfg = dataclasses.replace(
             cfg.study,
             est_len=robust_len,

@@ -101,11 +101,13 @@ class SynthConfig:
 
 
 def synth_config_from_dict(raw: dict) -> SynthConfig:
-    """Build a SynthConfig from parsed YAML/JSON."""
+    """Build and validate a SynthConfig from parsed YAML/JSON."""
     raw = dict(raw)
-    planted = []
-    for item in raw.pop("planted", []) or []:
-        planted.append(
+    unknown = set(raw) - set(SynthConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
+    try:
+        raw["planted"] = tuple(
             PlantedEvent(
                 firm_index=int(item["firm"]),
                 node=parse_node(str(item["node"])),
@@ -113,21 +115,22 @@ def synth_config_from_dict(raw: dict) -> SynthConfig:
                 spike_size=float(item.get("spike", 10.0)),
                 sign=Sign(str(item.get("sign", "negative"))),
             )
+            for item in raw.get("planted") or []
         )
-    confounds = []
-    for item in raw.pop("confounds", []) or []:
-        confounds.append((int(item["firm"]), int(item["day"]), str(item["kind"])))
-    if "start" in raw:
-        raw["start"] = date.fromisoformat(str(raw["start"]))
-    if "beta_range" in raw:
-        raw["beta_range"] = tuple(float(v) for v in raw["beta_range"])
-    if "alpha_range" in raw:
-        raw["alpha_range"] = tuple(float(v) for v in raw["alpha_range"])
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-    return SynthConfig(planted=tuple(planted), confounds=tuple(confounds), **raw)
+        raw["confounds"] = tuple(
+            (int(item["firm"]), int(item["day"]), str(item["kind"]))
+            for item in raw.get("confounds") or []
+        )
+        if "start" in raw:
+            raw["start"] = date.fromisoformat(str(raw["start"]))
+        for key in ("beta_range", "alpha_range"):
+            if key in raw:
+                raw[key] = tuple(float(v) for v in raw[key])
+        cfg = SynthConfig(**raw)
+        cfg.validate()
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad synth config: {exc}") from exc
+    return cfg
 
 
 def business_days(start: date, n_days: int) -> list[date]:

@@ -134,7 +134,10 @@ def test_study_standalone_with_robustness(cli_run, tmp_path):
 
 def test_flags_override_config_file(cli_run, tmp_path):
     config = tmp_path / "run.yaml"
-    config.write_text("detection:\n  z: 2.5\n  min_tweets: 15\n", encoding="utf-8")
+    config.write_text(
+        "detection:\n  z: 2.5\n  min_tweets: 15\n  two_sided: true\nrobustness_est_len: 60\n",
+        encoding="utf-8",
+    )
     result = CliRunner().invoke(
         main,
         [
@@ -151,6 +154,52 @@ def test_flags_override_config_file(cli_run, tmp_path):
     assert resolved["detection"]["z"] == 3.0  # flag beats file
     assert resolved["detection"]["min_tweets"] == 15  # file value kept
     assert resolved["sentiment_threshold"] == 0.1
+    # absent on/off flags keep the file's values
+    assert resolved["detection"]["two_sided"] is True
+    assert resolved["robustness_est_len"] == 60
+
+
+@pytest.mark.parametrize(
+    "args, key, expected",
+    [
+        (["--outdir", "run"], "paths.outdir", "run"),
+        (["--messages", "m.csv"], "paths.messages", "m.csv"),
+        (["--prices", "p.csv"], "paths.prices", "p.csv"),
+        (["--market-index", "i.csv"], "paths.market_index", "i.csv"),
+        (["--earnings", "e.csv"], "paths.earnings", "e.csv"),
+        (["--controversy", "c.csv"], "paths.controversy", "c.csv"),
+        (["--esg-lexicon", "l.csv"], "paths.esg_lexicon", "l.csv"),
+        (["--sentiment-lexicon", "s.csv"], "paths.sentiment_lexicon", "s.csv"),
+        (["--classified", "k.csv"], "paths.classified", "k.csv"),
+        (["--events", "v.csv"], "paths.events", "v.csv"),
+        (["--z", "3.5"], "detection.z", 3.5),
+        (["--window-len", "100"], "detection.window_len", 100),
+        (["--min-tweets", "7"], "detection.min_tweets", 7),
+        (["--min-share", "0.2"], "detection.min_share", 0.2),
+        (["--gap-days", "3"], "detection.gap_days", 3),
+        (["--exclusion-halfwidth", "4"], "detection.exclusion_halfwidth", 4),
+        (["--two-sided"], "detection.two_sided", True),
+        (["--est-len", "150"], "study.est_len", 150),
+        (["--min-obs", "50"], "study.min_obs", 50),
+        (["--threshold", "0.1"], "sentiment_threshold", 0.1),
+        (["--exchange-tz", "Europe/London"], "exchange_tz", "Europe/London"),
+        (["--source-tz", "Asia/Tokyo"], "source_tz", "Asia/Tokyo"),
+        (["--parallelism", "3"], "parallelism", 3),
+        (["--robustness"], "robustness_est_len", 90),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_stage_flag_sets_its_config_key(tmp_path, monkeypatch, args, key, expected):
+    monkeypatch.chdir(tmp_path)
+    # classify stops at its missing inputs, after resolved_config.yaml is written
+    result = CliRunner().invoke(main, ["classify"] + args)
+    assert result.exit_code == 2, all_output(result)
+    outdir = dict(zip(args, args[1:])).get("--outdir", "out")
+    with open(tmp_path / outdir / "resolved_config.yaml", encoding="utf-8") as fh:
+        resolved = yaml.safe_load(fh)
+    for part in key.split("."):
+        resolved = resolved[part]
+    assert resolved == expected
 
 
 def test_missing_required_path_exits_2(tmp_path):
@@ -159,12 +208,36 @@ def test_missing_required_path_exits_2(tmp_path):
     assert "config error" in all_output(result)
 
 
-def test_bad_config_yaml_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("detection: [oops\n", "bad YAML"),
+        ("detection: {z: abc}\n", "bad detection config"),
+        ("detection: [1]\n", "detection config must be a mapping"),
+        ("parallelism: two\n", "bad run config"),
+        ("study: {saar_offsets: [a]}\n", "bad study config"),
+        ("study: {event_windows: [[1]]}\n", "bad study config"),
+        ("paths: {classified: 5}\n", "paths.classified must be a string"),
+        ("robustness_est_len: x\n", "robustness_est_len must be null or an integer"),
+        ("sentiment_threshold: [1]\n", "sentiment_threshold must be a number"),
+    ],
+    ids=[
+        "yaml-syntax", "z-not-a-number", "section-not-a-mapping", "parallelism-not-a-number",
+        "saar-offset-not-a-number", "event-window-not-a-pair", "path-not-a-string",
+        "robustness-not-a-number", "threshold-not-a-number",
+    ],
+)
+def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
+    # a full set of inputs, so that a value slipping past config loading
+    # reaches the stage that would use it
     bad = tmp_path / "bad.yaml"
-    bad.write_text("detection: [oops\n", encoding="utf-8")
-    result = CliRunner().invoke(main, ["classify", "-c", str(bad), "--outdir", str(tmp_path)])
-    assert result.exit_code == 2
-    assert "config error" in all_output(result)
+    bad.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["pipeline", "-c", str(bad), "--outdir", str(tmp_path / "out")] + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 2, all_output(result)
+    assert f"config error: {message}" in all_output(result)
 
 
 def test_data_error_exits_3(cli_run, tmp_path):
@@ -270,6 +343,26 @@ def test_kept_event_off_the_calendar_names_the_row(cli_run, tmp_path, command):
     assert message in all_output(result)
 
 
+def test_planted_entry_off_the_calendar_names_the_entry(cli_run, tmp_path):
+    corpus = cli_run["corpus"]
+    truth = json.loads((corpus / "ground_truth.json").read_text(encoding="utf-8"))
+    entry = truth["planted"][0]
+    day = date.fromisoformat(entry["date"])
+    saturday = (day - timedelta(days=(day.weekday() - 5) % 7)).isoformat()
+    entry["date"] = saturday
+    bad = tmp_path / "ground_truth.json"
+    bad.write_text(json.dumps(truth), encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--events", str(cli_run["out"] / "events.csv"), "--truth", str(bad),
+         "--market-index", str(corpus / "market_index.csv")],
+    )
+    assert result.exit_code == 3, all_output(result)
+    message = (f"data error: {bad}: planted entry ({entry['firm']}, {entry['node']}, {saturday}) "
+               "is not on a trading day in this calendar")
+    assert message in all_output(result)
+
+
 def stage_args(cli_run, stage, outdir, flag, value):
     """A stage's command line over the shared run's inputs, reading (never
     writing) the shared artifact it needs, with `flag` pointed at `value`."""
@@ -369,8 +462,14 @@ def test_synth_flag_overrides(tmp_path):
     [
         ("n_days: 300\nplanted:\n  - {firm: 5, node: ClimateChange, day: 10}\n", "config error"),
         ("- seed: 1\n- n_days: 300\n", "must be a mapping"),
+        ("planted: 5\n", "bad synth config"),
+        ("start: notadate\n", "bad synth config"),
+        ("beta_range: 1\n", "bad synth config"),
+        ("confounds:\n  - {firm: 0}\n", "bad synth config"),
+        ("n_firms: x\n", "bad synth config"),
     ],
-    ids=["unknown-planted-firm", "list"],
+    ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
+         "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"
