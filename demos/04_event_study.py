@@ -27,7 +27,7 @@ config = EstimationConfig()  # 120-day window ending 2 days before the event
 # --- one event in detail ----------------------------------------------
 # The study works on stacked events: one row per event, here a single row.
 rng = np.random.default_rng(3)
-firm, market, idx = next(iter(simulate_event_panel(rng, 1, injected_ar=-0.005)))
+firm, market, idx = (a[0] for a in simulate_event_panel(rng, 1, injected_ar=-0.005))
 
 est = idx + np.asarray(config.est_offsets())
 fit = fit_market_model(firm[None, est], market[None, est], config)
@@ -42,9 +42,8 @@ print(f"event day: return {firm[idx]:+.4f}, market {market[idx]:+.4f}, "
 # --- panels of 400 events ---------------------------------------------
 for label, injected in (("null", 0.0), ("injected -0.5%", -0.005)):
     rng = np.random.default_rng(99)  # same seed, so only the injection differs
-    panel = simulate_event_panel(rng, 400, post_days=5, injected_ar=injected)
     # each simulated event has its own firm and market series: one row each
-    firms, markets, days = (np.stack(a) for a in zip(*panel))
+    firms, markets, days = simulate_event_panel(rng, 400, post_days=5, injected_ar=injected)
     events = compute_event_abnormals(firms, markets, np.arange(len(days)), days, config)
     res = aggregate_node(Node.ESG_ALL, events.take(events.dropped == ""), config)
     t0 = bmp_tstat(events.sar[:, events.offsets.index(0)])

@@ -196,8 +196,8 @@ def synth(config_path, outdir, **flags) -> None:
 @click.option("--events", required=True, help="events.csv produced by detect")
 @click.option("--truth", required=True, help="ground_truth.json produced by synth")
 @click.option("--market-index", "market_index", required=True, help="market index CSV (calendar)")
-@click.option("--tolerance", type=int, default=1, show_default=True,
-              help="match tolerance in trading days")
+@click.option("--tolerance", type=click.IntRange(min=0), metavar="INTEGER", default=1,
+              show_default=True, help="match tolerance in trading days")
 @click.option("--out", "out_path", default=None, help="optional JSON file for the scores")
 @_guarded
 def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:

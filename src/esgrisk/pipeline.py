@@ -20,6 +20,7 @@ import dataclasses
 import json
 import logging
 import math
+import typing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -69,7 +70,7 @@ from .study import (
     compute_event_abnormals,
 )
 from .taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key, parse_node
-from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_indices, epoch_us
+from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_indices, check_zone, epoch_us
 from .trading import assign_trading_index  # noqa: F401 (bench/tracing.py patches it here)
 
 log = logging.getLogger(__name__)
@@ -94,11 +95,6 @@ class PathsConfig:
     events: str | None = None  # defaults to <outdir>/events.csv
     outdir: str = "out"
 
-    def validate(self) -> None:
-        for name, value in dataclasses.asdict(self).items():
-            if not isinstance(value, str) and (value is not None or name == "outdir"):
-                raise ConfigError(f"paths.{name} must be a string, got {value!r}")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -112,16 +108,12 @@ class RunConfig:
     robustness_est_len: int | None = None
 
     def validate(self) -> None:
-        self.paths.validate()
-        self.detection.validate()
-        self.study.validate()
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be at least 1, got {self.parallelism}")
-        robust, threshold = self.robustness_est_len, self.sentiment_threshold
-        if robust is not None and (isinstance(robust, bool) or not isinstance(robust, int) or robust < 3):
-            raise ConfigError(f"robustness_est_len must be null or an integer >= 3, got {robust!r}")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ConfigError(f"sentiment_threshold must be a number, got {threshold!r}")
+        if (robust := self.robustness_est_len) is not None and robust < 3:
+            raise ConfigError(f"robustness_est_len must be null or an integer >= 3, got {robust}")
+        check_zone("exchange_tz", self.exchange_tz)
+        check_zone("source_tz", self.source_tz)
 
     def outdir(self) -> Path:
         return Path(self.paths.outdir)
@@ -142,38 +134,63 @@ class RunConfig:
         return path
 
 
-def _build_dataclass(cls, raw, context: str, convert=None):
-    """Build and validate `cls` from a config section; ConfigError on any bad value."""
+_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(tp, value, section: str, key: str):
+    """`value` as annotation `tp`, or ConfigError naming the dotted `key`."""
+    if dataclasses.is_dataclass(tp):
+        return build_config(tp, value, section, key)
+    args, expected = typing.get_args(tp), _NAMES.get(tp)
+    if typing.get_origin(tp) is tuple:  # fixed length, or tuple[T, ...] when n is 0
+        n = 0 if args[-1] is Ellipsis else len(args)
+        if isinstance(value, (list, tuple)) and n in (0, len(value)):
+            return tuple(
+                _typed(args[i if n else 0], v, section, f"{key}[{i}]") for i, v in enumerate(value)
+            )
+        expected = f"a list of {n}" if n else "a list"
+    elif type(None) in args:  # X | None, X a strict scalar
+        if type(value) in args:
+            return value
+        expected = f"null or {_NAMES[args[0]]}"
+    elif tp is float and type(value) in (int, float, str):
+        try:  # PyYAML reads 1e-3 as a string, so a finite numeric string counts
+            if math.isfinite(number := float(value)) or type(value) is float:
+                return number
+        except (ValueError, OverflowError):
+            pass
+    elif type(value) is tp:  # strict: a bool is not an int
+        return value
+    expected = expected or f"a {tp.__name__}"
+    raise ConfigError(f"bad {section} config: {key} must be {expected}, got {value!r}")
+
+
+def build_config(cls, raw, section: str, key: str = ""):
+    """Build `cls` from a parsed config mapping (null: all defaults) and validate() it.
+
+    Each value must match its field's annotation; a dataclass field is a
+    section of its own. ConfigError names a bad key dotted from the top.
+    """
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
-        raise ConfigError(f"{context} config must be a mapping, got {raw!r}")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    try:
-        obj = cls(**(convert(raw) if convert else raw))
+        raise ConfigError(f"{key or section} config must be a mapping, got {raw!r}")
+    prefix, hints = f"{key}." if key else "", typing.get_type_hints(cls)
+    if unknown := sorted(f"{prefix}{name}" for name in raw if name not in hints):
+        raise ConfigError(f"unknown {section} config keys: {unknown}")
+    for f in dataclasses.fields(cls):
+        if f.name not in raw and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"bad {section} config: {prefix}{f.name} is required")
+    obj = cls(**{
+        name: _typed(tp, raw[name], name if dataclasses.is_dataclass(tp) else section, prefix + name)
+        for name, tp in hints.items() if name in raw
+    })
+    if hasattr(obj, "validate"):
         obj.validate()
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad {context} config: {exc}") from exc
     return obj
 
 
-def _study_tuples(raw: dict) -> dict:
-    raw = dict(raw)
-    if "event_windows" in raw:
-        raw["event_windows"] = tuple((int(lo), int(hi)) for lo, hi in raw["event_windows"])
-    if "saar_offsets" in raw:
-        raw["saar_offsets"] = tuple(int(o) for o in raw["saar_offsets"])
-    return raw
-
-
 def run_config_from_dict(raw: dict | None) -> RunConfig:
-    raw = dict(raw or {})
-    sections = {
-        "paths": _build_dataclass(PathsConfig, raw.pop("paths", None) or {}, "paths"),
-        "detection": _build_dataclass(DetectionConfig, raw.pop("detection", None) or {}, "detection"),
-        "study": _build_dataclass(EstimationConfig, raw.pop("study", None) or {}, "study", _study_tuples),
-    }
-    return _build_dataclass(RunConfig, {**raw, **sections}, "run")
+    return build_config(RunConfig, raw, "run")
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:

@@ -6,8 +6,8 @@ Two generators share one seeded PCG64 stream model:
   index, confound calendars, lexicon copies) in exactly the ingest file
   formats, with Poisson background chatter, planted message spikes and an
   abnormal return injected on event days.
-* :func:`simulate_event_panel` yields bare return series around planted
-  event days for fast event-study calibration runs.
+* :func:`simulate_event_panel` draws stacked bare return series around
+  planted event days for fast event-study calibration runs.
 
 Determinism: all randomness comes from numpy's PCG64 generator seeded
 from the config, so a given (config, numpy version) pair reproduces the
@@ -21,16 +21,17 @@ import json
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from .errors import ConfigError, DataError
 from .lexicon import load_esg_lexicon
+from .pipeline import build_config
 from .sentiment import Sign, load_sentiment_lexicon
 from .taxonomy import Node, expand_to_ancestors, node_sort_key, parse_node
-from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, close_instants
+from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, check_zone, close_instants
 
 # Vocabulary for messages that should match nothing; kept disjoint from
 # both demo lexicons so synthetic texts classify exactly as planted.
@@ -48,7 +49,7 @@ class PlantedEvent:
     firm_index: int
     node: Node
     day_index: int
-    spike_size: float  # spike-day Poisson mean is spike_size * base_rate
+    spike_size: float = 10.0  # spike-day Poisson mean is spike_size * base_rate
     sign: Sign = Sign.NEGATIVE
 
 
@@ -71,6 +72,8 @@ class SynthConfig:
     confounds: tuple[tuple[int, int, str], ...] = ()  # (firm_index, day_index, kind)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_firms < 1 or self.n_days < 2:
             raise ConfigError("need at least one firm and two days")
         if self.base_rate < 0 or self.filler_rate < 0:
@@ -79,6 +82,7 @@ class SynthConfig:
             raise ConfigError("volatilities must be positive")
         if self.background_sentiment not in ("neutral", "positive"):
             raise ConfigError(f"bad background_sentiment {self.background_sentiment!r}")
+        check_zone("exchange_tz", self.exchange_tz)
         seen: set[tuple[int, Node, int]] = set()
         for ev in self.planted:
             if not 0 <= ev.firm_index < self.n_firms:
@@ -100,37 +104,45 @@ class SynthConfig:
                 raise ConfigError(f"bad confound kind {kind!r}")
 
 
-def synth_config_from_dict(raw: dict) -> SynthConfig:
-    """Build and validate a SynthConfig from parsed YAML/JSON."""
-    raw = dict(raw)
-    unknown = set(raw) - set(SynthConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
+_PLANTED_KEYS = {"firm": "firm_index", "node": "node", "day": "day_index", "spike": "spike_size",
+                 "sign": "sign"}  # YAML key -> PlantedEvent field
+
+
+def _parsed(parse, value, key: str):
     try:
-        raw["planted"] = tuple(
-            PlantedEvent(
-                firm_index=int(item["firm"]),
-                node=parse_node(str(item["node"])),
-                day_index=int(item["day"]),
-                spike_size=float(item.get("spike", 10.0)),
-                sign=Sign(str(item.get("sign", "negative"))),
-            )
-            for item in raw.get("planted") or []
-        )
-        raw["confounds"] = tuple(
-            (int(item["firm"]), int(item["day"]), str(item["kind"]))
-            for item in raw.get("confounds") or []
-        )
-        if "start" in raw:
-            raw["start"] = date.fromisoformat(str(raw["start"]))
-        for key in ("beta_range", "alpha_range"):
-            if key in raw:
-                raw[key] = tuple(float(v) for v in raw[key])
-        cfg = SynthConfig(**raw)
-        cfg.validate()
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad synth config: {exc}") from exc
-    return cfg
+        return parse(str(value))
+    except (ValueError, DataError) as exc:
+        raise ConfigError(f"bad synth config: {key}: {exc}") from None
+
+
+def _planted_fields(item, key: str):
+    if not isinstance(item, dict):
+        return item  # left for build_config to report
+    fields = {_PLANTED_KEYS[k]: v for k, v in item.items() if k in _PLANTED_KEYS}
+    for name, parse in (("node", parse_node), ("sign", Sign)):
+        if name in fields:
+            fields[name] = _parsed(parse, fields[name], key)
+    return fields
+
+
+def synth_config_from_dict(raw: dict) -> SynthConfig:
+    """Build and validate a SynthConfig from parsed YAML/JSON.
+
+    Maps the keys of planted and confound entries to fields and parses
+    nodes, signs and the start date; build_config checks everything else.
+    """
+    raw = dict(raw)
+    if "start" in raw:
+        raw["start"] = _parsed(date.fromisoformat, raw["start"], "start")
+    planted, confounds = raw.get("planted") or [], raw.get("confounds") or []
+    if isinstance(planted, list):
+        raw["planted"] = [_planted_fields(item, f"planted[{i}]") for i, item in enumerate(planted)]
+    if isinstance(confounds, list):
+        raw["confounds"] = [
+            [item.get(k) for k in ("firm", "day", "kind")] if isinstance(item, dict) else item
+            for item in confounds
+        ]
+    return build_config(SynthConfig, raw, "synth")
 
 
 def business_days(start: date, n_days: int) -> list[date]:
@@ -393,23 +405,23 @@ def simulate_event_panel(
     beta_range: tuple[float, float] = (0.8, 1.2),
     alpha_range: tuple[float, float] = (-0.0002, 0.0002),
     injected_ar: float = 0.0,
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Yield (firm_returns, market_returns, event_index) triples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (firm_returns, market_returns, event_days): one row per event.
 
     Each event gets an independent market and firm series just long enough
     for an estimation window of est_len ending two days before the event
-    plus post_days after it. The injected abnormal return lands on the
-    event day only.
+    plus post_days after it, drawn event by event. The injected abnormal
+    return lands on the event day only.
     """
     event_index = est_len + 1
     n = event_index + post_days + 1
-    for _ in range(n_events):
-        market = rng.normal(0.0, market_vol, n)
-        alpha = float(rng.uniform(*alpha_range))
-        beta = float(rng.uniform(*beta_range))
-        firm = alpha + beta * market + rng.normal(0.0, idio_vol, n)
-        firm[event_index] += injected_ar
-        yield firm, market, event_index
+    firm, market = np.empty((n_events, n)), np.empty((n_events, n))
+    for k in range(n_events):
+        market[k] = rng.normal(0.0, market_vol, n)
+        alpha, beta = float(rng.uniform(*alpha_range)), float(rng.uniform(*beta_range))
+        firm[k] = alpha + beta * market[k] + rng.normal(0.0, idio_vol, n)
+    firm[:, event_index] += injected_ar
+    return firm, market, np.full(n_events, event_index)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,24 @@ from __future__ import annotations
 from bisect import bisect_left
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Iterable, Sequence
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import MarketIndexRow
 
 MARKET_CLOSE = time(16, 0)
 DEFAULT_EXCHANGE_TZ = "America/New_York"
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def check_zone(key: str, name: str) -> None:
+    """ConfigError unless `name` is an IANA time zone this machine knows."""
+    try:
+        ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise ConfigError(f"{key}: unknown time zone {name!r}") from None
 
 
 class TradingCalendar:

@@ -39,7 +39,7 @@ def std_synth_config(seed: int = STD_SEED) -> SynthConfig:
 
 def event_day_abnormals(panel, config):
     """Event-day ARs and SARs of a simulate_event_panel draw, fitted as one stack."""
-    firm, market, idx = (np.stack(a) for a in zip(*panel))
+    firm, market, idx = panel
     rows = np.arange(len(idx))
     est = idx[:, None] + np.asarray(config.est_offsets())
     fit = fit_market_model(firm[rows[:, None], est], market[rows[:, None], est], config)

@@ -112,6 +112,21 @@ def test_eval_scores_detection(cli_run, tmp_path):
     assert payload["precision"] == 1.0
 
 
+def test_eval_negative_tolerance_exits_2(cli_run):
+    result = CliRunner().invoke(
+        main,
+        [
+            "eval",
+            "--events", str(cli_run["out"] / "events.csv"),
+            "--truth", str(cli_run["corpus"] / "ground_truth.json"),
+            "--market-index", str(cli_run["corpus"] / "market_index.csv"),
+            "--tolerance", "-1",
+        ],
+    )
+    assert result.exit_code == 2, all_output(result)
+    assert "--tolerance" in all_output(result)
+
+
 def test_study_standalone_with_robustness(cli_run, tmp_path):
     # reuse the pipeline's events file, write study outputs somewhere fresh
     result = CliRunner().invoke(
@@ -217,14 +232,26 @@ def test_missing_required_path_exits_2(tmp_path):
         ("parallelism: two\n", "bad run config"),
         ("study: {saar_offsets: [a]}\n", "bad study config"),
         ("study: {event_windows: [[1]]}\n", "bad study config"),
-        ("paths: {classified: 5}\n", "paths.classified must be a string"),
-        ("robustness_est_len: x\n", "robustness_est_len must be null or an integer"),
-        ("sentiment_threshold: [1]\n", "sentiment_threshold must be a number"),
+        ("paths: {classified: 5}\n", "bad paths config: paths.classified must be null or a string"),
+        ("robustness_est_len: x\n", "bad run config: robustness_est_len must be null or an integer"),
+        ("sentiment_threshold: [1]\n", "bad run config: sentiment_threshold must be a number"),
+        ("parallelism: 1.5\n", "bad run config: parallelism must be an integer"),
+        ("study: {curve_span: 1.5}\n", "bad study config: study.curve_span must be an integer"),
+        ("detection: {window_len: 2.5}\n", "bad detection config: detection.window_len must be an integer"),
+        ("detection: {two_sided: maybe}\n", "bad detection config: detection.two_sided must be true or false"),
+        ("detection: {z: true}\n", "bad detection config: detection.z must be a number"),
+        ("study: {scar_normalize: \"yes\"}\n", "bad study config: study.scar_normalize must be true or false"),
+        ("exchange_tz: Not/AZone\n", "exchange_tz: unknown time zone 'Not/AZone'"),
+        ("exchange_tz: 5\n", "bad run config: exchange_tz must be a string"),
+        ("source_tz: Not/AZone\n", "source_tz: unknown time zone 'Not/AZone'"),
     ],
     ids=[
         "yaml-syntax", "z-not-a-number", "section-not-a-mapping", "parallelism-not-a-number",
         "saar-offset-not-a-number", "event-window-not-a-pair", "path-not-a-string",
-        "robustness-not-a-number", "threshold-not-a-number",
+        "robustness-not-a-number", "threshold-not-a-number", "parallelism-not-an-integer",
+        "curve-span-not-an-integer", "window-len-not-an-integer", "two-sided-not-a-bool",
+        "z-a-bool", "scar-normalize-a-string", "unknown-exchange-tz", "exchange-tz-not-a-string",
+        "unknown-source-tz",
     ],
 )
 def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
@@ -467,9 +494,19 @@ def test_synth_flag_overrides(tmp_path):
         ("beta_range: 1\n", "bad synth config"),
         ("confounds:\n  - {firm: 0}\n", "bad synth config"),
         ("n_firms: x\n", "bad synth config"),
+        ("exchange_tz: Not/AZone\n", "exchange_tz: unknown time zone 'Not/AZone'"),
+        ("planted:\n  - {firm: 0, node: Bogus, day: 5}\n",
+         "bad synth config: planted[0]: unknown taxonomy node: 'Bogus'"),
+        ("seed: -1\n", "seed must be non-negative"),
+        ("n_days: 2.5\n", "bad synth config: n_days must be an integer"),
+        ("injected_ar: x\n", "bad synth config: injected_ar must be a number"),
+        ("planted:\n  - {firm: 1.5, node: ClimateChange, day: 5}\n",
+         "bad synth config: planted[0].firm_index must be an integer"),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
-         "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number"],
+         "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
+         "unknown-exchange-tz", "unknown-planted-node", "negative-seed", "n-days-not-an-integer",
+         "injected-ar-not-a-number", "planted-firm-not-an-integer"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"

@@ -61,6 +61,16 @@ def test_run_config_coerces_windows():
     assert cfg.study.saar_offsets == (-1, 0, 1, 2)
 
 
+def test_run_config_numbers():
+    # an int widens to a float; PyYAML hands 5e-2 over as a string
+    cfg = run_config_from_dict({"detection": {"z": 2, "min_share": "5e-2"}})
+    assert type(cfg.detection.z) is float and cfg.detection.z == 2.0
+    assert cfg.detection.min_share == 0.05
+    for raw in ({"detection": {"z": "nan"}}, {"detection": {"min_tweets": True}}):
+        with pytest.raises(ConfigError, match="bad detection config: detection"):
+            run_config_from_dict(raw)
+
+
 def test_run_config_validates_sections():
     with pytest.raises(ConfigError):
         run_config_from_dict({"detection": {"z": 0}})

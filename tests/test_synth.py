@@ -223,11 +223,9 @@ def test_ground_truth_load_missing_file(tmp_path):
 
 def test_simulate_event_panel_shape():
     rng = np.random.default_rng(3)
-    panel = list(simulate_event_panel(rng, 4))
-    assert len(panel) == 4
-    for firm, market, event_index in panel:
-        assert event_index == 121
-        assert firm.shape == market.shape == (123,)
+    firm, market, event_days = simulate_event_panel(rng, 4)
+    assert firm.shape == market.shape == (4, 123)
+    assert event_days.tolist() == [121] * 4
 
 
 def test_simulate_event_panel_injection_recovered():
