@@ -7,17 +7,28 @@ day itself never contaminates its own baseline) and the default direction
 is spikes only. Outliers then pass absolute-size and share filters, merge
 into events within a trading-day gap, and are screened against earnings
 and controversy calendars.
+
+The scan covers a whole (series x days) stack, a block of rows at a time.
+Window sums of counts and of squared counts come from cumulative sums and
+are exact in int64, so the deviation E/w and the sample std
+sqrt(D/(w(w-1))), with E = w*x - sum and D = w*sum(x^2) - sum^2, derive
+from exact integers; D = 0 never flags. A day is decided there when its
+deviation and z stds differ by more than 1e-9 of the window mean,
+deviation and threshold together, a margin far wider than the rounding of
+the float rule. The rare day inside it, a tie included, and every day of
+a series that is not integer or could overflow int64, take the float rule
+(mean and std(ddof=1) of the window), which stays the definition of a hit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .aggregate import CategorySeries
 from .errors import ConfigError, NumericError
@@ -40,8 +51,8 @@ class DetectionConfig:
     two_sided: bool = False
 
     def validate(self) -> None:
-        if self.z <= 0:
-            raise ConfigError(f"z must be positive, got {self.z}")
+        if not (math.isfinite(self.z) and self.z > 0):
+            raise ConfigError(f"z must be a finite positive number, got {self.z}")
         if self.window_len < 2:
             raise ConfigError(f"window_len must be at least 2, got {self.window_len}")
         if self.min_tweets < 1:
@@ -76,26 +87,58 @@ class RemovedEvent:
     kind: EventKind
 
 
-def esd_outliers(counts: Sequence[int] | np.ndarray, config: DetectionConfig) -> np.ndarray:
-    """Indices t where counts[t] deviates >= z sample stds from its window.
+# window_len * (largest count) at or below this keeps w*sum(x^2) and sum^2 in int64
+_EXACT_LIMIT = math.isqrt(2**63 - 1)
+_BLOCK_CELLS = 1 << 13  # stack cells per pass, which bounds the kernel's temporaries
+_MARGIN = 1e-9  # relative gap that the float rule's rounding cannot close
 
-    The window is counts[t-window_len:t]; days without a complete window
-    are never flagged, and a zero-variance window flags nothing.
+
+def esd_outliers(counts: Sequence | np.ndarray, config: DetectionConfig) -> np.ndarray:
+    """Flat indices of the outlier days of one count series or a (series x days) stack.
+
+    The stack is a 2-D array or a list of equal-length series; it is read a
+    block of rows at a time. Day t of a series is flagged when counts[t]
+    deviates >= z sample stds from its window counts[t-window_len:t]; days
+    without a complete window are never flagged, and a zero-variance window
+    flags nothing. Index i*n_days + t is day t of series i, so for a single
+    series the indices are day indices.
     """
-    x = np.asarray(counts, dtype=np.float64)
-    w = config.window_len
-    n = x.size
-    if n <= w:
-        return np.empty(0, dtype=np.intp)
-    windows = sliding_window_view(x, w)[:-1]  # row j is the window for day j + w
-    means = windows.mean(axis=1)
-    stds = windows.std(axis=1, ddof=1)
-    current = x[w:]
-    dev = current - means
+    rows = counts if len(counts) and np.ndim(counts[0]) else [counts]
+    n, w = len(rows[0]), config.window_len
+    found = [np.empty(0, dtype=np.intp)]
+    if n > w:
+        step = max(1, _BLOCK_CELLS // n)
+        for start in range(0, len(rows), step):
+            row, day = np.nonzero(_esd_block(np.asarray(rows[start : start + step]), config))
+            found.append((start + row) * n + w + day)
+    return np.concatenate(found)
+
+
+def _esd_block(x: np.ndarray, config: DetectionConfig) -> np.ndarray:
+    """Hit mask of days window_len.. of each row of a 2-D block (see the module docstring)."""
+    w, n = config.window_len, x.shape[1]
+    bound = _EXACT_LIMIT // w  # rows of other values take the float rule on every day
+    exact = ((-bound <= x) & (x <= bound) & (x == np.round(x))).all(axis=1)
+    xi = np.where(exact[:, None], x, 0).astype(np.int64)
+    sums = np.zeros((2, len(x), n + 1), dtype=np.int64)
+    np.cumsum(xi, axis=1, out=sums[0, :, 1:])
+    np.cumsum(xi * xi, axis=1, out=sums[1, :, 1:])
+    # a running sum may wrap around, but each window's difference fits in int64 and is exact
+    s1, s2 = sums[:, :, w:n] - sums[:, :, : n - w]  # day t's window is x[t-w:t]
+    spread = w * s2 - s1 * s1  # D, which is w*(w-1) times the window's sample variance
+    dev = (w * xi[:, w:] - s1) / w
     if config.two_sided:
         dev = np.abs(dev)
-    hit = (stds > 0.0) & (dev >= config.z * stds)
-    return np.flatnonzero(hit) + w
+    thr = config.z * np.sqrt(spread / (w * (w - 1.0)))
+    margin = _MARGIN * (np.abs(s1) / w + np.abs(dev) + thr)
+    hit = (spread > 0) & (dev - thr > margin)
+    unsure = (spread > 0) & (np.abs(dev - thr) <= margin)
+    unsure[~exact] = True
+    for i, j in zip(*np.nonzero(unsure)):  # the float rule, as a per-day recomputation has it
+        window = x[i, j : j + w].astype(np.float64)
+        sd, dev_ij = window.std(ddof=1), float(x[i, j + w]) - window.mean()
+        hit[i, j] = sd > 0.0 and (abs(dev_ij) if config.two_sided else dev_ij) >= config.z * sd
+    return hit
 
 
 def filter_and_merge(

@@ -110,6 +110,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be at least 1, got {self.parallelism}")
+        if not math.isfinite(self.sentiment_threshold):
+            raise ConfigError(f"sentiment_threshold must be finite, got {self.sentiment_threshold}")
         if (robust := self.robustness_est_len) is not None and robust < 3:
             raise ConfigError(f"robustness_est_len must be null or an integer >= 3, got {robust}")
         check_zone("exchange_tz", self.exchange_tz)
@@ -372,41 +374,87 @@ class DetectOutputs:
     dropped_messages: int  # timestamps outside the calendar
 
 
+_STAMP_BLOCK = 1 << 11  # classified rows per vectorised timestamp parse
+_UTC_FORM = np.array([ord(c) for c in "dddd-dd-ddTdd:dd:dd+00:00"], dtype=np.uint32)  # d: a digit
+_YEAR_1 = np.datetime64("0001-01-01", "us")
+
+
+def _parse_stamps(path: Path, raw: list[str], lines: list[int]) -> np.ndarray:
+    """UTC epoch microseconds of a block of classified.csv stamps found on `lines`.
+
+    Rows exactly in classify's own form, `YYYY-MM-DDTHH:MM:SS+00:00` with
+    digits where the form has them, are read by numpy in one call. Every
+    other row goes through parse_timestamp; a bad one raises DataError.
+    """
+    us, ok = np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=bool)
+    text = np.array(raw, dtype="U25")  # this cuts longer stamps, so lengths are checked too
+    codes = text.view(np.uint32).reshape(-1, 25)
+    digits = (codes >= ord("0")) & (codes <= ord("9"))
+    fits = np.where(_UTC_FORM == ord("d"), digits, codes == _UTC_FORM).all(axis=1)
+    cand = np.flatnonzero(fits & (np.fromiter(map(len, raw), np.intp, len(raw)) == 25))
+    try:  # from a U array: numpy 2.4 crashes on a bad stamp in a large bytes (S) array
+        dt = text[cand].astype("U19").astype("datetime64[us]")
+        keep = dt >= _YEAR_1  # numpy reads year 0, which the scalar parser rejects
+        us[cand[keep]], ok[cand[keep]] = dt[keep].astype(np.int64), True
+    except ValueError:
+        pass  # a field out of range: the whole block goes row by row
+    for k in np.flatnonzero(~ok):
+        try:
+            us[k] = epoch_us(parse_timestamp(raw[k]))
+        except ValueError:
+            raise DataError(f"{path}:{lines[k]}: bad timestamp in classified file") from None
+    return us
+
+
 def _read_classified(path: Path):
     """Read a classified.csv into firm names and one column per field.
 
     Per row: firm code, UTC epoch-microsecond stamp, label set (parsed once
-    per distinct `nodes` string) and score. Bad values raise DataError.
+    per distinct `nodes` string) and score. Stamps are parsed a block at a
+    time; a bad value raises DataError naming the first bad row.
     """
     codes: dict[str, int] = {}
     label_sets: dict[str, frozenset[Node]] = {}
-    firms, stamps, labels, scores = array("q"), array("q"), [], array("d")
-    for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
-        path, "classified", CLASSIFIED_COLUMNS
-    ):
-        try:
-            ts = parse_timestamp(raw_ts or "")
-        except ValueError:
-            raise DataError(f"{path}:{line}: bad timestamp in classified file") from None
-        raw_nodes = raw_nodes or ""
-        nodes = label_sets.get(raw_nodes)
-        if nodes is None:
+    firms, labels, scores = array("q"), [], array("d")
+    stamps: list[np.ndarray] = []
+    raw_stamps: list[str] = []
+    stamp_lines: list[int] = []
+
+    def flush() -> None:
+        stamps.append(_parse_stamps(path, raw_stamps, stamp_lines))
+        raw_stamps.clear()
+        stamp_lines.clear()
+
+    try:
+        for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
+            path, "classified", CLASSIFIED_COLUMNS
+        ):
+            raw_stamps.append(raw_ts or "")
+            stamp_lines.append(line)
+            raw_nodes = raw_nodes or ""
+            nodes = label_sets.get(raw_nodes)
+            if nodes is None:
+                try:
+                    nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
+                except DataError as exc:
+                    raise DataError(f"{path}:{line}: {exc}") from None
+                label_sets[raw_nodes] = nodes
             try:
-                nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
-            except DataError as exc:
-                raise DataError(f"{path}:{line}: {exc}") from None
-            label_sets[raw_nodes] = nodes
-        try:
-            score = float(raw_score or 0.0)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise DataError(f"{path}:{line}: bad score {raw_score!r}")
-        firms.append(codes.setdefault((firm or "").strip(), len(codes)))
-        stamps.append(epoch_us(ts))
-        labels.append(nodes)
-        scores.append(score)
-    return list(codes), firms, stamps, labels, scores
+                score = float(raw_score or 0.0)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{line}: bad score {raw_score!r}")
+            firms.append(codes.setdefault((firm or "").strip(), len(codes)))
+            labels.append(nodes)
+            scores.append(score)
+            if len(raw_stamps) == _STAMP_BLOCK:
+                flush()
+    except DataError:
+        flush()  # a bad stamp on an earlier row (or this one) is named first
+        raise
+    flush()
+    return list(codes), firms, np.concatenate(stamps), labels, scores
 
 
 def run_detect(cfg: RunConfig) -> DetectOutputs:
@@ -433,11 +481,12 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     days = assign_trading_indices(stamps, calendar, cfg.exchange_tz)
     rows = zip(firms, memoryview(days), labels, scores)
     records = ((names[f], day, nodes, score) for f, day, nodes, score in rows if day >= 0)
+    series = build_series(records, calendar)
+    owner, day = np.divmod(esd_outliers([s.counts for s in series], cfg.detection), len(calendar))
     detected: list[RiskEvent] = []
-    for series in build_series(records, calendar):
-        outliers = esd_outliers(series.counts, cfg.detection)
+    for one, outliers in zip(series, np.split(day, np.searchsorted(owner, range(1, len(series))))):
         detected.extend(
-            filter_and_merge(outliers, series, calendar, cfg.detection, cfg.sentiment_threshold)
+            filter_and_merge(outliers, one, calendar, cfg.detection, cfg.sentiment_threshold)
         )
     detected.sort(key=lambda e: (e.firm, node_sort_key(e.node), e.day))
 

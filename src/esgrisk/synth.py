@@ -106,6 +106,7 @@ class SynthConfig:
 
 _PLANTED_KEYS = {"firm": "firm_index", "node": "node", "day": "day_index", "spike": "spike_size",
                  "sign": "sign"}  # YAML key -> PlantedEvent field
+_CONFOUND_KEYS = ("firm", "day", "kind")  # YAML keys, in confound tuple order
 
 
 def _parsed(parse, value, key: str):
@@ -115,14 +116,28 @@ def _parsed(parse, value, key: str):
         raise ConfigError(f"bad synth config: {key}: {exc}") from None
 
 
+def _check_entry_keys(item: dict, known, key: str) -> None:
+    for name in item:
+        if name not in known:
+            raise ConfigError(f"bad synth config: {key}.{name} is not one of {', '.join(known)}")
+
+
 def _planted_fields(item, key: str):
     if not isinstance(item, dict):
         return item  # left for build_config to report
-    fields = {_PLANTED_KEYS[k]: v for k, v in item.items() if k in _PLANTED_KEYS}
+    _check_entry_keys(item, _PLANTED_KEYS, key)
+    fields = {_PLANTED_KEYS[k]: v for k, v in item.items()}
     for name, parse in (("node", parse_node), ("sign", Sign)):
         if name in fields:
             fields[name] = _parsed(parse, fields[name], key)
     return fields
+
+
+def _confound_fields(item, key: str):
+    if not isinstance(item, dict):
+        return item  # left for build_config to report
+    _check_entry_keys(item, _CONFOUND_KEYS, key)
+    return [item.get(k) for k in _CONFOUND_KEYS]
 
 
 def synth_config_from_dict(raw: dict) -> SynthConfig:
@@ -138,10 +153,7 @@ def synth_config_from_dict(raw: dict) -> SynthConfig:
     if isinstance(planted, list):
         raw["planted"] = [_planted_fields(item, f"planted[{i}]") for i, item in enumerate(planted)]
     if isinstance(confounds, list):
-        raw["confounds"] = [
-            [item.get(k) for k in ("firm", "day", "kind")] if isinstance(item, dict) else item
-            for item in confounds
-        ]
+        raw["confounds"] = [_confound_fields(item, f"confounds[{i}]") for i, item in enumerate(confounds)]
     return build_config(SynthConfig, raw, "synth")
 
 

@@ -48,6 +48,23 @@ def event_day_abnormals(panel, config):
     return ar, standardize(fit, ar, market[rows, idx])
 
 
+def naive_esd(counts, config):
+    """Per-day recomputation of the trailing-window rule on one series."""
+    x = np.asarray(counts, dtype=np.float64)
+    out = []
+    for t in range(config.window_len, x.size):
+        window = x[t - config.window_len : t]
+        sd = float(np.std(window, ddof=1))
+        if sd <= 0.0:
+            continue
+        dev = x[t] - float(np.mean(window))
+        if config.two_sided:
+            dev = abs(dev)
+        if dev >= config.z * sd:
+            out.append(t)
+    return out
+
+
 def corpus_paths(corpus_dir: Path, outdir: Path) -> dict:
     return {
         "messages": str(corpus_dir / "messages.csv"),

@@ -244,6 +244,9 @@ def test_missing_required_path_exits_2(tmp_path):
         ("exchange_tz: Not/AZone\n", "exchange_tz: unknown time zone 'Not/AZone'"),
         ("exchange_tz: 5\n", "bad run config: exchange_tz must be a string"),
         ("source_tz: Not/AZone\n", "source_tz: unknown time zone 'Not/AZone'"),
+        ("detection: {z: .nan}\n", "z must be a finite positive number, got nan"),
+        ("detection: {z: .inf}\n", "z must be a finite positive number, got inf"),
+        ("sentiment_threshold: .nan\n", "sentiment_threshold must be finite, got nan"),
     ],
     ids=[
         "yaml-syntax", "z-not-a-number", "section-not-a-mapping", "parallelism-not-a-number",
@@ -251,7 +254,7 @@ def test_missing_required_path_exits_2(tmp_path):
         "robustness-not-a-number", "threshold-not-a-number", "parallelism-not-an-integer",
         "curve-span-not-an-integer", "window-len-not-an-integer", "two-sided-not-a-bool",
         "z-a-bool", "scar-normalize-a-string", "unknown-exchange-tz", "exchange-tz-not-a-string",
-        "unknown-source-tz",
+        "unknown-source-tz", "z-nan", "z-inf", "threshold-nan",
     ],
 )
 def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
@@ -263,6 +266,21 @@ def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
         main,
         ["pipeline", "-c", str(bad), "--outdir", str(tmp_path / "out")] + corpus_args(cli_run["corpus"]),
     )
+    assert result.exit_code == 2, all_output(result)
+    assert f"config error: {message}" in all_output(result)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--z", "nan"], "z must be a finite positive number, got nan"),
+        (["--z", "inf"], "z must be a finite positive number, got inf"),
+        (["--threshold", "nan"], "sentiment_threshold must be finite, got nan"),
+    ],
+    ids=["z-nan", "z-inf", "threshold-nan"],
+)
+def test_non_finite_threshold_flag_exits_2(tmp_path, args, message):
+    result = CliRunner().invoke(main, ["detect", "--outdir", str(tmp_path / "out")] + args)
     assert result.exit_code == 2, all_output(result)
     assert f"config error: {message}" in all_output(result)
 
@@ -310,6 +328,40 @@ def test_bad_score_in_classified_exits_3(cli_run, tmp_path, score):
     )
     assert result.exit_code == 3, all_output(result)
     assert f"data error: {bad}:{line}: bad score '{score}'" in all_output(result)
+
+
+@pytest.mark.parametrize("stamp", ["2020-13-45T00:00:00+00:00", "yesterday", ""])
+def test_bad_stamp_in_classified_exits_3(cli_run, tmp_path, stamp):
+    bad = tmp_path / "classified.csv"
+    line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "timestamp", stamp)
+    result = CliRunner().invoke(
+        main,
+        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: bad timestamp in classified file" in all_output(result)
+
+
+@pytest.mark.parametrize("column, value", [("score", "abc"), ("nodes", "Bogus")])
+def test_first_bad_row_in_classified_is_named(cli_run, tmp_path, column, value):
+    # stamps are parsed in blocks, yet a bad stamp on line 3 still comes
+    # before a bad score or node on line 5
+    bad = tmp_path / "classified.csv"
+    lines = (cli_run["out"] / "classified.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for line, col, cell in ((3, "timestamp", "yesterday"), (5, column, value)):
+        cells = lines[line - 1].split(",")
+        cells[header.index(col)] = cell
+        lines[line - 1] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:3: bad timestamp in classified file" in all_output(result)
 
 
 @pytest.mark.parametrize(
@@ -502,11 +554,16 @@ def test_synth_flag_overrides(tmp_path):
         ("injected_ar: x\n", "bad synth config: injected_ar must be a number"),
         ("planted:\n  - {firm: 1.5, node: ClimateChange, day: 5}\n",
          "bad synth config: planted[0].firm_index must be an integer"),
+        ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spkie: 8}\n",
+         "bad synth config: planted[0].spkie is not one of firm, node, day, spike, sign"),
+        ("confounds:\n  - {firm: 0, day: 9, kind: earnings}\n  - {firm: 0, day: 9, knd: earnings}\n",
+         "bad synth config: confounds[1].knd is not one of firm, day, kind"),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
          "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
          "unknown-exchange-tz", "unknown-planted-node", "negative-seed", "n-days-not-an-integer",
-         "injected-ar-not-a-number", "planted-firm-not-an-integer"],
+         "injected-ar-not-a-number", "planted-firm-not-an-integer", "unknown-planted-key",
+         "unknown-confound-key"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import naive_esd
 
+import esgrisk.detect as detect
 from esgrisk.aggregate import CategorySeries
 from esgrisk.detect import (
     DetectionConfig,
@@ -42,23 +44,6 @@ def series_for(counts, firm="A", node=Node.CLIMATE_CHANGE, scores=None, totals=N
         firm=firm, node=node, counts=counts,
         senti_sum=senti, totals=np.asarray(totals, dtype=np.int64),
     )
-
-
-def naive_esd(counts, config):
-    """Per-day recomputation of the trailing-window rule."""
-    x = np.asarray(counts, dtype=np.float64)
-    out = []
-    for t in range(config.window_len, x.size):
-        window = x[t - config.window_len : t]
-        sd = float(np.std(window, ddof=1))
-        if sd <= 0.0:
-            continue
-        dev = x[t] - float(np.mean(window))
-        if config.two_sided:
-            dev = abs(dev)
-        if dev >= config.z * sd:
-            out.append(t)
-    return out
 
 
 def test_esd_alternating_window_fixture():
@@ -107,6 +92,67 @@ def test_esd_matches_naive_recomputation():
             assert list(esd_outliers(counts, config)) == naive_esd(counts, config)
 
 
+@st.composite
+def esd_stacks(draw):
+    """A (series x days) count stack and a config, mixing the kernel's edge cases.
+
+    Rows are random counts, all zeros, a constant window before one free
+    day, 0/1 counts, counts near 1e8 (past the int64 bound once window_len
+    is 32), or a window of standard deviation k whose next day deviates by
+    exactly z*k. Stacks may be shorter than the window, or hold no rows.
+    """
+    window_len = draw(st.sampled_from([2, 3, 5, 32]))
+    config = DetectionConfig(
+        z=draw(st.sampled_from([2.0, 2.5, 3.0])), window_len=window_len, two_sided=draw(st.booleans())
+    )
+    n = draw(st.integers(0, window_len + 12))
+    kinds = ["counts", "zeros", "constant", "binary", "big"]
+    if window_len in (3, 5) and n > window_len:
+        kinds.append("tie")
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        if kind == "zeros":
+            row = [0] * n
+        elif kind == "constant":
+            row = [draw(st.integers(0, 50))] * (n - 1) + [draw(st.integers(0, 99))] * (n > 0)
+        elif kind == "tie":
+            # mean c+k, sample std k in both patterns; 2.5*k is whole since k is even
+            k = 2 * draw(st.integers(1, 10))
+            c = draw(st.integers(0, 40)) + 3 * k
+            pattern = [0, 1, 2] if window_len == 3 else [0, 0, 1, 2, 2]
+            last = c + k + draw(st.sampled_from([1, -1])) * int(config.z * k)
+            head = draw(st.lists(st.integers(0, 30), min_size=n - window_len - 1, max_size=n - window_len - 1))
+            row = head + [c + p * k for p in pattern] + [last]
+        else:
+            low, high = {"counts": (0, 30), "binary": (0, 1), "big": (10**8 - 50, 10**8 + 50)}[kind]
+            row = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=esd_stacks())
+def test_stacked_esd_matches_naive_per_row(case):
+    stack, config = case
+    n = stack.shape[1]
+    got = esd_outliers(stack, config).tolist()
+    assert got == [i * n + t for i, row in enumerate(stack) for t in naive_esd(row, config)]
+    by_row = [esd_outliers(row, config).tolist() for row in stack]
+    assert got == [i * n + t for i, days in enumerate(by_row) for t in days]
+
+
+def test_stacked_esd_spans_row_blocks(monkeypatch):
+    # three rows per block, so hits from every block must land on their own rows
+    rng = np.random.default_rng(7)
+    stack = rng.poisson(4.0, (10, 40))
+    stack[:, 30] += 15
+    config = DetectionConfig(window_len=20)
+    monkeypatch.setattr(detect, "_BLOCK_CELLS", 3 * 40)
+    got = esd_outliers(stack, config)
+    assert got.tolist() == [i * 40 + t for i, row in enumerate(stack) for t in naive_esd(row, config)]
+    assert len(got) >= 10
+
+
 def test_esd_monotone_in_z():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -125,6 +171,9 @@ def test_detection_config_validation():
         DetectionConfig(min_share=1.5).validate()
     with pytest.raises(ConfigError):
         DetectionConfig(window_len=0).validate()
+    for z in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            DetectionConfig(z=z).validate()
 
 
 def merge_fixture(outlier_days, n=300):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import corpus_paths, make_run_config
 
+import esgrisk.pipeline as pipeline
 from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from esgrisk.errors import ConfigError, DataError
+from esgrisk.ingest import parse_timestamp
 from esgrisk.lexicon import EsgClassifier, load_esg_lexicon, tokenize
 from esgrisk.pipeline import (
     CLASSIFIED_COLUMNS,
@@ -26,6 +28,7 @@ from esgrisk.pipeline import (
 from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
 from esgrisk.synth import PlantedEvent, SynthConfig, evaluate_detection, generate
 from esgrisk.taxonomy import Node
+from esgrisk.trading import epoch_us
 
 
 def test_run_config_defaults():
@@ -392,3 +395,34 @@ def test_classified_file_schema_is_checked(std_corpus, tmp_path):
     cfg = run_config_from_dict({"paths": paths})
     with pytest.raises(DataError, match="missing classified columns"):
         run_detect(cfg)
+
+
+STAMPS = [
+    "2020-01-02T15:30:00+00:00",
+    "2020-01-02T15:30:00Z",
+    "2020-01-02T15:30:00",
+    "2020-01-02T15:30:00+05:30",
+    "2020-01-02T15:30:00.250000+00:00",
+    "2020-01-02T15:30:00.250+00:00",
+    " 2020-01-02T15:30:00+00:00",
+    "0001-01-01T00:00:00+00:00",
+    "2020-01-02T15:30:00-00:00",
+    "2020-02-29T23:59:59+00:00",
+]
+
+
+@pytest.mark.parametrize("block", [3, 8192])
+@pytest.mark.parametrize(
+    "stamps", [STAMPS, [s.replace("T", " ") for s in STAMPS]], ids=["mixed", "space-separator"]
+)
+def test_classified_stamps_match_the_scalar_parser(tmp_path, monkeypatch, stamps, block):
+    # classify writes +00:00 stamps; any other form must read as the scalar parser reads it
+    monkeypatch.setattr(pipeline, "_STAMP_BLOCK", block)
+    path = tmp_path / "classified.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CLASSIFIED_COLUMNS)
+        for i, stamp in enumerate(stamps * 2):
+            writer.writerow([f"m{i}", "A", stamp, "ClimateChange", "", "0.5"])
+    stamps_us = pipeline._read_classified(path)[2]
+    assert stamps_us.tolist() == [epoch_us(parse_timestamp(s)) for s in stamps * 2]

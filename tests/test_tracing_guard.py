@@ -4,14 +4,15 @@ bench/tracing.py swaps wrappers in through each owner's ``__dict__``, so a
 function it patches that is renamed or deleted fails here, not only when
 the benchmark runs. Tracing must also leave detect's and the study's
 outputs unchanged, and the study's price reading and alignment must both
-show in the traced split.
+show in the traced split. Detect scans every series in one ESD call, so
+its outlier-day count is checked against a per-series recomputation.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import corpus_paths
+from conftest import corpus_paths, naive_esd
 
 import esgrisk.aggregate as aggregate
 import esgrisk.ingest as ingest
@@ -42,11 +43,19 @@ def detect_config(std_run, outdir):
     return pipeline.run_config_from_dict({"paths": paths})
 
 
-def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path):
+def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path, monkeypatch):
     tracing = load_tracing()
-    before = [dict(vars(owner)) for owner in OWNERS]
+    series = []
 
-    pipeline.run_detect(detect_config(std_run, tmp_path / "plain"))
+    def keep_series(records, calendar):
+        series.extend(aggregate.build_series(records, calendar))
+        return series
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "build_series", keep_series)
+        cfg = detect_config(std_run, tmp_path / "plain")
+        pipeline.run_detect(cfg)
+    before = [dict(vars(owner)) for owner in OWNERS]
     tracer = tracing.Tracer()
     patches = tracing.install(tracer)
     try:
@@ -60,7 +69,10 @@ def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path):
     plain = (tmp_path / "plain" / "events.csv").read_bytes()
     assert plain == (tmp_path / "traced" / "events.csv").read_bytes()
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["aggregate.series"] == metrics["detect.esd.calls"] > 0
+    assert metrics["detect.esd.calls"] == 1
+    assert metrics["aggregate.series"] == len(series) > 0
+    naive_days = sum(len(naive_esd(one.counts, cfg.detection)) for one in series)
+    assert metrics["detect.outlier_days"] == naive_days > 0
     assert metrics["detect.kept"] == len(std_run["detect"].kept)
 
 
