@@ -5,7 +5,10 @@ Two generators share one seeded PCG64 stream model:
 * :func:`generate` writes a complete fake corpus (messages, prices, market
   index, confound calendars, lexicon copies) in exactly the ingest file
   formats, with Poisson background chatter, planted message spikes and an
-  abnormal return injected on event days.
+  abnormal return injected on event days. Each firm's messages come from one
+  Poisson draw over a (days x sources) rate matrix, then one array draw each
+  for filler word counts, filler words, terms, sentiment words and stamps;
+  they are formatted and written in blocks of _BLOCK messages.
 * :func:`simulate_event_panel` draws stacked bare return series around
   planted event days for fast event-study calibration runs.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,6 +79,10 @@ class SynthConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_firms < 1 or self.n_days < 2:
             raise ConfigError("need at least one firm and two days")
+        for name in ("base_rate", "filler_rate", "injected_ar", "idio_vol", "market_vol",
+                     "beta_range", "alpha_range"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_rate < 0 or self.filler_rate < 0:
             raise ConfigError("rates must be non-negative")
         if self.idio_vol <= 0 or self.market_vol <= 0:
@@ -89,8 +96,8 @@ class SynthConfig:
                 raise ConfigError(f"planted firm index {ev.firm_index} out of range")
             if not 0 <= ev.day_index < self.n_days:
                 raise ConfigError(f"planted day index {ev.day_index} out of range")
-            if ev.spike_size <= 0:
-                raise ConfigError("spike_size must be positive")
+            if not 0 < ev.spike_size < np.inf:
+                raise ConfigError(f"spike_size must be positive and finite, got {ev.spike_size}")
             key = (ev.firm_index, ev.node, ev.day_index)
             if key in seen:
                 raise ConfigError(f"duplicate planted event {key}")
@@ -159,13 +166,7 @@ def synth_config_from_dict(raw: dict) -> SynthConfig:
 
 def business_days(start: date, n_days: int) -> list[date]:
     """The first n_days weekdays on/after start (no holiday modeling)."""
-    days: list[date] = []
-    cur = start
-    while len(days) < n_days:
-        if cur.weekday() < 5:
-            days.append(cur)
-        cur += timedelta(days=1)
-    return days
+    return np.busday_offset(start, np.arange(n_days), roll="forward").astype(object).tolist()
 
 
 def firm_name(index: int) -> str:
@@ -245,36 +246,77 @@ def _terms_by_node(path: Path) -> dict[Node, list[str]]:
 
 
 def _sentiment_words(path: Path) -> tuple[list[str], list[str]]:
-    negative: list[str] = []
-    positive: list[str] = []
-    for entry in load_sentiment_lexicon(path):
-        text = " ".join(entry.term)
-        if entry.weight < 0:
-            negative.append(text)
-        elif entry.weight > 0:
-            positive.append(text)
-    return negative, positive
+    """(negative, positive) sentiment terms, as text."""
+    entries = load_sentiment_lexicon(path)
+    return ([" ".join(e.term) for e in entries if e.weight < 0],
+            [" ".join(e.term) for e in entries if e.weight > 0])
 
 
-class _MessageWriter:
-    def __init__(self, path: Path):
-        self._fh = open(path, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(["id", "firm", "timestamp", "text"])
-        self._counter = 0
-
-    def write(self, firm: str, ts: datetime, text: str) -> None:
-        self._counter += 1
-        self._writer.writerow([f"m{self._counter:07d}", firm, ts.isoformat(), text])
-
-    def close(self) -> None:
-        self._fh.close()
+_BLOCK = 512  # messages per writerows call; no draw depends on it
 
 
-def _day_windows(calendar_days: Sequence[date], tz: str) -> list[tuple[datetime, int]]:
-    """Per trading day: UTC start of its close-to-close window and span in seconds."""
-    closes = close_instants(calendar_days, tz)
-    return [(lo, int((hi - lo).total_seconds())) for lo, hi in zip(closes, closes[1:])]
+def _firm_sources(
+    config: SynthConfig, planted: Sequence[PlantedEvent], terms: dict[Node, list[str]],
+    negative_words: list[str], positive_words: list[str],
+) -> list[tuple]:
+    """A firm's message sources in rate-matrix column order: filler, one background
+    source per planted node in node_sort_key order, then one per planted event with
+    rate 0 off its day. Each is (per-day Poisson means, filler word count range, ESG
+    terms, sentiment words, template over cashtag, filler words, term, sentiment word)."""
+    n = config.n_days
+    sources = [(np.full(n, config.filler_rate), (3, 6), (), (), "{0} {1}")]
+    positive = config.background_sentiment == "positive"
+    for node in sorted({ev.node for ev in planted}, key=node_sort_key):
+        sources.append((np.full(n, config.base_rate), (1, 2), terms[node],
+                        positive_words if positive else (),
+                        "{0} {1} {2} {3}" if positive else "{0} {1} {2}"))
+    for ev in planted:
+        rates = np.zeros(n)
+        rates[ev.day_index] = config.base_rate * ev.spike_size
+        words = negative_words if ev.sign is Sign.NEGATIVE else positive_words
+        sources.append((rates, (1, 3), terms[ev.node], words, "{0} {2} {3} {1}"))
+    return sources
+
+
+def _picks(rng: np.random.Generator, src: np.ndarray, lists: Sequence[Sequence[str]]):
+    """(table, index): one uniform pick per message from its source's list; a
+    message whose list is empty gets index 0, the empty string, and draws nothing."""
+    sizes = np.array([len(words) for words in lists])
+    table = np.array(["", *(w for words in lists for w in words)])
+    first = np.where(sizes > 0, np.cumsum(sizes) - sizes + 1, 0)
+    return table, first[src] + rng.integers(0, np.maximum(sizes, 1)[src])
+
+
+def _write_firm_messages(
+    writer, rng: np.random.Generator, firm: str, sources: list[tuple],
+    lower: np.ndarray, span: np.ndarray, first_id: int,
+) -> int:
+    """Draw one firm's messages as arrays, grouped by day then source, and write them
+    through the csv writer with ids from first_id; returns the count."""
+    rates, fill_range, term_lists, word_lists, templates = zip(*sources)
+    counts = rng.poisson(np.column_stack(rates)).ravel()
+    day, src = np.divmod(np.repeat(np.arange(counts.size), counts), len(sources))
+    lo, hi = np.array(fill_range).T
+    n_fill = rng.integers(lo[src], hi[src] + 1)
+    fill = rng.integers(0, len(FILLER_WORDS), int(n_fill.sum()))
+    terms, term = _picks(rng, src, term_lists)
+    words, word = _picks(rng, src, word_lists)
+    seconds = lower[day] + rng.integers(1, span[day] + 1)
+
+    fillers, cashtag, ends = np.array(FILLER_WORDS), f"${firm}", np.cumsum(n_fill)
+    for a in range(0, len(src), _BLOCK):
+        b = min(a + _BLOCK, len(src))
+        base = ends[a] - n_fill[a]
+        block_fill = fillers[fill[base:ends[b - 1]]].tolist()
+        stamps = np.datetime_as_string(seconds[a:b].astype("datetime64[s]"), unit="s").tolist()
+        writer.writerows([
+            (f"m{j:07d}", firm, f"{stamp}+00:00",
+             templates[k].format(cashtag, " ".join(block_fill[i - n:i]), t, w))
+            for j, stamp, k, n, i, t, w in zip(
+                range(first_id + a, first_id + b), stamps, src[a:b].tolist(), n_fill[a:b].tolist(),
+                (ends[a:b] - base).tolist(), terms[term[a:b]].tolist(), words[word[a:b]].tolist())
+        ])
+    return len(src)
 
 
 def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
@@ -289,68 +331,25 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     calendar_days = business_days(config.start, config.n_days)
-    windows = _day_windows(calendar_days, config.exchange_tz)
+    closes = np.array([int(c.timestamp()) for c in close_instants(calendar_days, config.exchange_tz)])
+    lower, span = closes[:-1], np.diff(closes)  # day i owns the window (closes[i], closes[i+1]]
 
     terms = _terms_by_node(demo_esg_lexicon_path())
     negative_words, positive_words = _sentiment_words(demo_sentiment_lexicon_path())
-    fillers = np.array(FILLER_WORDS)
-
-    planted_by_firm_day: dict[tuple[int, int], list[PlantedEvent]] = {}
+    planted_by_firm: dict[int, list[PlantedEvent]] = {}
     for ev in config.planted:
-        planted_by_firm_day.setdefault((ev.firm_index, ev.day_index), []).append(ev)
-    background_nodes: dict[int, list[Node]] = {}
-    for ev in config.planted:
-        nodes = background_nodes.setdefault(ev.firm_index, [])
-        if ev.node not in nodes:
-            nodes.append(ev.node)
-    for nodes in background_nodes.values():
-        nodes.sort(key=node_sort_key)
-
-    def filler_words(k_min: int = 2, k_max: int = 5) -> str:
-        k = int(rng.integers(k_min, k_max + 1))
-        return " ".join(rng.choice(fillers, size=k, replace=True))
-
-    def pick(words: Sequence[str]) -> str:
-        return str(words[int(rng.integers(0, len(words)))])
-
-    def stamp(day_index: int) -> datetime:
-        lower, span = windows[day_index]
-        return lower + timedelta(seconds=int(rng.integers(1, span + 1)))
+        planted_by_firm.setdefault(ev.firm_index, []).append(ev)
 
     market = rng.normal(0.0, config.market_vol, config.n_days)
 
-    writer = _MessageWriter(outdir / "messages.csv")
-    try:
+    with open(outdir / "messages.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "firm", "timestamp", "text"])
+        written = 0
         for fi in range(config.n_firms):
-            firm = firm_name(fi)
-            cashtag = f"${firm}"
-            bg_nodes = background_nodes.get(fi, [])
-            for di in range(config.n_days):
-                for _ in range(int(rng.poisson(config.filler_rate))):
-                    writer.write(firm, stamp(di), f"{cashtag} {filler_words(3, 6)}")
-                for node in bg_nodes:
-                    for _ in range(int(rng.poisson(config.base_rate))):
-                        term = pick(terms[node])
-                        if config.background_sentiment == "positive":
-                            text = f"{cashtag} {filler_words(1, 2)} {term} {pick(positive_words)}"
-                        else:
-                            text = f"{cashtag} {filler_words(1, 2)} {term}"
-                        writer.write(firm, stamp(di), text)
-                for ev in planted_by_firm_day.get((fi, di), ()):
-                    words = negative_words if ev.sign is Sign.NEGATIVE else positive_words
-                    n_spike = int(rng.poisson(config.base_rate * ev.spike_size))
-                    for _ in range(n_spike):
-                        text = (
-                            f"{cashtag} {pick(terms[ev.node])} {pick(words)} "
-                            f"{filler_words(1, 3)}"
-                        )
-                        writer.write(firm, stamp(di), text)
-    finally:
-        writer.close()
-
-    injected_days: dict[int, set[int]] = {}
-    for ev in config.planted:
-        injected_days.setdefault(ev.firm_index, set()).add(ev.day_index)
+            sources = _firm_sources(config, planted_by_firm.get(fi, []), terms,
+                                    negative_words, positive_words)
+            written += _write_firm_messages(writer, rng, firm_name(fi), sources, lower, span, written + 1)
 
     with open(outdir / "prices.csv", "w", newline="", encoding="utf-8") as fh:
         pw = csv.writer(fh)
@@ -361,7 +360,7 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
             beta = float(rng.uniform(*config.beta_range))
             eps = rng.normal(0.0, config.idio_vol, config.n_days)
             rets = alpha + beta * market + eps
-            for di in injected_days.get(fi, ()):
+            for di in {ev.day_index for ev in planted_by_firm.get(fi, ())}:
                 rets[di] += config.injected_ar
             close = 100.0
             for di in range(config.n_days):

@@ -558,12 +558,25 @@ def test_synth_flag_overrides(tmp_path):
          "bad synth config: planted[0].spkie is not one of firm, node, day, spike, sign"),
         ("confounds:\n  - {firm: 0, day: 9, kind: earnings}\n  - {firm: 0, day: 9, knd: earnings}\n",
          "bad synth config: confounds[1].knd is not one of firm, day, kind"),
+        ("idio_vol: .inf\n", "idio_vol must be finite"),
+        ("market_vol: .nan\n", "market_vol must be finite"),
+        ("base_rate: .nan\n", "base_rate must be finite"),
+        ("injected_ar: .nan\n", "injected_ar must be finite"),
+        ("filler_rate: .inf\n", "filler_rate must be finite"),
+        ("beta_range: [.nan, 1.0]\n", "beta_range must be finite"),
+        ("alpha_range: [0.0, .inf]\n", "alpha_range must be finite"),
+        ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: .nan}\n",
+         "spike_size must be positive and finite"),
+        ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: .inf}\n",
+         "spike_size must be positive and finite"),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
          "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
          "unknown-exchange-tz", "unknown-planted-node", "negative-seed", "n-days-not-an-integer",
          "injected-ar-not-a-number", "planted-firm-not-an-integer", "unknown-planted-key",
-         "unknown-confound-key"],
+         "unknown-confound-key", "idio-vol-inf", "market-vol-nan", "base-rate-nan",
+         "injected-ar-nan", "filler-rate-inf", "beta-range-nan", "alpha-range-inf", "spike-nan",
+         "spike-inf"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"

@@ -5,12 +5,18 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 from conftest import event_day_abnormals
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from esgrisk.errors import ConfigError
 from esgrisk.ingest import parse_timestamp
+from esgrisk.lexicon import tokenize
+from esgrisk.pipeline import _ClassifyEngine
 from esgrisk.sentiment import Sign
 from esgrisk.study import EstimationConfig
 from esgrisk.synth import (
+    FILLER_WORDS,
     DetectionScore,
     GroundTruth,
     PlantedEvent,
@@ -184,6 +190,88 @@ def test_spike_day_volume_mean(tmp_path):
     expected = base * (1.0 + spike)
     # 200 seeds put the standard error near 0.57, so +/- 2.5 is over 4 sigma
     assert abs(mean - expected) < 2.5
+
+
+def read_messages(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    start=st.dates(date(2020, 2, 20), date(2020, 11, 10)),  # 2020 DST switches: Mar 8/29, Oct 25/Nov 1
+    tz=st.sampled_from(["America/New_York", "Europe/London", "Asia/Tokyo"]),
+)
+@example(start=date(2020, 3, 2), tz="America/New_York")
+@example(start=date(2020, 3, 23), tz="Europe/London")
+@example(start=date(2020, 10, 19), tz="Europe/London")
+@example(start=date(2020, 10, 26), tz="America/New_York")
+def test_stamps_are_isoformat_and_fall_on_calendar_days(tmp_path_factory, start, tz):
+    config = SynthConfig(seed=3, n_firms=1, n_days=20, base_rate=2.0, filler_rate=3.0, start=start,
+                         exchange_tz=tz, planted=(PlantedEvent(0, Node.CLIMATE_CHANGE, 10, 3.0),))
+    outdir = tmp_path_factory.mktemp("stamps")
+    generate(config, outdir)
+    calendar = TradingCalendar(business_days(start, config.n_days))
+    rows = read_messages(outdir / "messages.csv")
+    assert rows
+    for row in rows:
+        ts = parse_timestamp(row["timestamp"])
+        assert row["timestamp"] == ts.isoformat()
+        assert assign_trading_index(ts, calendar, tz) is not None
+
+
+@pytest.mark.parametrize("background", ["neutral", "positive"])
+def test_texts_classify_as_drawn(tmp_path, background):
+    """Filler matches nothing; every other message carries exactly its firm's
+    node, with the sign of its source."""
+    plants = {"FIRM00": PlantedEvent(0, Node.CLIMATE_CHANGE, 8, 6.0),
+              "FIRM01": PlantedEvent(1, Node.HUMAN_CAPITAL, 12, 6.0, sign=Sign.POSITIVE)}
+    config = SynthConfig(seed=11, n_firms=2, n_days=20, base_rate=4.0, filler_rate=6.0,
+                         background_sentiment=background, planted=tuple(plants.values()))
+    generate(config, tmp_path)
+    rows = read_messages(tmp_path / "messages.csv")
+    calendar = TradingCalendar(business_days(config.start, config.n_days))
+    engine = _ClassifyEngine(str(demo_esg_lexicon_path()), str(demo_sentiment_lexicon_path()))
+    filler_lengths, kinds = set(), set()
+    for row, (nodes, _, score) in zip(rows, engine.rows([r["text"] for r in rows])):
+        words = row["text"].split()
+        assert words[0] == "$" + row["firm"]
+        if all(w in FILLER_WORDS for w in words[1:]):
+            hits = engine.matcher.find(tokenize(row["text"]))
+            assert not hits, row
+            filler_lengths.add(len(words) - 1)
+            kinds.add("filler")
+            continue
+        plant = plants[row["firm"]]
+        assert nodes == frozenset({plant.node}), row
+        if words[1] in FILLER_WORDS:  # background: filler words, then the term
+            expected = 1 if background == "positive" else 0
+            kinds.add("background")
+        else:  # planted: the term and its sentiment word come first
+            day = assign_trading_index(parse_timestamp(row["timestamp"]), calendar)
+            assert day == plant.day_index, row
+            expected = -1 if plant.sign is Sign.NEGATIVE else 1
+            kinds.add(f"planted {plant.sign.value}")
+        assert np.sign(float(score)) == expected, row
+    assert filler_lengths == {3, 4, 5, 6}
+    assert kinds == {"filler", "background", "planted negative", "planted positive"}
+    assert [r["id"] for r in rows] == [f"m{k:07d}" for k in range(1, len(rows) + 1)]
+
+
+def test_message_count_matches_poisson_mean(tmp_path):
+    """The total count is a sum of Poissons: within six standard deviations
+    of filler and background chatter on every day plus the planted spikes."""
+    plants = (PlantedEvent(0, Node.CLIMATE_CHANGE, 30, 12.0), PlantedEvent(0, Node.HUMAN_CAPITAL, 40, 8.0),
+              PlantedEvent(2, Node.CORPORATE_GOVERNANCE, 50, 10.0, sign=Sign.POSITIVE))
+    for seed in range(4):
+        config = SynthConfig(seed=seed, n_firms=3, n_days=60, base_rate=5.0, filler_rate=6.0,
+                             planted=plants)
+        generate(config, tmp_path / str(seed))
+        n = len(read_messages(tmp_path / str(seed) / "messages.csv"))
+        background_nodes = 2 + 1  # two planted nodes on firm 0, one on firm 2
+        mean = (config.n_days * (config.n_firms * config.filler_rate + background_nodes * config.base_rate)
+                + sum(config.base_rate * ev.spike_size for ev in plants))
+        assert abs(n - mean) <= 6 * np.sqrt(mean), (seed, n, mean)
 
 
 def test_ground_truth_round_trip(tmp_path):
