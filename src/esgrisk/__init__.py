@@ -6,7 +6,7 @@ and measures the market response around those events with a market
 model event study.
 """
 
-from .aggregate import CategorySeries, build_series
+from .aggregate import SeriesStack, build_series, label_mask
 from .detect import (
     DetectionConfig,
     RemovedEvent,
@@ -83,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalendarEventRow",
-    "CategorySeries",
     "ConfigError",
     "DEFAULT_SIGN_THRESHOLD",
     "DataError",
@@ -112,6 +111,7 @@ __all__ = [
     "RunConfig",
     "SUBCATEGORIES",
     "SentimentScorer",
+    "SeriesStack",
     "Sign",
     "SynthConfig",
     "TokenMatcher",
@@ -133,6 +133,7 @@ __all__ = [
     "filter_and_merge",
     "fit_market_model",
     "generate",
+    "label_mask",
     "load_esg_lexicon",
     "load_run_config",
     "load_sentiment_lexicon",

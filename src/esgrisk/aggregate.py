@@ -1,4 +1,4 @@
-"""Daily aggregation of classified messages into per-firm, per-node series.
+"""Daily aggregation of classified messages into one (firm x node) series stack.
 
 Counts follow taxonomy closure: a message labeled ClimateChange counts for
 ClimateChange, Environment and ESG_ALL on its trading day. The firm total
@@ -8,75 +8,55 @@ share denominator during detection.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key
 from .trading import TradingCalendar
 
-# firm, trading-day index, subcategory labels (closure happens here), score
-Record = tuple[str, int, frozenset[Node], float]
+
+def label_mask(nodes: Iterable[Node]) -> int:
+    """A label set as an int: bit i stands for REPORT_ORDER[i], ancestors included."""
+    return sum(1 << node_sort_key(n) for n in expand_to_ancestors(frozenset(nodes)))
 
 
-@dataclass
-class CategorySeries:
-    """Daily counts and sentiment mass for one (firm, node) pair."""
+@dataclass(frozen=True)
+class SeriesStack:
+    """Daily counts and score sums of every (firm, node) pair, one row each.
 
-    firm: str
-    node: Node
-    counts: np.ndarray  # int64, len == len(calendar)
-    senti_sum: np.ndarray  # float64, sum of message scores per day
-    totals: np.ndarray  # int64, all messages of the firm per day (shared)
+    Row firm * len(REPORT_ORDER) + i is node REPORT_ORDER[i] of firm code
+    `firm`; totals[firm] counts all of that firm's messages per day.
+    """
 
-    def sentiment(self, day_index: int) -> float | None:
-        """Mean message score on a day, None when the node had no messages."""
-        n = int(self.counts[day_index])
-        if n == 0:
-            return None
-        return float(self.senti_sum[day_index] / n)
+    counts: np.ndarray  # int64 (rows x days)
+    sums: np.ndarray  # float64 (rows x days), sum of message scores per day
+    totals: np.ndarray  # int64 (firms x days)
 
-    def share(self, day_index: int) -> float:
-        """Node count as a fraction of the firm's total messages that day."""
-        total = int(self.totals[day_index])
-        if total == 0:
-            return 0.0
-        return float(self.counts[day_index] / total)
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.counts)
 
 
-def build_series(records: Iterable[Record], calendar: TradingCalendar) -> list[CategorySeries]:
+def build_series(columns: Iterable, calendar: TradingCalendar) -> SeriesStack:
     """Count day-assigned messages per (firm, node, day) and sum their scores.
 
-    Returns the non-empty series in (firm, taxonomy) order; a firm's series
-    share one totals array. Each node's counts and sums are one bincount over
-    the messages whose closure holds it, so sums add in record order.
+    `columns` holds the firm code, trading-day index, label_mask and score
+    of each message. Each node's counts and sums are one bincount over the
+    messages whose mask holds it, so sums add in message order.
     """
-    n_days = len(calendar)
-    firm_codes: dict[str, int] = {}
-    masks: dict[frozenset[Node], int] = {}  # label set -> closure, bit i for REPORT_ORDER[i]
-    keys, bits, scores = array("q"), array("q"), array("d")  # key = firm code * n_days + day
-    for firm, day, labels, score in records:
-        mask = masks.get(labels)
-        if mask is None:
-            mask = masks[labels] = sum(1 << node_sort_key(n) for n in expand_to_ancestors(labels))
-        keys.append(firm_codes.setdefault(firm, len(firm_codes)) * n_days + day)
-        bits.append(mask)
-        scores.append(score)
-
-    size = len(firm_codes) * n_days
-    key, bits_arr, scores_arr = np.asarray(keys), np.asarray(bits), np.asarray(scores)
-    totals = np.bincount(key, minlength=size).reshape(-1, n_days)
-    per_node = []
-    for bit, node in enumerate(REPORT_ORDER):
-        has = (bits_arr & (1 << bit)) != 0
-        counts = np.bincount(key[has], minlength=size).reshape(-1, n_days)
-        sums = np.bincount(key[has], weights=scores_arr[has], minlength=size).reshape(-1, n_days)
-        per_node.append((node, counts, sums))
-    return [
-        CategorySeries(firm, node, counts[code], sums[code], totals[code])
-        for firm, code in sorted(firm_codes.items())
-        for node, counts, sums in per_node
-        if counts[code].any()
-    ]
+    firm, day, mask, score = columns
+    firm, day, mask = (np.asarray(c, dtype=np.int64) for c in (firm, day, mask))
+    shape = (int(firm.max(initial=-1)) + 1, len(calendar))  # (firms, days)
+    key, size, score = firm * shape[1] + day, shape[0] * shape[1], np.asarray(score, np.float64)
+    counts = np.empty((shape[0], len(REPORT_ORDER), shape[1]), dtype=np.int64)
+    sums = np.empty(counts.shape)
+    for bit in range(len(REPORT_ORDER)):
+        has = (mask & (1 << bit)) != 0
+        counts[:, bit] = np.bincount(key[has], minlength=size).reshape(shape)
+        sums[:, bit] = np.bincount(key[has], weights=score[has], minlength=size).reshape(shape)
+    totals = np.bincount(key, minlength=size).reshape(shape)
+    return SeriesStack(counts.reshape(-1, shape[1]), sums.reshape(-1, shape[1]), totals)

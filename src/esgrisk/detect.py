@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import CategorySeries
+from .aggregate import SeriesStack
 from .errors import ConfigError, NumericError
 from .ingest import CalendarEventRow, EventKind
 from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, classify_sign
-from .taxonomy import Node
+from .taxonomy import REPORT_ORDER, Node
 from .trading import TradingCalendar
 
 log = logging.getLogger(__name__)
@@ -143,64 +143,54 @@ def _esd_block(x: np.ndarray, config: DetectionConfig) -> np.ndarray:
 
 def filter_and_merge(
     outlier_indices: Sequence[int] | np.ndarray,
-    series: CategorySeries,
+    stack: SeriesStack,
+    firms: Sequence[str],
     calendar: TradingCalendar,
     config: DetectionConfig,
     sign_threshold: float = DEFAULT_SIGN_THRESHOLD,
 ) -> list[RiskEvent]:
-    """Apply size/share filters, then merge nearby outliers into events.
+    """Apply size/share filters, then merge nearby outliers of each row into events.
 
-    Filters drop outliers with fewer than min_tweets messages or below
-    min_share of the firm's volume. Of the survivors, the first outlier
-    opens an event; later outliers within gap_days trading days of that
-    event day fold into it, anything further opens the next event. The
-    event day stays the first outlier day.
+    Outliers are flat (row x day) indices into the stack, as esd_outliers
+    gives them; firms names each firm code. Filters drop outliers with
+    fewer than min_tweets messages or below min_share of the firm's volume.
+    Of a row's survivors, the first outlier opens an event; later outliers
+    within gap_days trading days of that event day fold into it, anything
+    further opens the next event. The event day stays the first outlier
+    day, and outliers of different rows never merge.
     """
-    passing: list[int] = []
-    for t in sorted(int(t) for t in outlier_indices):
-        count = int(series.counts[t])
-        if count < config.min_tweets:
-            continue
-        if series.share(t) < config.min_share:
-            continue
-        passing.append(t)
+    n_nodes, flat = len(REPORT_ORDER), np.sort(np.asarray(outlier_indices, dtype=np.intp))
+    row, day = np.divmod(flat, stack.counts.shape[1])
+    count, total = stack.counts[row, day], stack.totals[row // n_nodes, day]
+    share = np.divide(count, total, out=np.zeros(len(count)), where=total > 0)
+    keep = (count >= config.min_tweets) & (share >= config.min_share)
+    rows, days, counts, shares, sums = (
+        a[keep].tolist() for a in (row, day, count, share, stack.sums[row, day])
+    )
 
+    opens: list[int] = []  # the passing outliers that open an event
+    for k, (r, t) in enumerate(zip(rows, days)):
+        if not opens or r != rows[opens[-1]] or t - days[opens[-1]] > config.gap_days:
+            opens.append(k)
     events: list[RiskEvent] = []
-    anchor: int | None = None
-    merged: list[date] = []
-
-    def close_event() -> None:
-        if anchor is None:
-            return
-        count = int(series.counts[anchor])
-        score = series.sentiment(anchor)
-        if score is None:
-            # count >= min_tweets >= 1 guarantees messages existed that day
-            raise NumericError(
-                f"no sentiment for {series.firm}/{series.node} on day index {anchor}"
-            )
+    for a, b in zip(opens, opens[1:] + [len(rows)]):
+        firm, node = firms[rows[a] // n_nodes], REPORT_ORDER[rows[a] % n_nodes]
+        if counts[a] == 0:  # count >= min_tweets >= 1 guarantees messages existed that day
+            raise NumericError(f"no sentiment for {firm}/{node} on day index {days[a]}")
+        score = sums[a] / counts[a]
         events.append(
             RiskEvent(
-                firm=series.firm,
-                node=series.node,
-                day=calendar.date_at(anchor),
-                day_index=anchor,
-                count=count,
-                share=series.share(anchor),
+                firm=firm,
+                node=node,
+                day=calendar.date_at(days[a]),
+                day_index=days[a],
+                count=counts[a],
+                share=shares[a],
                 score=score,
                 sign=classify_sign(score, sign_threshold),
-                merged_outlier_days=tuple(merged),
+                merged_outlier_days=tuple(calendar.date_at(t) for t in days[a:b]),
             )
         )
-
-    for t in passing:
-        if anchor is None or t - anchor > config.gap_days:
-            close_event()
-            anchor = t
-            merged = [calendar.date_at(t)]
-        else:
-            merged.append(calendar.date_at(t))
-    close_event()
     return events
 
 

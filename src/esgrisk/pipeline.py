@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import yaml
 
-from .aggregate import build_series
+from .aggregate import build_series, label_mask
 from .detect import (
     DetectionConfig,
     RemovedEvent,
@@ -409,13 +409,13 @@ def _parse_stamps(path: Path, raw: list[str], lines: list[int]) -> np.ndarray:
 def _read_classified(path: Path):
     """Read a classified.csv into firm names and one column per field.
 
-    Per row: firm code, UTC epoch-microsecond stamp, label set (parsed once
+    Per row: firm code, UTC epoch-microsecond stamp, label_mask (made once
     per distinct `nodes` string) and score. Stamps are parsed a block at a
     time; a bad value raises DataError naming the first bad row.
     """
     codes: dict[str, int] = {}
-    label_sets: dict[str, frozenset[Node]] = {}
-    firms, labels, scores = array("q"), [], array("d")
+    label_masks: dict[str, int] = {}
+    firms, masks, scores = array("q"), array("q"), array("d")
     stamps: list[np.ndarray] = []
     raw_stamps: list[str] = []
     stamp_lines: list[int] = []
@@ -432,13 +432,13 @@ def _read_classified(path: Path):
             raw_stamps.append(raw_ts or "")
             stamp_lines.append(line)
             raw_nodes = raw_nodes or ""
-            nodes = label_sets.get(raw_nodes)
-            if nodes is None:
+            mask = label_masks.get(raw_nodes)
+            if mask is None:
                 try:
-                    nodes = frozenset(parse_node(n) for n in raw_nodes.split("|") if n)
+                    mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
                 except DataError as exc:
                     raise DataError(f"{path}:{line}: {exc}") from None
-                label_sets[raw_nodes] = nodes
+                label_masks[raw_nodes] = mask
             try:
                 score = float(raw_score or 0.0)
             except ValueError:
@@ -446,7 +446,7 @@ def _read_classified(path: Path):
             if not math.isfinite(score):
                 raise DataError(f"{path}:{line}: bad score {raw_score!r}")
             firms.append(codes.setdefault((firm or "").strip(), len(codes)))
-            labels.append(nodes)
+            masks.append(mask)
             scores.append(score)
             if len(raw_stamps) == _STAMP_BLOCK:
                 flush()
@@ -454,7 +454,7 @@ def _read_classified(path: Path):
         flush()  # a bad stamp on an earlier row (or this one) is named first
         raise
     flush()
-    return list(codes), firms, np.concatenate(stamps), labels, scores
+    return list(codes), firms, np.concatenate(stamps), masks, scores
 
 
 def run_detect(cfg: RunConfig) -> DetectOutputs:
@@ -477,17 +477,14 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
         rows, _ = read_calendar_events(cfg.require_path("controversy"), EventKind.CONTROVERSY)
         confounds.extend(rows)
 
-    names, firms, stamps, labels, scores = _read_classified(classified)
+    names, firms, stamps, masks, scores = _read_classified(classified)
     days = assign_trading_indices(stamps, calendar, cfg.exchange_tz)
-    rows = zip(firms, memoryview(days), labels, scores)
-    records = ((names[f], day, nodes, score) for f, day, nodes, score in rows if day >= 0)
-    series = build_series(records, calendar)
-    owner, day = np.divmod(esd_outliers([s.counts for s in series], cfg.detection), len(calendar))
-    detected: list[RiskEvent] = []
-    for one, outliers in zip(series, np.split(day, np.searchsorted(owner, range(1, len(series))))):
-        detected.extend(
-            filter_and_merge(outliers, one, calendar, cfg.detection, cfg.sentiment_threshold)
-        )
+    on = days >= 0
+    stack = build_series(tuple(np.asarray(c)[on] for c in (firms, days, masks, scores)), calendar)
+    outliers = esd_outliers(stack.counts, cfg.detection)
+    detected = filter_and_merge(
+        outliers, stack, names, calendar, cfg.detection, cfg.sentiment_threshold
+    )
     detected.sort(key=lambda e: (e.firm, node_sort_key(e.node), e.day))
 
     unconfounded, removed = exclude_confounded(detected, confounds, calendar, cfg.detection)

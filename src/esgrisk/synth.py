@@ -43,6 +43,8 @@ FILLER_WORDS: tuple[str, ...] = (
     "volume", "week", "stocks", "morning", "open", "close", "note",
     "watch", "desk", "levels", "range", "macro", "intraday",
 )
+_INT64_MAX = np.iinfo(np.int64).max
+_POISSON_MAX = _INT64_MAX - 10 * np.sqrt(_INT64_MAX)  # the largest mean rng.poisson takes
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,9 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_rate < 0 or self.filler_rate < 0:
             raise ConfigError("rates must be non-negative")
+        for name in ("base_rate", "filler_rate"):
+            if getattr(self, name) > _POISSON_MAX:
+                raise ConfigError(f"{name} must be at most {_POISSON_MAX:.4g}")
         if self.idio_vol <= 0 or self.market_vol <= 0:
             raise ConfigError("volatilities must be positive")
         if self.background_sentiment not in ("neutral", "positive"):
@@ -98,6 +103,8 @@ class SynthConfig:
                 raise ConfigError(f"planted day index {ev.day_index} out of range")
             if not 0 < ev.spike_size < np.inf:
                 raise ConfigError(f"spike_size must be positive and finite, got {ev.spike_size}")
+            if self.base_rate * ev.spike_size > _POISSON_MAX:
+                raise ConfigError(f"base_rate * spike_size must be at most {_POISSON_MAX:.4g}")
             key = (ev.firm_index, ev.node, ev.day_index)
             if key in seen:
                 raise ConfigError(f"duplicate planted event {key}")

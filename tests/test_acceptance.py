@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 from conftest import corpus_paths, event_day_abnormals, make_run_config
 
-from esgrisk.aggregate import build_series
+from esgrisk.aggregate import build_series, label_mask
 from esgrisk.detect import (
     DetectionConfig,
     esd_outliers,
@@ -213,21 +213,24 @@ def test_criterion_5_detection_power_on_planted_spikes(tmp_path):
         truth = generate(config, corpus)
         classifier = EsgClassifier(load_esg_lexicon(corpus / "esg_lexicon.csv"))
         scorer = SentimentScorer(load_sentiment_lexicon(corpus / "sentiment_lexicon.csv"))
-        records = []
+        firms: dict[str, int] = {}
+        columns = ([], [], [], [])  # firm code, trading day, label mask, score
         for msg in iter_messages(corpus / "messages.csv"):
             idx = assign_trading_index(msg.timestamp, calendar)
             if idx is None:
                 continue
             tokens = tokenize(msg.text)
             labeled = classifier.classify_tokens(msg.id, tokens)
-            records.append((msg.firm, idx, labeled.nodes, scorer.score_tokens(tokens)))
-        detected = []
-        for series in build_series(records, calendar):
-            events = filter_and_merge(
-                esd_outliers(series.counts, detection), series, calendar, detection
-            )
-            negatives, _ = select_risk_events(events)
-            detected.extend((e.firm, e.node, e.day) for e in negatives)
+            row = (firms.setdefault(msg.firm, len(firms)), idx, label_mask(labeled.nodes),
+                   scorer.score_tokens(tokens))
+            for column, value in zip(columns, row):
+                column.append(value)
+        stack = build_series(columns, calendar)
+        events = filter_and_merge(
+            esd_outliers(stack.counts, detection), stack, list(firms), calendar, detection
+        )
+        negatives, _ = select_risk_events(events)
+        detected = [(e.firm, e.node, e.day) for e in negatives]
         score = evaluate_detection(detected, truth.negative_keys(), calendar, tolerance=1)
         matched += score.matched
         detected_total += score.n_detected

@@ -569,6 +569,11 @@ def test_synth_flag_overrides(tmp_path):
          "spike_size must be positive and finite"),
         ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: .inf}\n",
          "spike_size must be positive and finite"),
+        ("n_days: 30\nfiller_rate: 1.0e+19\n", "filler_rate must be at most 9.223e+18"),
+        ("n_days: 30\nbase_rate: 1.0e+19\nplanted:\n  - {firm: 0, node: ClimateChange, day: 5}\n",
+         "base_rate must be at most 9.223e+18"),
+        ("n_days: 30\nplanted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: 1.0e+19}\n",
+         "base_rate * spike_size must be at most 9.223e+18"),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
          "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
@@ -576,7 +581,8 @@ def test_synth_flag_overrides(tmp_path):
          "injected-ar-not-a-number", "planted-firm-not-an-integer", "unknown-planted-key",
          "unknown-confound-key", "idio-vol-inf", "market-vol-nan", "base-rate-nan",
          "injected-ar-nan", "filler-rate-inf", "beta-range-nan", "alpha-range-inf", "spike-nan",
-         "spike-inf"],
+         "spike-inf", "filler-rate-above-poisson-limit", "base-rate-above-poisson-limit",
+         "spike-above-poisson-limit"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"

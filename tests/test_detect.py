@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import naive_esd
 
 import esgrisk.detect as detect
-from esgrisk.aggregate import CategorySeries
+from esgrisk.aggregate import SeriesStack
 from esgrisk.detect import (
     DetectionConfig,
     RiskEvent,
@@ -18,8 +18,8 @@ from esgrisk.detect import (
 )
 from esgrisk.errors import ConfigError, NumericError
 from esgrisk.ingest import CalendarEventRow, EventKind
-from esgrisk.sentiment import Sign
-from esgrisk.taxonomy import Node
+from esgrisk.sentiment import Sign, classify_sign
+from esgrisk.taxonomy import REPORT_ORDER, Node, node_sort_key
 from esgrisk.trading import TradingCalendar
 
 
@@ -32,18 +32,25 @@ def weekday_calendar(n, start=date(2018, 1, 1)):
     return TradingCalendar(days)
 
 
-def series_for(counts, firm="A", node=Node.CLIMATE_CHANGE, scores=None, totals=None):
+ROW = node_sort_key(Node.CLIMATE_CHANGE)  # the series row of series_for's stack
+
+
+def series_for(counts, scores=None, totals=None):
+    """One-firm stack ("A") whose ClimateChange row holds `counts`; every
+    message scores -0.5 unless `scores` gives the day sums."""
     counts = np.asarray(counts, dtype=np.int64)
-    if scores is None:
-        senti = np.full(counts.shape, -0.5) * counts  # every message scores -0.5
-    else:
-        senti = np.asarray(scores, dtype=np.float64)
-    if totals is None:
-        totals = counts.copy()
-    return CategorySeries(
-        firm=firm, node=node, counts=counts,
-        senti_sum=senti, totals=np.asarray(totals, dtype=np.int64),
-    )
+    stack = np.zeros((len(REPORT_ORDER), len(counts)), dtype=np.int64)
+    stack[ROW] = counts
+    sums = np.zeros(stack.shape)
+    sums[ROW] = -0.5 * counts if scores is None else scores
+    totals = counts if totals is None else totals
+    return SeriesStack(stack, sums, np.asarray(totals, dtype=np.int64)[None, :])
+
+
+def merge(days, stack, cal, config, **kwargs):
+    """filter_and_merge over days of series_for's row, given as flat indices."""
+    flat = [ROW * stack.counts.shape[1] + t for t in days]
+    return filter_and_merge(flat, stack, ["A"], cal, config, **kwargs)
 
 
 def test_esd_alternating_window_fixture():
@@ -187,8 +194,8 @@ def merge_fixture(outlier_days, n=300):
 def test_filter_drops_small_counts():
     cal = weekday_calendar(300)
     series = merge_fixture([260])
-    series.counts[260] = 8  # below min_tweets
-    assert filter_and_merge([260], series, cal, DetectionConfig()) == []
+    series.counts[ROW, 260] = 8  # below min_tweets
+    assert merge([260], series, cal, DetectionConfig()) == []
 
 
 def test_filter_drops_low_share():
@@ -198,15 +205,16 @@ def test_filter_drops_low_share():
     totals = counts.copy()
     totals[260] = 500  # the firm posted heavily; 12/500 is below 5%
     series = series_for(counts, totals=totals)
-    assert filter_and_merge([260], series, cal, DetectionConfig()) == []
+    assert merge([260], series, cal, DetectionConfig()) == []
 
 
 def test_merge_within_gap():
     cal = weekday_calendar(300)
     series = merge_fixture([260, 263])
-    events = filter_and_merge([260, 263], series, cal, DetectionConfig())
+    events = merge([260, 263], series, cal, DetectionConfig())
     assert len(events) == 1
     ev = events[0]
+    assert (ev.firm, ev.node) == ("A", Node.CLIMATE_CHANGE)
     assert ev.day == cal.date_at(260)
     assert ev.day_index == 260
     assert ev.merged_outlier_days == (cal.date_at(260), cal.date_at(263))
@@ -215,7 +223,7 @@ def test_merge_within_gap():
 def test_no_merge_beyond_gap():
     cal = weekday_calendar(300)
     series = merge_fixture([260, 266])
-    events = filter_and_merge([260, 266], series, cal, DetectionConfig())
+    events = merge([260, 266], series, cal, DetectionConfig())
     assert [e.day_index for e in events] == [260, 266]
 
 
@@ -224,7 +232,7 @@ def test_merge_chain_extends_from_anchor_only():
     # days past the anchor and opens a new event
     cal = weekday_calendar(300)
     series = merge_fixture([260, 264, 268])
-    events = filter_and_merge([260, 264, 268], series, cal, DetectionConfig())
+    events = merge([260, 264, 268], series, cal, DetectionConfig())
     assert [e.day_index for e in events] == [260, 268]
     assert len(events[0].merged_outlier_days) == 2
 
@@ -236,7 +244,7 @@ def test_final_events_are_gap_separated():
     for _ in range(20):
         days = sorted(set(rng.integers(250, 395, 12).tolist()))
         series = merge_fixture(days, n=400)
-        events = filter_and_merge(days, series, cal, config)
+        events = merge(days, series, cal, config)
         indices = [e.day_index for e in events]
         assert all(b - a > config.gap_days for a, b in zip(indices, indices[1:]))
 
@@ -253,7 +261,7 @@ def test_merged_events_are_gap_separated_and_hold_their_days(strong, weak, gap_d
     weak = [t for t in weak if t not in strong]
     cal = weekday_calendar(120)
     config = DetectionConfig(gap_days=gap_days)
-    events = filter_and_merge(strong + weak, merge_fixture(strong, n=120), cal, config)
+    events = merge(strong + weak, merge_fixture(strong, n=120), cal, config)
     indices = [e.day_index for e in events]
     assert all(b - a > gap_days for a, b in zip(indices, indices[1:]))
     merged = []
@@ -272,11 +280,11 @@ def test_event_sign_comes_from_event_day_sentiment():
     senti = np.zeros(300)
     senti[260] = 60 * 0.3  # mean score 0.3 on the event day
     series = series_for(counts, scores=senti)
-    events = filter_and_merge([260], series, cal, DetectionConfig())
+    events = merge([260], series, cal, DetectionConfig())
     assert events[0].sign is Sign.POSITIVE
     assert events[0].score == pytest.approx(0.3)
     # threshold above the day score flips it to negative
-    events = filter_and_merge([260], series, cal, DetectionConfig(), sign_threshold=0.4)
+    events = merge([260], series, cal, DetectionConfig(), sign_threshold=0.4)
     assert events[0].sign is Sign.NEGATIVE
 
 
@@ -288,7 +296,80 @@ def test_missing_sentiment_on_event_day_is_fatal():
     series = series_for(counts, totals=np.ones(300, dtype=np.int64))
     config = DetectionConfig(min_tweets=0, min_share=0.0)
     with pytest.raises(NumericError):
-        filter_and_merge([260], series, cal, config)
+        merge([260], series, cal, config)
+
+
+def test_share_is_zero_without_firm_messages():
+    # artificial: totals of 0 under a non-zero count give share 0.0, which
+    # only a min_share of 0 lets through
+    cal = weekday_calendar(300)
+    series = merge_fixture([260])
+    series.totals[0, 260] = 0
+    assert merge([260], series, cal, DetectionConfig()) == []
+    (event,) = merge([260], series, cal, DetectionConfig(min_share=0.0))
+    assert event.share == 0.0 and event.count == 60
+
+
+def row_events(r, days, stack, firms, cal, config):
+    """The per-series rule on row r alone: filter its outlier days in order,
+    then fold each into the open event or open the next one."""
+    n = len(REPORT_ORDER)
+    counts, sums, totals = stack.counts[r], stack.sums[r], stack.totals[r // n]
+    groups = []
+    for t in sorted(days):
+        share = counts[t] / totals[t] if totals[t] else 0.0
+        if counts[t] < config.min_tweets or share < config.min_share:
+            continue
+        if groups and t - groups[-1][0] <= config.gap_days:
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    events = []
+    for first, *rest in groups:
+        score = float(sums[first] / counts[first])
+        events.append(RiskEvent(
+            firm=firms[r // n], node=REPORT_ORDER[r % n], day=cal.date_at(first),
+            day_index=first, count=int(counts[first]),
+            share=float(counts[first] / totals[first]), score=score, sign=classify_sign(score),
+            merged_outlier_days=tuple(cal.date_at(t) for t in (first, *rest)),
+        ))
+    return events
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_firms=st.integers(1, 3),
+    n_days=st.integers(2, 12),
+    gap_days=st.integers(0, 4),
+    min_tweets=st.integers(1, 15),
+    min_share=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_stack_merge_equals_per_row_runs(seed, n_firms, n_days, gap_days, min_tweets, min_share):
+    rng = np.random.default_rng(seed)
+    n = len(REPORT_ORDER)
+    counts = rng.integers(0, 20, (n_firms * n, n_days))
+    # the last two days of each row and the first two of the next lie within
+    # gap_days of each other as flat indices, and all pass the filters
+    edges = np.arange(n_firms * n)[:, None] * n_days + [0, 1, n_days - 2, n_days - 1]
+    counts.flat[edges] = 60
+    sums = np.round(rng.uniform(-1, 1, counts.shape), 2) * counts
+    totals = counts.reshape(n_firms, n, n_days).max(axis=1) + rng.integers(0, 20, (n_firms, n_days))
+    stack = SeriesStack(counts, sums, totals)
+    picked = rng.random(counts.size) < 0.3
+    picked[edges.ravel()] = True
+    outliers = rng.permutation(np.flatnonzero(picked))  # unsorted
+    firms, cal = ["b", "a", "c"][:n_firms], weekday_calendar(n_days)
+    config = DetectionConfig(gap_days=gap_days, min_tweets=min_tweets, min_share=min_share)
+
+    events = filter_and_merge(outliers, stack, firms, cal, config)
+    by_row = [
+        row_events(r, [i % n_days for i in outliers if i // n_days == r], stack, firms, cal, config)
+        for r in range(len(counts))
+    ]
+    assert events == [event for row in by_row for event in row]
+    # each row opens its own event on day 0, however close the row before ended
+    assert sum(e.day_index == 0 for e in events) == len(counts)
 
 
 def make_event(cal, day_index, firm="A", sign=Sign.NEGATIVE):

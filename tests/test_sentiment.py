@@ -4,8 +4,9 @@ from datetime import date
 
 import pytest
 
-from esgrisk.aggregate import build_series
-from esgrisk.errors import DataError
+from esgrisk.aggregate import build_series, label_mask
+from esgrisk.detect import DetectionConfig, filter_and_merge
+from esgrisk.errors import DataError, NumericError
 from esgrisk.lexicon import tokenize
 from esgrisk.sentiment import (
     SentimentEntry,
@@ -14,7 +15,7 @@ from esgrisk.sentiment import (
     classify_sign,
     load_sentiment_lexicon,
 )
-from esgrisk.taxonomy import Node
+from esgrisk.taxonomy import Node, node_sort_key
 from esgrisk.trading import TradingCalendar
 
 
@@ -29,13 +30,19 @@ def score(s, text):
 
 
 def day_sentiment(scores):
-    """The sentiment build_series gives a day whose messages score `scores`
-    (one message on the day before keeps the series alive when there are none)."""
+    """The event score detect gives a day whose messages score `scores`, None
+    when it has no messages (one message on the day before keeps the series alive)."""
     cal = TradingCalendar([date(2020, 1, 6), date(2020, 1, 7)])
-    nodes = frozenset({Node.PRODUCT_LIABILITY})
-    records = [("A", 0, nodes, 0.9)] + [("A", 1, nodes, v) for v in scores]
-    (series,) = [s for s in build_series(records, cal) if s.node is Node.PRODUCT_LIABILITY]
-    return series.sentiment(1)
+    mask = label_mask({Node.PRODUCT_LIABILITY})
+    day = [0] + [1] * len(scores)
+    stack = build_series(([0] * len(day), day, [mask] * len(day), [0.9, *scores]), cal)
+    row = node_sort_key(Node.PRODUCT_LIABILITY)
+    config = DetectionConfig(min_tweets=0, min_share=0.0)  # no filter: the day's score as is
+    try:
+        (event,) = filter_and_merge([row * len(cal) + 1], stack, ["A"], cal, config)
+    except NumericError:  # detect's verdict on a day without messages
+        return None
+    return event.score
 
 
 def test_score_is_mean_of_matched_weights():

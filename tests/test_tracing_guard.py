@@ -5,7 +5,7 @@ function it patches that is renamed or deleted fails here, not only when
 the benchmark runs. Tracing must also leave detect's and the study's
 outputs unchanged, and the study's price reading and alignment must both
 show in the traced split. Detect scans every series in one ESD call, so
-its outlier-day count is checked against a per-series recomputation.
+its outlier-day count is checked against a per-row recomputation.
 """
 
 import importlib.util
@@ -45,11 +45,11 @@ def detect_config(std_run, outdir):
 
 def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path, monkeypatch):
     tracing = load_tracing()
-    series = []
+    stacks = []
 
-    def keep_series(records, calendar):
-        series.extend(aggregate.build_series(records, calendar))
-        return series
+    def keep_series(columns, calendar):
+        stacks.append(aggregate.build_series(columns, calendar))
+        return stacks[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "build_series", keep_series)
@@ -69,9 +69,10 @@ def test_tracer_installs_restores_and_keeps_events(std_run, tmp_path, monkeypatc
     plain = (tmp_path / "plain" / "events.csv").read_bytes()
     assert plain == (tmp_path / "traced" / "events.csv").read_bytes()
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["detect.esd.calls"] == 1
-    assert metrics["aggregate.series"] == len(series) > 0
-    naive_days = sum(len(naive_esd(one.counts, cfg.detection)) for one in series)
+    (stack,) = stacks
+    assert metrics["detect.esd.calls"] == tracer.stats["detect.filter_merge"].calls == 1
+    assert metrics["aggregate.series"] == len(stack) > 0
+    naive_days = sum(len(naive_esd(counts, cfg.detection)) for counts in stack.counts)
     assert metrics["detect.outlier_days"] == naive_days > 0
     assert metrics["detect.kept"] == len(std_run["detect"].kept)
 
