@@ -119,9 +119,13 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     return entries
 
 
-def esg_labels(hits: Iterable[Hit]) -> tuple[frozenset[Node], tuple[str, ...]]:
-    """Label set and distinct matched terms, in hit order, of the Node-payload hits."""
-    esg = [(gram, node) for _, gram, node in hits if isinstance(node, Node)]
+def esg_labels(hits: Iterable[Hit]) -> tuple[frozenset, tuple[str, ...]]:
+    """Label set and distinct matched terms, in hit order, of the label hits.
+
+    Every payload that is not a float (a sentiment weight) is a label: a
+    Node, or the label bits of the classify stage's engine.
+    """
+    esg = [(gram, label) for _, gram, label in hits if not isinstance(label, float)]
     return frozenset(n for _, n in esg), tuple(dict.fromkeys(" ".join(g) for g, _ in esg))
 
 

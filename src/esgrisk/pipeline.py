@@ -22,11 +22,14 @@ import logging
 import math
 import typing
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -244,46 +247,47 @@ def write_resolved_config(cfg: RunConfig, outdir: Path) -> Path:
 
 # --- classify stage ---------------------------------------------------------
 
+_BLOCK = 20_000  # messages read and written per block
+_TASK = 2_000  # messages per classify call, the unit a pool worker gets
 _WORKER_ENGINE: "_ClassifyEngine | None" = None
 
 
 class _ClassifyEngine:
-    """One index over both lexicons: Node payloads for ESG, float weights for sentiment."""
+    """One index over both lexicons: label bits for ESG, float weights for sentiment.
+
+    An ESG term's payload is 1 << node_sort_key(node), label_mask's layout
+    before the ancestor closure; a message's label bits OR its hits' bits.
+    Both lexicons are read and checked here, so a bad one raises DataError.
+    """
 
     def __init__(self, esg_lexicon_path: str, sentiment_lexicon_path: str):
-        esg = [(e.term, e.node) for e in load_esg_lexicon(esg_lexicon_path)]
+        esg = [(e.term, 1 << node_sort_key(e.node)) for e in load_esg_lexicon(esg_lexicon_path)]
         sentiment = [(e.term, e.weight) for e in load_sentiment_lexicon(sentiment_lexicon_path)]
         self.matcher = TokenMatcher(esg + sentiment)
 
-    def rows(self, texts: Sequence[str]) -> list[tuple[frozenset[Node], str, str]]:
-        """(label set, joined matched terms, str(score)) per message text."""
+    def rows(self, texts: Sequence[str]) -> list[tuple[int, str, str]]:
+        """(label bits, joined matched terms, str(score)) per message text."""
         out = []
         for text in texts:
             hits = self.matcher.find(tokenize(text))
-            nodes, terms = esg_labels(hits)
-            out.append((nodes, "|".join(terms), str(mean_weight(hits))))
+            labels, terms = esg_labels(hits)  # distinct bits, so their sum is their OR
+            out.append((sum(labels), "|".join(terms), str(mean_weight(hits))))
         return out
 
 
-def _init_worker(esg_path: str, senti_path: str) -> None:
+def _init_worker(engine: _ClassifyEngine) -> None:
     global _WORKER_ENGINE
-    _WORKER_ENGINE = _ClassifyEngine(esg_path, senti_path)
+    _WORKER_ENGINE = engine
 
 
-def _worker_rows(texts: Sequence[str]) -> list[tuple[frozenset[Node], str, str]]:
+def _worker_rows(texts: Sequence[str]) -> list[tuple[int, str, str]]:
     assert _WORKER_ENGINE is not None
     return _WORKER_ENGINE.rows(texts)
 
 
-def _batched(items: Iterator, size: int) -> Iterator[list]:
-    batch: list = []
-    for item in items:
-        batch.append(item)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+def _bit_nodes(bits: int) -> list[Node]:
+    """The nodes of a label-bits int, in REPORT_ORDER."""
+    return [node for i, node in enumerate(REPORT_ORDER) if bits >> i & 1]
 
 
 @dataclass
@@ -295,68 +299,58 @@ class ClassifyOutputs:
 
 
 def run_classify(cfg: RunConfig) -> ClassifyOutputs:
-    """Label and score every valid message; write the classified artifact."""
+    """Label and score every valid message; write the classified artifact.
+
+    The lexicons are read once, here; with parallelism > 1 the loaded
+    engine goes to each pool worker once, through its initializer.
+    """
     messages_path = cfg.require_path("messages")
-    esg_path = cfg.require_path("esg_lexicon")
-    senti_path = cfg.require_path("sentiment_lexicon")
+    engine = _ClassifyEngine(
+        str(cfg.require_path("esg_lexicon")), str(cfg.require_path("sentiment_lexicon"))
+    )
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.classified_path()
 
     report = IngestReport(path=str(messages_path))
     stream = iter_messages(messages_path, source_tz=cfg.source_tz, report=report)
+    cells: dict[int, str] = {}  # label bits -> nodes column; few distinct values recur
+    tally: Counter[int] = Counter()  # messages per label bits
+
+    with ExitStack() as stack:
+        classify = partial(map, engine.rows)
+        if cfg.parallelism > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(cfg.parallelism, math.ceil(_BLOCK / _TASK)),
+                initializer=_init_worker,
+                initargs=(engine,),
+            ))
+            classify = partial(pool.map, _worker_rows)
+        fh = stack.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
+        writer = csv.writer(fh)
+        writer.writerow(CLASSIFIED_COLUMNS)
+        while block := list(islice(stream, _BLOCK)):
+            tasks = [[m.text for m in block[i : i + _TASK]] for i in range(0, len(block), _TASK)]
+            for msg, (bits, terms, score) in zip(block, chain.from_iterable(classify(tasks))):
+                if (nodes := cells.get(bits)) is None:
+                    nodes = cells[bits] = "|".join(n.value for n in _bit_nodes(bits))
+                writer.writerow([msg.id, msg.firm, msg.timestamp.isoformat(), nodes, terms, score])
+                tally[bits] += 1
+
+    # Summary counts include ancestors: a subcategory message is also a
+    # pillar and ESG_ALL message.
     node_counts: dict[Node, int] = {node: 0 for node in REPORT_ORDER}
-    # label set -> (nodes column, closure over ancestors); few distinct sets recur
-    label_cache: dict[frozenset[Node], tuple[str, frozenset[Node]]] = {}
-    n_messages = 0
-
-    pool: ProcessPoolExecutor | None = None
-    if cfg.parallelism > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=cfg.parallelism,
-            initializer=_init_worker,
-            initargs=(str(esg_path), str(senti_path)),
-        )
-    engine = None if pool else _ClassifyEngine(str(esg_path), str(senti_path))
-
-    try:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CLASSIFIED_COLUMNS)
-            for mega in _batched(stream, 20000):
-                batches = [mega[i : i + 2000] for i in range(0, len(mega), 2000)]
-                payloads = [[m.text for m in b] for b in batches]
-                if pool is not None:
-                    results = pool.map(_worker_rows, payloads)
-                else:
-                    assert engine is not None
-                    results = (engine.rows(p) for p in payloads)
-                for batch, rows in zip(batches, results):
-                    for msg, (labels, terms, score) in zip(batch, rows):
-                        cached = label_cache.get(labels)
-                        if cached is None:
-                            # Summary counts include ancestors: a subcategory
-                            # message is also a pillar and ESG_ALL message.
-                            cached = label_cache[labels] = (
-                                "|".join(n.value for n in sorted(labels, key=node_sort_key)),
-                                expand_to_ancestors(labels),
-                            )
-                        nodes, closure = cached
-                        writer.writerow(
-                            [msg.id, msg.firm, msg.timestamp.isoformat(), nodes, terms, score]
-                        )
-                        n_messages += 1
-                        for node in closure:
-                            node_counts[node] += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    for bits, n in tally.items():
+        for node in expand_to_ancestors(frozenset(_bit_nodes(bits))):
+            node_counts[node] += n
     with open(outdir / "ingest_report_messages.json", "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2)
         fh.write("\n")
     return ClassifyOutputs(
-        classified_path=out_path, report=report, node_counts=node_counts, n_messages=n_messages
+        classified_path=out_path, report=report, node_counts=node_counts,
+        n_messages=sum(tally.values()),
     )
 
 

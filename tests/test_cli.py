@@ -285,13 +285,15 @@ def test_non_finite_threshold_flag_exits_2(tmp_path, args, message):
     assert f"config error: {message}" in all_output(result)
 
 
-def test_data_error_exits_3(cli_run, tmp_path):
+@pytest.mark.parametrize("parallelism", ["1", "2"], ids=["parallelism-1", "parallelism-2"])
+def test_data_error_exits_3(cli_run, tmp_path, parallelism):
+    # the lexicons are read in the parent, so a pooled run fails the same way
     bad_lexicon = tmp_path / "lexicon.csv"
     bad_lexicon.write_text("term,node\noil spill,NotANode\n", encoding="utf-8")
     result = CliRunner().invoke(
         main,
         [
-            "classify", "--outdir", str(tmp_path / "out"),
+            "classify", "--outdir", str(tmp_path / "out"), "--parallelism", parallelism,
             "--messages", str(cli_run["corpus"] / "messages.csv"),
             "--esg-lexicon", str(bad_lexicon),
             "--sentiment-lexicon", str(cli_run["corpus"] / "sentiment_lexicon.csv"),
@@ -454,21 +456,23 @@ def stage_args(cli_run, stage, outdir, flag, value):
 
 
 @pytest.mark.parametrize(
-    "stage, flag, source",
+    "stage, flag, source, extra",
     [
-        ("classify", "--messages", "corpus/messages.csv"),
-        ("classify", "--esg-lexicon", "corpus/esg_lexicon.csv"),
-        ("detect", "--market-index", "corpus/market_index.csv"),
-        ("detect", "--classified", "out/classified.csv"),
-        ("study", "--events", "out/events.csv"),
+        ("classify", "--messages", "corpus/messages.csv", []),
+        ("classify", "--esg-lexicon", "corpus/esg_lexicon.csv", []),
+        ("classify", "--esg-lexicon", "corpus/esg_lexicon.csv", ["--parallelism", "2"]),
+        ("detect", "--market-index", "corpus/market_index.csv", []),
+        ("detect", "--classified", "out/classified.csv", []),
+        ("study", "--events", "out/events.csv", []),
     ],
-    ids=["messages", "lexicon", "market_index", "classified", "events"],
+    ids=["messages", "lexicon", "lexicon-parallelism-2", "market_index", "classified", "events"],
 )
-def test_non_utf8_input_exits_3(cli_run, tmp_path, stage, flag, source):
+def test_non_utf8_input_exits_3(cli_run, tmp_path, stage, flag, source, extra):
     bad = tmp_path / source.split("/")[1]
     good = cli_run["corpus"].parent / source
     bad.write_bytes(good.read_bytes().rstrip(b"\r\n") + b"\xff\n")
-    result = CliRunner().invoke(main, stage_args(cli_run, stage, tmp_path / "out", flag, bad))
+    args = stage_args(cli_run, stage, tmp_path / "out", flag, bad) + extra
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 3, all_output(result)
     assert f"data error: {bad}:" in all_output(result)
     assert "is not UTF-8" in all_output(result)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import corpus_paths, make_run_config
 
 import esgrisk.pipeline as pipeline
+from esgrisk.aggregate import label_mask
 from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from esgrisk.errors import ConfigError, DataError
 from esgrisk.ingest import parse_timestamp
@@ -27,7 +28,7 @@ from esgrisk.pipeline import (
 )
 from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
 from esgrisk.synth import PlantedEvent, SynthConfig, evaluate_detection, generate
-from esgrisk.taxonomy import Node
+from esgrisk.taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key
 from esgrisk.trading import epoch_us
 
 
@@ -242,6 +243,96 @@ def test_classify_parallel_matches_serial(std_corpus, tmp_path):
     )
 
 
+def same_classify(out, base_run, outdir):
+    """The classify outputs `out` equal those of the shared default-size run."""
+    base = base_run["classify"]
+    assert out.classified_path.read_bytes() == base.classified_path.read_bytes()
+    assert (out.node_counts, out.n_messages) == (base.node_counts, base.n_messages)
+    name = "ingest_report_messages.json"
+    assert (outdir / name).read_bytes() == (base_run["outdir"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_classify_small_blocks_match_default_run(std_run, tmp_path, monkeypatch, parallelism):
+    # blocks of 7 messages in tasks of 3, so every block ends in a short task
+    monkeypatch.setattr(pipeline, "_BLOCK", 7)
+    monkeypatch.setattr(pipeline, "_TASK", 3)
+    cfg = make_run_config(std_run["corpus_dir"], tmp_path, parallelism=parallelism)
+    same_classify(run_classify(cfg), std_run, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "parallelism, block, task, workers",
+    [(2, None, None, 2), (64, None, None, 10), (5, 7, 3, 3)],
+)
+def test_classify_pool_is_capped_at_one_block_of_tasks(
+    std_run, tmp_path, monkeypatch, parallelism, block, task, workers
+):
+    # a stand-in pool records its size and maps in this process, so no process
+    # starts whatever parallelism asks for; a module-level pool import would
+    # bypass it and really fork
+    import concurrent.futures
+
+    assert not hasattr(pipeline, "ProcessPoolExecutor")
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pipeline, "_WORKER_ENGINE", None)
+    if block is not None:
+        monkeypatch.setattr(pipeline, "_BLOCK", block)
+        monkeypatch.setattr(pipeline, "_TASK", task)
+    cfg = make_run_config(std_run["corpus_dir"], tmp_path, parallelism=parallelism)
+    same_classify(run_classify(cfg), std_run, tmp_path)
+    assert sizes == [workers]
+
+
+def test_nodes_cell_of_every_label_bits(tmp_path):
+    # one message per subset of the 14 nodes, each node named by its own term
+    esg, senti, messages = (tmp_path / name for name in ("esg.csv", "senti.csv", "msgs.csv"))
+    esg.write_text(
+        "term,node\n" + "".join(f"t{i},{n.value}\n" for i, n in enumerate(REPORT_ORDER)),
+        encoding="utf-8",
+    )
+    senti.write_text("term,weight\ngood,0.5\n", encoding="utf-8")
+    subsets = range(1 << len(REPORT_ORDER))
+    with open(messages, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "firm", "timestamp", "text"])
+        for bits in subsets:
+            words = [f"t{i}" for i in range(len(REPORT_ORDER)) if bits >> i & 1]
+            writer.writerow([f"m{bits}", "A", "2020-01-02T15:30:00Z", " ".join(["x", *words])])
+    cfg = run_config_from_dict({"paths": {
+        "messages": str(messages), "esg_lexicon": str(esg), "sentiment_lexicon": str(senti),
+        "outdir": str(tmp_path / "out"),
+    }})
+    out = run_classify(cfg)
+
+    label_sets = [frozenset(n for i, n in enumerate(REPORT_ORDER) if bits >> i & 1)
+                  for bits in subsets]
+    with open(out.classified_path, newline="", encoding="utf-8") as fh:
+        cells = [row["nodes"] for row in csv.DictReader(fh)]
+    assert cells == ["|".join(n.value for n in sorted(s, key=node_sort_key)) for s in label_sets]
+    masks = pipeline._read_classified(out.classified_path)[3]
+    assert list(masks) == [label_mask(s) for s in label_sets]
+    closures = [expand_to_ancestors(s) for s in label_sets]
+    assert out.node_counts == {node: sum(node in c for c in closures) for node in REPORT_ORDER}
+    assert out.n_messages == len(subsets)
+
+
 @pytest.fixture(scope="module")
 def overlapping_lexicons(tmp_path_factory):
     """The demo lexicons plus "oil spill" as a second ESG node and as a
@@ -282,8 +373,9 @@ def test_engine_rows_match_classifier_and_scorer(overlapping_lexicons, data):
     for text in texts:
         tokens = tokenize(text)
         labeled = classifier.classify_tokens("m", tokens)
+        bits = sum(1 << node_sort_key(n) for n in labeled.nodes)
         expected.append(
-            (labeled.nodes, "|".join(labeled.matched_terms), str(scorer.score_tokens(tokens)))
+            (bits, "|".join(labeled.matched_terms), str(scorer.score_tokens(tokens)))
         )
     assert _ClassifyEngine(str(esg), str(senti)).rows(texts) == expected
 

@@ -2,17 +2,20 @@
 
 bench/tracing.py swaps wrappers in through each owner's ``__dict__``, so a
 function it patches that is renamed or deleted fails here, not only when
-the benchmark runs. Tracing must also leave detect's and the study's
-outputs unchanged, and the study's price reading and alignment must both
-show in the traced split. Detect scans every series in one ESD call, so
+the benchmark runs. Tracing must also leave classify's, detect's and the
+study's outputs unchanged, and the study's price reading and alignment must
+both show in the traced split. Detect scans every series in one ESD call, so
 its outlier-day count is checked against a per-row recomputation.
 """
 
+import csv
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-from conftest import corpus_paths, naive_esd
+from conftest import corpus_paths, make_run_config, naive_esd
 
 import esgrisk.aggregate as aggregate
 import esgrisk.ingest as ingest
@@ -27,6 +30,16 @@ OWNERS = (
     aggregate, ingest, lexicon, pipeline, sentiment, study, synth,
     lexicon.TokenMatcher, lexicon.EsgClassifier, sentiment.SentimentScorer,
 )
+
+# the tracer's patch points that classify calls or that feed its per-call
+# counters, each on the owner it is patched on
+PATCHED = {
+    pipeline: ("tokenize", "iter_messages", "expand_to_ancestors", "parse_node",
+               "assign_trading_index"),
+    lexicon.TokenMatcher: ("find",),
+    lexicon.EsgClassifier: ("classify_tokens",),
+    sentiment.SentimentScorer: ("score_tokens",),
+}
 
 
 def load_tracing():
@@ -99,3 +112,44 @@ def test_tracer_keeps_study_outputs_and_times_prices(std_run, tmp_path):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["ingest.read_prices.s"] > 0
     assert metrics["study.align.s"] > 0
+
+
+def test_tracer_keeps_classify_output_and_counts_each_message(std_run, tmp_path):
+    tracing = load_tracing()
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        for owner, names in PATCHED.items():
+            saved = before[OWNERS.index(owner)]
+            assert all(vars(owner)[name] is not saved[name] for name in names), owner
+        out = pipeline.run_classify(make_run_config(std_run["corpus_dir"], tmp_path))
+    finally:
+        patches.restore()
+
+    for owner, saved in zip(OWNERS, before):
+        assert all(vars(owner)[name] is value for name, value in saved.items()), owner
+    base = std_run["classify"]
+    assert out.classified_path.read_bytes() == base.classified_path.read_bytes()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["lexicon.find.calls"] == metrics["lexicon.tokenize.calls"] == out.n_messages > 0
+    assert metrics["ingest.messages.s"] > 0
+    # one ancestor closure per distinct label set
+    with open(out.classified_path, newline="", encoding="utf-8") as fh:
+        cells = {row["nodes"] for row in csv.DictReader(fh)}
+    assert metrics["taxonomy.expand.calls"] == len(cells) > 1
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only by a classify run with parallelism > 1
+    code = (
+        "import sys, esgrisk.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    src = Path(pipeline.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "[]"
