@@ -1,11 +1,12 @@
 """File ingestion: messages, prices, market index, calendar events.
 
 All inputs are UTF-8, RFC-4180 CSV with a header row, read through
-read_rows; blank lines are skipped. Malformed rows are skipped with a
-warning and recorded in an IngestReport so that valid + skipped == total
-always holds; only structural problems that would corrupt downstream
-arithmetic (duplicate price rows, duplicate index dates, unreadable or
-undecodable files, malformed CSV records) are fatal.
+read_columns; blank lines are skipped. Malformed rows are skipped and
+recorded in an IngestReport so that valid + skipped == total always
+holds, with a debug line per row and one warning per file; only
+structural problems that would corrupt downstream arithmetic (duplicate
+price rows, duplicate index dates, unreadable or undecodable files,
+malformed CSV records) are fatal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import accumulate, compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -29,6 +31,11 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 MAX_SKIPS_STORED = 1000
+# rows per read_columns block: with one list per column, a block makes
+# fewer new objects than the cyclic GC's first threshold (700)
+_BLOCK = 512
+# what a whole-column conversion raises on a bad cell, or on a missing (None) one
+CELL_ERRORS = (ValueError, TypeError, AttributeError, DataError)
 
 # read_prices' columns: firm names, then per valid row firm code, date ordinal and return
 PriceColumns = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
@@ -78,7 +85,14 @@ class IngestReport:
         self.skips_total += 1
         if len(self.skips) < MAX_SKIPS_STORED:
             self.skips.append((line_num, reason))
-        log.warning("%s:%d skipped: %s", self.path, line_num, reason)
+        log.debug("%s:%d skipped: %s", self.path, line_num, reason)
+
+    def log_skips(self) -> None:
+        """One warning for the whole file: how many rows were skipped, and the first."""
+        if self.skips:
+            line, reason = self.skips[0]
+            log.warning("%s: skipped %d of %d rows; first at line %d: %s",
+                        self.path, self.skips_total, self.total_rows, line, reason)
 
     def keep(self, rows: int = 1) -> None:
         self.total_rows += rows
@@ -113,16 +127,22 @@ def _parse_date(raw: str) -> date:
     return date.fromisoformat(raw.strip())
 
 
-def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (line_num, values) for each non-blank row of a headed UTF-8 CSV file.
+def _breaks(row: list[str]) -> int:
+    """Line breaks inside a row's quoted cells: \r\n, \r and \n each end one physical line."""
+    return sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
 
-    `values` holds the cells of the `required` then `optional` columns, in
-    that order, with csv.DictReader's reading of them: a cell beyond the
-    end of a short row, or of an absent optional column, is None; extra
-    cells are ignored; a header name given twice names its last column.
-    `line_num` is the row's last physical line. An unreadable file, a
-    missing required column, an undecodable byte or a malformed record
-    raises DataError naming the file.
+
+def read_columns(path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()):
+    """Yield (lines, columns) for blocks of up to _BLOCK rows of a headed UTF-8 CSV file.
+
+    Blank rows are dropped. `lines` holds each kept row's last physical
+    line; `columns` holds one list of cells per `required` then `optional`
+    column, in that order, with csv.DictReader's reading of them: a cell
+    beyond the end of a short row, or of an absent optional column, is
+    None; extra cells are ignored; a header name given twice names its
+    last column. An unreadable file, a missing required column, an
+    undecodable byte or a malformed record raises DataError naming the
+    file, after the rows before it are yielded.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -136,19 +156,40 @@ def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Se
             missing = [c for c in required if c not in index]
             if missing:
                 raise DataError(f"{path}: missing {what} columns {missing}, found {header}")
-            # rows are padded with None, so index -1 reads None for an absent column
+            # short rows are padded with None, and an absent column (-1) is all None
             cols = [index.get(c, -1) for c in (*required, *optional)]
-            pad = [None] * (len(header) + 1)
-            pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-            for row in reader:
-                if row:
-                    row.extend(pad)
-                    yield reader.line_num, pick(row)
+            width, pad = len(header), [None] * len(header)
+            failure = None
+            while failure is None:
+                start, rows = reader.line_num, []
+                try:
+                    rows.extend(islice(reader, _BLOCK))
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    failure = exc  # raised once the rows read before it are yielded
+                if not rows:
+                    break
+                lines = range(start + 1, reader.line_num + 1)
+                if len(lines) != len(rows):  # a quoted cell spans lines
+                    lines = list(accumulate([1 + _breaks(row) for row in rows], initial=start))[1:]
+                if set(map(len, rows)) != {width}:  # blank, short or long rows
+                    lines = list(compress(lines, rows))
+                    rows = [row if len(row) >= width else row + pad for row in rows if row]
+                if rows:  # not zip(*rows), which makes one iterator per row
+                    n = len(rows)
+                    yield lines, [[*map(itemgetter(i), rows)] if i >= 0 else [None] * n for i in cols]
+            if failure is not None:
+                raise failure
         except UnicodeDecodeError as exc:
             line = reader.line_num + 1
             raise DataError(f"{path}:{line}: {what} is not UTF-8 at or after this line ({exc.reason})") from None
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: malformed {what} record: {exc}") from None
+
+
+def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()):
+    """Yield (line_num, values) for each non-blank row: read_columns, one row at a time."""
+    for lines, columns in read_columns(path, what, required, optional):
+        yield from zip(lines, zip(*columns))
 
 
 def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport | None = None):
@@ -186,6 +227,73 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
         seen_ids.add(msg_id)
         report.keep()
         yield Message(id=msg_id, firm=firm, timestamp=ts, text=text)
+    report.log_skips()
+
+
+def _price_row(line, firm, raw_day, raw_close, raw_ret, ordinals, report):
+    """read_prices' rule for one row: (firm, ordinal, close, return), or None once skipped."""
+    firm = (firm or "").strip()
+    if not firm:
+        return report.skip(line, "missing firm")
+    day = ordinals.get(raw_day)
+    if day is None:
+        try:
+            day = ordinals[raw_day] = _parse_date(raw_day or "").toordinal()
+        except ValueError:
+            return report.skip(line, f"bad date {raw_day!r}")
+    try:
+        close = float(raw_close or "")
+    except ValueError:
+        return report.skip(line, f"bad close {raw_close!r}")
+    if not math.isfinite(close) or close <= 0:
+        return report.skip(line, f"close must be positive, got {close}")
+    ret = math.nan
+    raw_ret = (raw_ret or "").strip()
+    if raw_ret:
+        try:
+            ret = float(raw_ret)
+        except ValueError:
+            return report.skip(line, f"bad return {raw_ret!r}")
+        if not math.isfinite(ret):
+            return report.skip(line, f"non-finite return {ret}")
+    report.keep()
+    return firm, day, close, ret
+
+
+def code_firms(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+    """Each row's firm code, coding a new stripped name in first-row order.
+
+    A blank cell raises ValueError before any name is coded, so a block
+    converter calls this after its other checks.
+    """
+    names = {raw: raw.strip() for raw in dict.fromkeys(cells)}
+    if not all(names.values()):
+        raise ValueError("a blank firm")
+    code = {raw: codes.setdefault(name, len(codes)) for raw, name in names.items()}
+    return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
+
+
+def _price_block(firms, raw_days, raw_closes, raw_rets, codes, ordinals):
+    """A block of price cells as (firm code, ordinal, close, return) arrays.
+
+    A bad cell raises one of CELL_ERRORS, and the block then goes through
+    _price_row. Each distinct date string is parsed once, into `ordinals`.
+    """
+    n = len(firms)
+    for raw in set(raw_days).difference(ordinals):
+        ordinals[raw] = _parse_date(raw).toordinal()
+    close = np.fromiter(map(float, raw_closes), np.float64, n)
+    if not (np.isfinite(close) & (close > 0)).all():
+        raise ValueError("a close that is not positive")
+    ret = np.full(n, np.nan)
+    if raw_rets.count(None) < n:  # the column is there
+        cells = list(map(str.strip, raw_rets))
+        given = np.fromiter(map(bool, cells), bool, n)
+        ret[given] = np.fromiter(map(float, filter(None, cells)), np.float64)
+        if not np.isfinite(ret[given]).all():
+            raise ValueError("a non-finite return")
+    day = np.fromiter(map(ordinals.__getitem__, raw_days), np.int64, n)
+    return code_firms(firms, codes), day, close, ret
 
 
 def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
@@ -194,51 +302,35 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
     A blank or absent `return` cell is close_t/close_{t-1} - 1 over the firm's
     previous row, and NaN on its first row. A duplicate (firm, date) is fatal,
     reported at its earliest repeat in file order after every row is read.
+    Each block is converted a column at a time; only a block with a bad
+    cell goes through the per-row rule, _price_row.
     """
     report = IngestReport(path=str(path))
     codes: dict[str, int] = {}
     ordinals: dict[str | None, int] = {}
-    keys, values = array("q"), array("d")  # (firm code, ordinal, line) and (close, return)
-    rows = read_rows(path, "prices", ("firm", "date", "close"), optional=("return",))
-    for line, (firm, raw_day, raw_close, raw_ret) in rows:
-        firm = (firm or "").strip()
-        if not firm:
-            report.skip(line, "missing firm")
-            continue
-        day = ordinals.get(raw_day)
-        if day is None:
-            try:
-                day = ordinals[raw_day] = _parse_date(raw_day or "").toordinal()
-            except ValueError:
-                report.skip(line, f"bad date {raw_day!r}")
-                continue
+    columns = [array(t) for t in "qqqdd"]  # firm code, ordinal, line, close, return
+    blocks = read_columns(path, "prices", ("firm", "date", "close"), optional=("return",))
+    for lines, cells in blocks:
         try:
-            close = float(raw_close or "")
-        except ValueError:
-            report.skip(line, f"bad close {raw_close!r}")
+            firm, day, close, ret = _price_block(*cells, codes, ordinals)
+        except CELL_ERRORS:
+            for line, *raw in zip(lines, *cells):
+                if row := _price_row(line, *raw, ordinals, report):
+                    name, day, close, ret = row
+                    values = (codes.setdefault(name, len(codes)), day, line, close, ret)
+                    for column, value in zip(columns, values):
+                        column.append(value)
             continue
-        if not math.isfinite(close) or close <= 0:
-            report.skip(line, f"close must be positive, got {close}")
-            continue
-        ret = math.nan
-        raw_ret = (raw_ret or "").strip()
-        if raw_ret:
-            try:
-                ret = float(raw_ret)
-            except ValueError:
-                report.skip(line, f"bad return {raw_ret!r}")
-                continue
-            if not math.isfinite(ret):
-                report.skip(line, f"non-finite return {ret}")
-                continue
-        keys.extend((codes.setdefault(firm, len(codes)), day, line))
-        values.extend((close, ret))
-    report.keep(len(values) // 2)
+        report.keep(len(lines))
+        lines = np.fromiter(lines, np.int64, len(lines))
+        for column, part in zip(columns, (firm, day, lines, close, ret)):
+            column.frombytes(part.tobytes())
+    report.log_skips()
 
-    firm_code, ordinal, lines = np.frombuffer(keys, dtype=np.int64).reshape(-1, 3).T
+    firm_code, ordinal, lines = (np.frombuffer(c, dtype=np.int64) for c in columns[:3])
     order = np.lexsort((ordinal, firm_code))  # stable, so repeats stay in file order
     firm_code, ordinal, lines = firm_code[order], ordinal[order], lines[order]
-    close, ret = np.frombuffer(values).reshape(-1, 2)[order].T
+    close, ret = (np.frombuffer(c)[order] for c in columns[3:])
     same_firm = firm_code[1:] == firm_code[:-1]
     repeat = same_firm & (ordinal[1:] == ordinal[:-1])
     if repeat.any():
@@ -274,6 +366,7 @@ def read_market_index(path: str | Path) -> tuple[list[MarketIndexRow], IngestRep
         seen.add(day)
         report.keep()
         rows.append(MarketIndexRow(day=day, ret=ret))
+    report.log_skips()
     rows.sort(key=lambda r: r.day)
     return rows, report
 
@@ -296,5 +389,6 @@ def read_calendar_events(
             continue
         report.keep()
         rows.append(CalendarEventRow(firm=firm, day=day, kind=kind))
+    report.log_skips()
     rows.sort(key=lambda r: (r.firm, r.day))
     return rows, report

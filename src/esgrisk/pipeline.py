@@ -21,13 +21,12 @@ import json
 import logging
 import math
 import typing
-from array import array
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -46,14 +45,16 @@ from .detect import (
 )
 from .errors import ConfigError, DataError
 from .ingest import (
+    CELL_ERRORS,
     EventKind,
     IngestReport,
+    code_firms,
     iter_messages,
     parse_timestamp,
     read_calendar_events,
     read_market_index,
+    read_columns,
     read_prices,
-    read_rows,
 )
 from .lexicon import TokenMatcher, esg_labels, load_esg_lexicon, tokenize
 from .report import (
@@ -368,7 +369,6 @@ class DetectOutputs:
     dropped_messages: int  # timestamps outside the calendar
 
 
-_STAMP_BLOCK = 1 << 11  # classified rows per vectorised timestamp parse
 _UTC_FORM = np.array([ord(c) for c in "dddd-dd-ddTdd:dd:dd+00:00"], dtype=np.uint32)  # d: a digit
 _YEAR_1 = np.datetime64("0001-01-01", "us")
 
@@ -400,55 +400,77 @@ def _parse_stamps(path: Path, raw: list[str], lines: list[int]) -> np.ndarray:
     return us
 
 
+def _classified_row(path: Path, line: int, firm, raw_nodes, raw_score, label_masks):
+    """_read_classified's rule for one row: (firm, label mask, score), or DataError."""
+    raw_nodes = raw_nodes or ""
+    mask = label_masks.get(raw_nodes)
+    if mask is None:
+        try:
+            mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
+        except DataError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
+        label_masks[raw_nodes] = mask
+    try:
+        score = float(raw_score or 0.0)
+    except ValueError:
+        score = math.nan
+    if not math.isfinite(score):
+        raise DataError(f"{path}:{line}: bad score {raw_score!r}")
+    if not (firm := (firm or "").strip()):
+        raise DataError(f"{path}:{line}: missing firm")
+    return firm, mask, score
+
+
+def _classified_block(firms, raw_nodes, raw_scores, codes, label_masks):
+    """A block of classified cells as (firm code, label mask, score) arrays.
+
+    A bad cell raises one of CELL_ERRORS, and the block then goes through
+    _classified_row.
+    """
+    n = len(firms)
+    for raw in set(raw_nodes).difference(label_masks):
+        label_masks[raw] = label_mask({parse_node(name) for name in raw.split("|") if name})
+    scores = np.fromiter(map(float, raw_scores), np.float64, n)
+    if not np.isfinite(scores).all():
+        raise ValueError("a non-finite score")
+    masks = np.fromiter(map(label_masks.__getitem__, raw_nodes), np.int64, n)
+    return code_firms(firms, codes), masks, scores
+
+
 def _read_classified(path: Path):
     """Read a classified.csv into firm names and one column per field.
 
     Per row: firm code, UTC epoch-microsecond stamp, label_mask (made once
-    per distinct `nodes` string) and score. Stamps are parsed a block at a
-    time; a bad value raises DataError naming the first bad row.
+    per distinct `nodes` string) and score. Each block is converted a
+    column at a time; a block with a bad cell goes through the per-row
+    rule, _classified_row, and DataError names the first bad row, with a
+    bad stamp first on its own row.
     """
     codes: dict[str, int] = {}
     label_masks: dict[str, int] = {}
-    firms, masks, scores = array("q"), array("q"), array("d")
-    stamps: list[np.ndarray] = []
-    raw_stamps: list[str] = []
-    stamp_lines: list[int] = []
-
-    def flush() -> None:
-        stamps.append(_parse_stamps(path, raw_stamps, stamp_lines))
-        raw_stamps.clear()
-        stamp_lines.clear()
-
-    try:
-        for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
-            path, "classified", CLASSIFIED_COLUMNS
-        ):
-            raw_stamps.append(raw_ts or "")
-            stamp_lines.append(line)
-            raw_nodes = raw_nodes or ""
-            mask = label_masks.get(raw_nodes)
-            if mask is None:
+    parts: list[tuple[np.ndarray, ...]] = []  # per block: firm code, stamp, mask, score
+    for lines, (_, firms, raw_ts, raw_nodes, _, raw_scores) in read_columns(
+        path, "classified", CLASSIFIED_COLUMNS
+    ):
+        if None in raw_ts:  # a short row
+            raw_ts = [raw or "" for raw in raw_ts]
+        try:
+            firm, mask, score = _classified_block(firms, raw_nodes, raw_scores, codes, label_masks)
+        except CELL_ERRORS:
+            rows = []
+            for k, row in enumerate(zip(lines, firms, raw_nodes, raw_scores)):
                 try:
-                    mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
-                except DataError as exc:
-                    raise DataError(f"{path}:{line}: {exc}") from None
-                label_masks[raw_nodes] = mask
-            try:
-                score = float(raw_score or 0.0)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{line}: bad score {raw_score!r}")
-            firms.append(codes.setdefault((firm or "").strip(), len(codes)))
-            masks.append(mask)
-            scores.append(score)
-            if len(raw_stamps) == _STAMP_BLOCK:
-                flush()
-    except DataError:
-        flush()  # a bad stamp on an earlier row (or this one) is named first
-        raise
-    flush()
-    return list(codes), firms, np.concatenate(stamps), masks, scores
+                    rows.append(_classified_row(path, *row, label_masks))
+                except DataError:
+                    _parse_stamps(path, raw_ts[: k + 1], lines[: k + 1])  # a bad stamp comes first
+                    raise
+            names, masks, scores = zip(*rows)
+            firm = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
+            mask, score = np.array(masks, dtype=np.int64), np.array(scores)
+        parts.append((firm, _parse_stamps(path, raw_ts, lines), mask, score))
+    if not parts:
+        return [], *(np.zeros(0, t) for t in "qqqd")
+    return list(codes), *map(np.concatenate, zip(*parts))
 
 
 def run_detect(cfg: RunConfig) -> DetectOutputs:
@@ -474,7 +496,7 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     names, firms, stamps, masks, scores = _read_classified(classified)
     days = assign_trading_indices(stamps, calendar, cfg.exchange_tz)
     on = days >= 0
-    stack = build_series(tuple(np.asarray(c)[on] for c in (firms, days, masks, scores)), calendar)
+    stack = build_series(tuple(c[on] for c in (firms, days, masks, scores)), calendar)
     outliers = esd_outliers(stack.counts, cfg.detection)
     detected = filter_and_merge(
         outliers, stack, names, calendar, cfg.detection, cfg.sentiment_threshold
@@ -528,25 +550,70 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     )
 
 
+def _kept_event(path, line: int, firm, raw_node, raw_day, calendar: TradingCalendar, seen: set):
+    """load_kept_events' rule for one kept row: (firm, node, day), added to `seen`, or DataError."""
+    raw_day = (raw_day or "").strip()
+    try:
+        day = date.fromisoformat(raw_day)
+    except ValueError:
+        raise DataError(f"{path}:{line}: bad date {raw_day!r}") from None
+    if day not in calendar:
+        raise DataError(f"{path}:{line}: {day} is not a trading day in this calendar")
+    try:
+        node = parse_node(raw_node or "")
+    except DataError as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
+    if not (firm := (firm or "").strip()):
+        raise DataError(f"{path}:{line}: missing firm")
+    if (firm, node, day) in seen:
+        raise DataError(f"{path}:{line}: duplicate kept event {firm} {node} {day}")
+    seen.add((firm, node, day))
+    return firm, node, day
+
+
+def _kept_block(firms, raw_nodes, raw_days, calendar: TradingCalendar, seen, days, nodes):
+    """A block of kept rows as (firm, node, day) tuples, added to `seen`.
+
+    A bad cell raises one of CELL_ERRORS, and the block then goes through
+    _kept_event. Each distinct date and node string is parsed once per
+    file, into `days` and `nodes`.
+    """
+    for raw in set(raw_days).difference(days):
+        if (day := date.fromisoformat(raw.strip())) not in calendar:
+            raise ValueError(f"{day} is not a trading day")
+        days[raw] = day
+    for raw in set(raw_nodes).difference(nodes):
+        nodes[raw] = parse_node(raw)
+    names = {raw: raw.strip() for raw in set(firms)}
+    events = [*zip(map(names.__getitem__, firms), map(nodes.__getitem__, raw_nodes),
+                   map(days.__getitem__, raw_days))]
+    if not all(names.values()) or len(set(events)) < len(events) or not seen.isdisjoint(events):
+        raise ValueError("a blank firm or a repeated event")
+    seen.update(events)
+    return events
+
+
 def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
-    """Read kept events from an events.csv; each must fall on a trading day."""
+    """Read kept events from an events.csv; each must fall on a trading day, once.
+
+    Each block is converted a column at a time; a block with a bad cell
+    goes through the per-row rule, _kept_event, and DataError names the
+    first bad row.
+    """
     out: list[tuple[str, Node, date]] = []
-    rows = read_rows(path, "event", EVENT_COLUMNS)
-    for line, (firm, raw_node, raw_day, *_, kept, _, _) in rows:
-        if (kept or "").strip() != "true":
-            continue
-        raw_day = (raw_day or "").strip()
+    seen: set[tuple[str, Node, date]] = set()
+    days: dict[str, date] = {}
+    nodes: dict[str, Node] = {}
+    for lines, (firms, raw_nodes, raw_days, *_, flags, _, _) in read_columns(
+        path, "event", EVENT_COLUMNS
+    ):
+        true = {flag for flag in set(flags) if (flag or "").strip() == "true"}
+        kept = [*map(true.__contains__, flags)]
+        cells = [[*compress(column, kept)] for column in (lines, firms, raw_nodes, raw_days)]
         try:
-            day = date.fromisoformat(raw_day)
-        except ValueError:
-            raise DataError(f"{path}:{line}: bad date {raw_day!r}") from None
-        if day not in calendar:
-            raise DataError(f"{path}:{line}: {day} is not a trading day in this calendar")
-        try:
-            node = parse_node(raw_node or "")
-        except DataError as exc:
-            raise DataError(f"{path}:{line}: {exc}") from None
-        out.append(((firm or "").strip(), node, day))
+            out += _kept_block(*cells[1:], calendar, seen, days, nodes)
+        except CELL_ERRORS:
+            out += [_kept_event(path, *row, calendar, seen) for row in zip(*cells)]
     return out
 
 

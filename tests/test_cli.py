@@ -401,6 +401,49 @@ def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
     assert f"data error: {bad}:{line}: bad date '2020-13-45'" in all_output(result)
 
 
+def test_blank_firm_in_classified_exits_3(cli_run, tmp_path):
+    bad = tmp_path / "classified.csv"
+    line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "firm", " ")
+    result = CliRunner().invoke(
+        main,
+        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: missing firm" in all_output(result)
+
+
+def test_blank_firm_on_kept_event_exits_3(cli_run, tmp_path):
+    bad = tmp_path / "events.csv"
+    line = corrupt_csv(
+        cli_run["out"] / "events.csv", bad, "firm", "", row_filter=lambda row: row["kept"] == "true"
+    )
+    result = CliRunner().invoke(
+        main,
+        ["study", "--outdir", str(tmp_path / "out"), "--events", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: missing firm" in all_output(result)
+
+
+def test_repeated_kept_event_exits_3(cli_run, tmp_path):
+    # a repeat would be counted twice in its node's results
+    lines = (cli_run["out"] / "events.csv").read_text(encoding="utf-8").splitlines()
+    kept = next(line for line in lines if ",true," in line)
+    bad = tmp_path / "events.csv"
+    bad.write_text("\n".join([*lines, kept]) + "\n", encoding="utf-8")
+    firm, node, day = kept.split(",")[:3]
+    result = CliRunner().invoke(
+        main,
+        ["study", "--outdir", str(tmp_path / "out"), "--events", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    message = f"data error: {bad}:{len(lines) + 1}: duplicate kept event {firm} {node} {day}"
+    assert message in all_output(result)
+
+
 @pytest.mark.parametrize("command", ["study", "eval"])
 def test_kept_event_off_the_calendar_names_the_row(cli_run, tmp_path, command):
     events = cli_run["out"] / "events.csv"

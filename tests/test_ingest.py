@@ -19,9 +19,11 @@ from esgrisk.ingest import (
     parse_timestamp,
     read_calendar_events,
     read_market_index,
+    read_columns,
     read_prices,
     read_rows,
 )
+from esgrisk import ingest
 
 
 def write_csv(path, header, rows):
@@ -223,7 +225,7 @@ def test_missing_file_is_data_error(tmp_path):
 
 NAMES = ("a", "b", "c")
 ROWS = st.lists(
-    st.one_of(st.none(), st.lists(st.text(alphabet='x,"\n ', max_size=3), max_size=6)),
+    st.one_of(st.none(), st.lists(st.text(alphabet='x,"\r\n ', max_size=3), max_size=6)),
     max_size=8,
 )
 
@@ -253,6 +255,7 @@ def csv_text(header, rows):
     picks=None,
 )
 def test_read_rows_matches_dictreader(tmp_path_factory, header, rows, picks):
+    """read_rows, and read_columns flattened at several block sizes, read as DictReader does."""
     if picks is None:
         required, optional = ["b", "a"], ["c", "a"]
     else:
@@ -266,6 +269,25 @@ def test_read_rows_matches_dictreader(tmp_path_factory, header, rows, picks):
             (oracle.line_num, tuple(row.get(c) for c in (*required, *optional))) for row in oracle
         ]
     assert list(read_rows(path, "test", required, optional)) == expected
+    for block in (1, 3, ingest._BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK", block)
+            blocks = list(read_columns(path, "test", required, optional))
+        assert all(0 < len(lines) <= block for lines, _ in blocks)
+        assert all(len(col) == len(lines) for lines, cols in blocks for col in cols)
+        flat = [(n, cells) for lines, cols in blocks for n, cells in zip(lines, zip(*cols))]
+        assert flat == expected
+
+
+def test_rows_before_a_malformed_record_are_read(tmp_path):
+    # an oversized cell ends the reading, but only after the rows before it in its block
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n1,2\n\n3,4\n5," + "x" * (csv.field_size_limit() + 1) + "\n7,8\n")
+    seen = []
+    with pytest.raises(DataError, match=r"in.csv:5: malformed test record: field larger"):
+        for lines, (a, b) in read_columns(path, "test", ("a", "b")):
+            seen.extend(zip(lines, a, b))
+    assert seen == [(2, "1", "2"), (4, "3", "4")]
 
 
 def test_read_rows_names_missing_columns(tmp_path):
@@ -274,12 +296,12 @@ def test_read_rows_names_missing_columns(tmp_path):
         list(read_rows(path, "messages", ("id", "firm")))
 
 
-def test_only_read_rows_parses_csv():
-    """Every CSV input goes through ingest.read_rows, so no module grows its own reader."""
+def test_only_read_columns_parses_csv():
+    """Every CSV input goes through ingest.read_columns, so no module grows its own reader."""
     package = Path(esgrisk.__file__).parent
     ingest_py = package / "ingest.py"
     tree = ast.parse(ingest_py.read_text(encoding="utf-8"))
-    helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "read_rows")
+    helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "read_columns")
     offenders = []
     for path in sorted(package.rglob("*.py")):
         for num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):

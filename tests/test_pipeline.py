@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import corpus_paths, make_run_config
 
+import esgrisk.ingest as ingest
 import esgrisk.pipeline as pipeline
 from esgrisk.aggregate import label_mask
 from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
@@ -509,7 +510,7 @@ STAMPS = [
 )
 def test_classified_stamps_match_the_scalar_parser(tmp_path, monkeypatch, stamps, block):
     # classify writes +00:00 stamps; any other form must read as the scalar parser reads it
-    monkeypatch.setattr(pipeline, "_STAMP_BLOCK", block)
+    monkeypatch.setattr(ingest, "_BLOCK", block)  # stamps are parsed a read block at a time
     path = tmp_path / "classified.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
