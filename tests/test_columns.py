@@ -207,7 +207,7 @@ def csv_files(draw, header, cells):
             rows.insert(draw(st.integers(0, len(rows))), rows[k % len(rows)])
     for row in rows:
         layout = draw(LAYOUT)
-        if layout == "blank":
+        if layout == "blank":  # a blank line, then the row
             buf.write("\n")
         if layout == "short":
             writer.writerow(row[: draw(st.integers(1, len(row) - 1))])
