@@ -7,6 +7,11 @@ holds, with a debug line per row and one warning per file; only
 structural problems that would corrupt downstream arithmetic (duplicate
 price rows, duplicate index dates, unreadable or undecodable files,
 malformed CSV records) are fatal.
+
+A column reader states its rule once, as an ordered table of (mask,
+reason) checks over a block's converted columns; `failures` names each
+failing row's first failed check, which read_prices skips and the
+artifact readers in pipeline raise.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from datetime import date, datetime, timezone
 from itertools import accumulate, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -34,8 +39,6 @@ MAX_SKIPS_STORED = 1000
 # rows per read_columns block: with one list per column, a block makes
 # fewer new objects than the cyclic GC's first threshold (700)
 _BLOCK = 512
-# what a whole-column conversion raises on a bad cell, or on a missing (None) one
-CELL_ERRORS = (ValueError, TypeError, AttributeError, DataError)
 
 # read_prices' columns: firm names, then per valid row firm code, date ordinal and return
 PriceColumns = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
@@ -230,100 +233,100 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
     report.log_skips()
 
 
-def _price_row(line, firm, raw_day, raw_close, raw_ret, ordinals, report):
-    """read_prices' rule for one row: (firm, ordinal, close, return), or None once skipped."""
-    firm = (firm or "").strip()
-    if not firm:
-        return report.skip(line, "missing firm")
-    day = ordinals.get(raw_day)
-    if day is None:
-        try:
-            day = ordinals[raw_day] = _parse_date(raw_day or "").toordinal()
-        except ValueError:
-            return report.skip(line, f"bad date {raw_day!r}")
+def filled(cells: Sequence[str | None]) -> np.ndarray:
+    """Whether each cell holds more than whitespace; a None cell does not."""
+    distinct = set(cells)
+    blank = {raw for raw in distinct if not (raw or "").strip()}
+    if not blank or blank == distinct:  # no cell or every cell blank, as in an absent column
+        return np.full(len(cells), not blank)
+    return ~np.fromiter(map(blank.__contains__, cells), bool, len(cells))
+
+
+def floats(cells: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, parsed): float() of each cell, or NaN and False where it refuses one.
+
+    The whole column goes through map(float, ...); only a column that
+    raises is converted again cell by cell.
+    """
+    n = len(cells)
     try:
-        close = float(raw_close or "")
-    except ValueError:
-        return report.skip(line, f"bad close {raw_close!r}")
-    if not math.isfinite(close) or close <= 0:
-        return report.skip(line, f"close must be positive, got {close}")
-    ret = math.nan
-    raw_ret = (raw_ret or "").strip()
-    if raw_ret:
-        try:
-            ret = float(raw_ret)
-        except ValueError:
-            return report.skip(line, f"bad return {raw_ret!r}")
-        if not math.isfinite(ret):
-            return report.skip(line, f"non-finite return {ret}")
-    report.keep()
-    return firm, day, close, ret
+        return np.fromiter(map(float, cells), np.float64, n), np.ones(n, bool)
+    except (ValueError, TypeError):
+        values, parsed = np.full(n, np.nan), np.zeros(n, bool)
+        for k, cell in enumerate(cells):
+            try:
+                values[k], parsed[k] = float(cell), True
+            except (ValueError, TypeError):
+                pass
+        return values, parsed
+
+
+def failures(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]):
+    """Yield (row, reason) for each row that fails a check, naming the first it fails.
+
+    `checks` is a reader's rule as (mask, reason) pairs in rule order: the
+    mask is true on the rows that pass, and reason(row) says why one fails.
+    """
+    passes = np.array([mask for mask, _ in checks])
+    for row in np.flatnonzero(~passes.all(axis=0)):
+        yield int(row), checks[np.argmin(passes[:, row])][1](row)
 
 
 def code_firms(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
     """Each row's firm code, coding a new stripped name in first-row order.
 
-    A blank cell raises ValueError before any name is coded, so a block
-    converter calls this after its other checks.
+    A reader calls this on the rows that pass its checks only, so a firm
+    is coded by its first valid row.
     """
     names = {raw: raw.strip() for raw in dict.fromkeys(cells)}
-    if not all(names.values()):
-        raise ValueError("a blank firm")
     code = {raw: codes.setdefault(name, len(codes)) for raw, name in names.items()}
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
-
-
-def _price_block(firms, raw_days, raw_closes, raw_rets, codes, ordinals):
-    """A block of price cells as (firm code, ordinal, close, return) arrays.
-
-    A bad cell raises one of CELL_ERRORS, and the block then goes through
-    _price_row. Each distinct date string is parsed once, into `ordinals`.
-    """
-    n = len(firms)
-    for raw in set(raw_days).difference(ordinals):
-        ordinals[raw] = _parse_date(raw).toordinal()
-    close = np.fromiter(map(float, raw_closes), np.float64, n)
-    if not (np.isfinite(close) & (close > 0)).all():
-        raise ValueError("a close that is not positive")
-    ret = np.full(n, np.nan)
-    if raw_rets.count(None) < n:  # the column is there
-        cells = list(map(str.strip, raw_rets))
-        given = np.fromiter(map(bool, cells), bool, n)
-        ret[given] = np.fromiter(map(float, filter(None, cells)), np.float64)
-        if not np.isfinite(ret[given]).all():
-            raise ValueError("a non-finite return")
-    day = np.fromiter(map(ordinals.__getitem__, raw_days), np.int64, n)
-    return code_firms(firms, codes), day, close, ret
 
 
 def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
     """Read close prices into columns sorted by (firm, date), firms coded by first valid row.
 
-    A blank or absent `return` cell is close_t/close_{t-1} - 1 over the firm's
-    previous row, and NaN on its first row. A duplicate (firm, date) is fatal,
-    reported at its earliest repeat in file order after every row is read.
-    Each block is converted a column at a time; only a block with a bad
-    cell goes through the per-row rule, _price_row.
+    Each block is converted a column at a time and checked against one
+    table: a row with a blank firm, a bad date, a bad or non-positive
+    close, or a bad or non-finite return is skipped with the first reason
+    it meets. A blank or absent `return` cell is close_t/close_{t-1} - 1
+    over the firm's previous row, and NaN on its first row. A duplicate
+    (firm, date) is fatal, reported at its earliest repeat in file order
+    after every row is read.
     """
     report = IngestReport(path=str(path))
     codes: dict[str, int] = {}
-    ordinals: dict[str | None, int] = {}
+    ordinals: dict[str | None, int] = {}  # 0 for a bad date
     columns = [array(t) for t in "qqqdd"]  # firm code, ordinal, line, close, return
     blocks = read_columns(path, "prices", ("firm", "date", "close"), optional=("return",))
-    for lines, cells in blocks:
-        try:
-            firm, day, close, ret = _price_block(*cells, codes, ordinals)
-        except CELL_ERRORS:
-            for line, *raw in zip(lines, *cells):
-                if row := _price_row(line, *raw, ordinals, report):
-                    name, day, close, ret = row
-                    values = (codes.setdefault(name, len(codes)), day, line, close, ret)
-                    for column, value in zip(columns, values):
-                        column.append(value)
-            continue
+    for lines, (firms, raw_days, raw_closes, raw_rets) in blocks:
+        n = len(lines)
+        for raw in set(raw_days).difference(ordinals):
+            try:
+                ordinals[raw] = _parse_date(raw or "").toordinal()
+            except ValueError:
+                ordinals[raw] = 0
+        day = np.fromiter(map(ordinals.__getitem__, raw_days), np.int64, n)
+        close, close_parsed = floats(raw_closes)
+        given = filled(raw_rets)  # a blank return is derived from the closes
+        ret, ret_parsed = floats(raw_rets) if given.any() else (np.full(n, np.nan), given)
+        keep = np.ones(n, bool)
+        for k, reason in failures([
+            (filled(firms), lambda k: "missing firm"),
+            (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
+            (close_parsed, lambda k: f"bad close {raw_closes[k]!r}"),
+            (np.isfinite(close) & (close > 0), lambda k: f"close must be positive, got {float(close[k])}"),
+            (ret_parsed | ~given, lambda k: f"bad return {raw_rets[k].strip()!r}"),
+            (np.isfinite(ret) | ~given, lambda k: f"non-finite return {float(ret[k])}"),
+        ]):
+            report.skip(lines[k], reason)
+            keep[k] = False
+        if not keep.all():
+            lines, firms = [*compress(lines, keep)], [*compress(firms, keep)]
+            day, close, ret = day[keep], close[keep], ret[keep]
         report.keep(len(lines))
         lines = np.fromiter(lines, np.int64, len(lines))
-        for column, part in zip(columns, (firm, day, lines, close, ret)):
+        for column, part in zip(columns, (code_firms(firms, codes), day, lines, close, ret)):
             column.frombytes(part.tobytes())
     report.log_skips()
 

@@ -45,10 +45,12 @@ from .detect import (
 )
 from .errors import ConfigError, DataError
 from .ingest import (
-    CELL_ERRORS,
     EventKind,
     IngestReport,
     code_firms,
+    failures,
+    filled,
+    floats,
     iter_messages,
     parse_timestamp,
     read_calendar_events,
@@ -400,74 +402,42 @@ def _parse_stamps(path: Path, raw: list[str], lines: list[int]) -> np.ndarray:
     return us
 
 
-def _classified_row(path: Path, line: int, firm, raw_nodes, raw_score, label_masks):
-    """_read_classified's rule for one row: (firm, label mask, score), or DataError."""
-    raw_nodes = raw_nodes or ""
-    mask = label_masks.get(raw_nodes)
-    if mask is None:
-        try:
-            mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
-        except DataError as exc:
-            raise DataError(f"{path}:{line}: {exc}") from None
-        label_masks[raw_nodes] = mask
-    try:
-        score = float(raw_score or 0.0)
-    except ValueError:
-        score = math.nan
-    if not math.isfinite(score):
-        raise DataError(f"{path}:{line}: bad score {raw_score!r}")
-    if not (firm := (firm or "").strip()):
-        raise DataError(f"{path}:{line}: missing firm")
-    return firm, mask, score
-
-
-def _classified_block(firms, raw_nodes, raw_scores, codes, label_masks):
-    """A block of classified cells as (firm code, label mask, score) arrays.
-
-    A bad cell raises one of CELL_ERRORS, and the block then goes through
-    _classified_row.
-    """
-    n = len(firms)
-    for raw in set(raw_nodes).difference(label_masks):
-        label_masks[raw] = label_mask({parse_node(name) for name in raw.split("|") if name})
-    scores = np.fromiter(map(float, raw_scores), np.float64, n)
-    if not np.isfinite(scores).all():
-        raise ValueError("a non-finite score")
-    masks = np.fromiter(map(label_masks.__getitem__, raw_nodes), np.int64, n)
-    return code_firms(firms, codes), masks, scores
-
-
 def _read_classified(path: Path):
     """Read a classified.csv into firm names and one column per field.
 
     Per row: firm code, UTC epoch-microsecond stamp, label_mask (made once
-    per distinct `nodes` string) and score. Each block is converted a
-    column at a time; a block with a bad cell goes through the per-row
-    rule, _classified_row, and DataError names the first bad row, with a
-    bad stamp first on its own row.
+    per distinct `nodes` string) and score (0 when blank). Each block is
+    converted a column at a time and checked against one table: an unknown
+    node, a bad or non-finite score and a blank firm, in that order. The
+    first failing row raises DataError, unless a bad stamp on it or
+    before it comes first.
     """
     codes: dict[str, int] = {}
-    label_masks: dict[str, int] = {}
+    label_masks: dict[str | None, int] = {}  # -1 for a bad `nodes` string
+    node_errors: dict[str | None, str] = {}
     parts: list[tuple[np.ndarray, ...]] = []  # per block: firm code, stamp, mask, score
     for lines, (_, firms, raw_ts, raw_nodes, _, raw_scores) in read_columns(
         path, "classified", CLASSIFIED_COLUMNS
     ):
         if None in raw_ts:  # a short row
             raw_ts = [raw or "" for raw in raw_ts]
-        try:
-            firm, mask, score = _classified_block(firms, raw_nodes, raw_scores, codes, label_masks)
-        except CELL_ERRORS:
-            rows = []
-            for k, row in enumerate(zip(lines, firms, raw_nodes, raw_scores)):
-                try:
-                    rows.append(_classified_row(path, *row, label_masks))
-                except DataError:
-                    _parse_stamps(path, raw_ts[: k + 1], lines[: k + 1])  # a bad stamp comes first
-                    raise
-            names, masks, scores = zip(*rows)
-            firm = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
-            mask, score = np.array(masks, dtype=np.int64), np.array(scores)
-        parts.append((firm, _parse_stamps(path, raw_ts, lines), mask, score))
+        for raw in set(raw_nodes).difference(label_masks):
+            try:
+                label_masks[raw] = label_mask({parse_node(n) for n in (raw or "").split("|") if n})
+            except DataError as exc:
+                label_masks[raw], node_errors[raw] = -1, str(exc)
+        masks = np.fromiter(map(label_masks.__getitem__, raw_nodes), np.int64, len(lines))
+        scores, parsed = floats(raw_scores)
+        if not parsed.all():  # a blank or absent score is 0
+            scores[[not raw for raw in raw_scores]] = 0.0
+        for k, reason in failures([
+            (masks >= 0, lambda k: node_errors[raw_nodes[k]]),
+            (np.isfinite(scores), lambda k: f"bad score {raw_scores[k]!r}"),
+            (filled(firms), lambda k: "missing firm"),
+        ]):
+            _parse_stamps(path, raw_ts[: k + 1], lines[: k + 1])  # a bad stamp comes first
+            raise DataError(f"{path}:{lines[k]}: {reason}")
+        parts.append((code_firms(firms, codes), _parse_stamps(path, raw_ts, lines), masks, scores))
     if not parts:
         return [], *(np.zeros(0, t) for t in "qqqd")
     return list(codes), *map(np.concatenate, zip(*parts))
@@ -550,70 +520,53 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     )
 
 
-def _kept_event(path, line: int, firm, raw_node, raw_day, calendar: TradingCalendar, seen: set):
-    """load_kept_events' rule for one kept row: (firm, node, day), added to `seen`, or DataError."""
-    raw_day = (raw_day or "").strip()
-    try:
-        day = date.fromisoformat(raw_day)
-    except ValueError:
-        raise DataError(f"{path}:{line}: bad date {raw_day!r}") from None
-    if day not in calendar:
-        raise DataError(f"{path}:{line}: {day} is not a trading day in this calendar")
-    try:
-        node = parse_node(raw_node or "")
-    except DataError as exc:
-        raise DataError(f"{path}:{line}: {exc}") from None
-    if not (firm := (firm or "").strip()):
-        raise DataError(f"{path}:{line}: missing firm")
-    if (firm, node, day) in seen:
-        raise DataError(f"{path}:{line}: duplicate kept event {firm} {node} {day}")
-    seen.add((firm, node, day))
-    return firm, node, day
-
-
-def _kept_block(firms, raw_nodes, raw_days, calendar: TradingCalendar, seen, days, nodes):
-    """A block of kept rows as (firm, node, day) tuples, added to `seen`.
-
-    A bad cell raises one of CELL_ERRORS, and the block then goes through
-    _kept_event. Each distinct date and node string is parsed once per
-    file, into `days` and `nodes`.
-    """
-    for raw in set(raw_days).difference(days):
-        if (day := date.fromisoformat(raw.strip())) not in calendar:
-            raise ValueError(f"{day} is not a trading day")
-        days[raw] = day
-    for raw in set(raw_nodes).difference(nodes):
-        nodes[raw] = parse_node(raw)
-    names = {raw: raw.strip() for raw in set(firms)}
-    events = [*zip(map(names.__getitem__, firms), map(nodes.__getitem__, raw_nodes),
-                   map(days.__getitem__, raw_days))]
-    if not all(names.values()) or len(set(events)) < len(events) or not seen.isdisjoint(events):
-        raise ValueError("a blank firm or a repeated event")
-    seen.update(events)
-    return events
-
-
 def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
     """Read kept events from an events.csv; each must fall on a trading day, once.
 
-    Each block is converted a column at a time; a block with a bad cell
-    goes through the per-row rule, _kept_event, and DataError names the
-    first bad row.
+    Each block's kept rows are converted a column at a time, each distinct
+    date and node string once, and checked against one table: a bad date,
+    a day off the calendar, an unknown node, a blank firm and a repeated
+    (firm, node, date), in that order. DataError names the first failing row.
     """
     out: list[tuple[str, Node, date]] = []
     seen: set[tuple[str, Node, date]] = set()
-    days: dict[str, date] = {}
-    nodes: dict[str, Node] = {}
+    days: dict[str | None, date | None] = {}  # None for a bad date
+    nodes: dict[str | None, Node | str] = {}  # a bad node string maps to its error
     for lines, (firms, raw_nodes, raw_days, *_, flags, _, _) in read_columns(
         path, "event", EVENT_COLUMNS
     ):
         true = {flag for flag in set(flags) if (flag or "").strip() == "true"}
         kept = [*map(true.__contains__, flags)]
-        cells = [[*compress(column, kept)] for column in (lines, firms, raw_nodes, raw_days)]
-        try:
-            out += _kept_block(*cells[1:], calendar, seen, days, nodes)
-        except CELL_ERRORS:
-            out += [_kept_event(path, *row, calendar, seen) for row in zip(*cells)]
+        cells = (lines, firms, raw_nodes, raw_days)
+        lines, firms, raw_nodes, raw_days = ([*compress(column, kept)] for column in cells)
+        for raw in set(raw_days).difference(days):
+            try:
+                days[raw] = date.fromisoformat((raw or "").strip())
+            except ValueError:
+                days[raw] = None
+        for raw in set(raw_nodes).difference(nodes):
+            try:
+                nodes[raw] = parse_node(raw or "")
+            except DataError as exc:
+                nodes[raw] = str(exc)
+        names = {raw: (raw or "").strip() for raw in set(firms)}
+        node, day = [*map(nodes.__getitem__, raw_nodes)], [*map(days.__getitem__, raw_days)]
+        events = [*zip(map(names.__getitem__, firms), node, day)]
+        fresh = np.ones(len(events), bool)
+        for k, event in enumerate(events):
+            fresh[k] = event not in seen
+            seen.add(event)
+        for k, reason in failures([
+            (np.array([d is not None for d in day], bool),
+             lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
+            (np.fromiter(map(calendar.__contains__, day), bool, len(day)),
+             lambda k: f"{day[k]} is not a trading day in this calendar"),
+            (np.array([isinstance(v, Node) for v in node], bool), lambda k: node[k]),
+            (filled(firms), lambda k: "missing firm"),
+            (fresh, lambda k: "duplicate kept event {} {} {}".format(*events[k])),
+        ]):
+            raise DataError(f"{path}:{lines[k]}: {reason}")
+        out += events
     return out
 
 

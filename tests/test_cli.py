@@ -347,23 +347,31 @@ def test_bad_stamp_in_classified_exits_3(cli_run, tmp_path, stamp):
 
 @pytest.mark.parametrize("column, value", [("score", "abc"), ("nodes", "Bogus")])
 def test_first_bad_row_in_classified_is_named(cli_run, tmp_path, column, value):
-    # stamps are parsed in blocks, yet a bad stamp on line 3 still comes
-    # before a bad score or node on line 5
+    # stamps are parsed in blocks, yet the first bad row is named, and a bad
+    # stamp comes before a bad score or node on its own row
+    message = {"score": "bad score 'abc'", "nodes": "unknown taxonomy node: 'Bogus'"}[column]
+    stamp = "bad timestamp in classified file"
     bad = tmp_path / "classified.csv"
-    lines = (cli_run["out"] / "classified.csv").read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    for line, col, cell in ((3, "timestamp", "yesterday"), (5, column, value)):
-        cells = lines[line - 1].split(",")
-        cells[header.index(col)] = cell
-        lines[line - 1] = ",".join(cells)
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = CliRunner().invoke(
-        main,
-        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
-        + corpus_args(cli_run["corpus"]),
-    )
-    assert result.exit_code == 3, all_output(result)
-    assert f"data error: {bad}:3: bad timestamp in classified file" in all_output(result)
+    clean = (cli_run["out"] / "classified.csv").read_text(encoding="utf-8").splitlines()
+    header = clean[0].split(",")
+    for cuts, named in (
+        (((3, "timestamp", "yesterday"), (5, column, value)), stamp),
+        (((3, column, value), (5, "timestamp", "yesterday")), message),
+        (((3, "timestamp", "yesterday"), (3, column, value)), stamp),
+    ):
+        lines = list(clean)
+        for line, col, cell in cuts:
+            cells = lines[line - 1].split(",")
+            cells[header.index(col)] = cell
+            lines[line - 1] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main,
+            ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(bad)]
+            + corpus_args(cli_run["corpus"]),
+        )
+        assert result.exit_code == 3, all_output(result)
+        assert f"data error: {bad}:3: {named}" in all_output(result)
 
 
 @pytest.mark.parametrize(

@@ -317,7 +317,7 @@ def test_kept_events_match_row_oracle(tmp_path_factory, text):
     assert at_blocks(load_kept_events, path, CALENDAR) == expected
 
 
-# --- the fast path is the common path ------------------------------------------
+# --- one bad cell in a large file ----------------------------------------------
 
 
 def clean_prices(path, n_rows):
@@ -328,26 +328,16 @@ def clean_prices(path, n_rows):
     return path
 
 
-def test_per_row_rule_runs_only_on_a_bad_block(tmp_path, monkeypatch):
-    calls = []
-    price_row = ingest._price_row
-
-    def spy(line, *args):
-        calls.append(line)
-        return price_row(line, *args)
-
-    monkeypatch.setattr(ingest, "_price_row", spy)
+def test_bad_cell_skips_only_its_row(tmp_path):
     block = ingest._BLOCK
     path = clean_prices(tmp_path / "prices.csv", 3 * block + 10)
     assert read_prices(path)[1].skips_total == 0
-    assert calls == []  # a clean file never leaves the column conversion
 
     lines = path.read_text(encoding="utf-8").splitlines()
     bad = block + 7  # a row of the second block; line 1 is the header
     lines[bad - 1] = lines[bad - 1].rsplit(",", 1)[0] + ",abc"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (_, firm, _, _), report = read_prices(path)
-    assert calls == list(range(block + 2, 2 * block + 2))  # that block, and only it
     assert report.skips == [(bad, "bad close 'abc'")] and len(firm) == 3 * block + 9
     assert prices_result(path) == prices_result(path, oracle_read_prices)
 
@@ -358,18 +348,21 @@ def test_per_row_rule_runs_only_on_a_bad_block(tmp_path, monkeypatch):
 def test_skips_log_one_warning_per_file(tmp_path, caplog):
     path = tmp_path / "prices.csv"
     path.write_text(
-        "firm,date,close\nA,2020-01-06,100\n,2020-01-07,1\nA,nope,1\nA,2020-01-08,abc\n",
+        "firm,date,close,return\nA,2020-01-06,100,\n,2020-01-07,1,\nA,nope,1,\n"
+        "A,2020-01-08,abc,\n ,nope,1,\nA,2020-01-09,abc,xyz\n",
         encoding="utf-8",
     )
     with caplog.at_level(logging.DEBUG, logger="esgrisk.ingest"):
         read_prices(path)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert warnings == [f"{path}: skipped 3 of 4 rows; first at line 3: missing firm"]
+    assert warnings == [f"{path}: skipped 5 of 6 rows; first at line 3: missing firm"]
     debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert debug == [
         f"{path}:3 skipped: missing firm",
         f"{path}:4 skipped: bad date 'nope'",
         f"{path}:5 skipped: bad close 'abc'",
+        f"{path}:6 skipped: missing firm",  # a row's first failing check names it
+        f"{path}:7 skipped: bad close 'abc'",
     ]
     caplog.clear()
     path.write_text("firm,date,close\nA,2020-01-06,100\n", encoding="utf-8")

@@ -112,7 +112,8 @@ def test_matched_terms_are_contiguous_subsequences():
 
 def test_classification_invariant_to_lexicon_order(tmp_path):
     """Permuting lexicon rows never changes any classification."""
-    rows = list(csv.reader(demo_esg_lexicon_path().open()))[1:]
+    with demo_esg_lexicon_path().open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
     rng = random.Random(7)
     texts = [
         "oil spill and toxic waste",
@@ -132,7 +133,8 @@ def test_classification_invariant_to_lexicon_order(tmp_path):
 
 
 def test_adding_entries_never_removes_nodes(tmp_path):
-    rows = list(csv.reader(demo_esg_lexicon_path().open()))[1:]
+    with demo_esg_lexicon_path().open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
     small = write_lexicon(tmp_path / "small.csv", rows[:20])
     big = write_lexicon(tmp_path / "big.csv", rows)
     clf_small = EsgClassifier(load_esg_lexicon(small))
