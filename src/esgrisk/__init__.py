@@ -22,7 +22,6 @@ from .ingest import (
     EventKind,
     IngestReport,
     MarketIndexRow,
-    Message,
     parse_timestamp,
     read_calendar_events,
     read_market_index,
@@ -97,7 +96,6 @@ __all__ = [
     "LexiconEntry",
     "MarketIndexRow",
     "MarketModelFit",
-    "Message",
     "Node",
     "NodeStudyResult",
     "NumericError",

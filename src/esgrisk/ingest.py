@@ -10,8 +10,8 @@ malformed CSV records) are fatal.
 
 A column reader states its rule once, as an ordered table of (mask,
 reason) checks over a block's converted columns; `failures` names each
-failing row's first failed check, which read_prices skips and the
-artifact readers in pipeline raise.
+failing row's first failed check, which iter_messages and read_prices
+skip and the artifact readers in pipeline raise.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
-from itertools import accumulate, compress, islice
-from operator import itemgetter
+from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate, compress, islice, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 from zoneinfo import ZoneInfo
@@ -42,6 +42,7 @@ _BLOCK = 512
 
 # read_prices' columns: firm names, then per valid row firm code, date ordinal and return
 PriceColumns = tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class EventKind(enum.Enum):
@@ -50,14 +51,6 @@ class EventKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class Message:
-    id: str
-    firm: str
-    timestamp: datetime  # timezone-aware, UTC
-    text: str
 
 
 @dataclass(frozen=True)
@@ -124,6 +117,74 @@ def parse_timestamp(raw: str, source_tz: str = "UTC") -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=ZoneInfo(source_tz))
     return ts.astimezone(timezone.utc)
+
+
+def epoch_us(ts: datetime) -> int:
+    """Exact microseconds since the Unix epoch of an aware datetime."""
+    return (ts - EPOCH) // timedelta(microseconds=1)
+
+
+# parse_stamps' numpy form: the bounds of each of its first 19 characters, d a digit
+_STAMP_FORM = "dddd-dd-ddTdd:dd:dd"
+_STAMP_LOW, _STAMP_HIGH = (
+    np.array([ord(digit if c == "d" else c) for c in _STAMP_FORM], np.uint32) for digit in "09"
+)
+_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], np.uint32)
+# (19 characters) x (year, month, day, hour, minute, second): each digit's place value
+_FIELD_DIGITS = np.array([
+    [10.0 ** (end - 1 - i) if start <= i < end else 0.0
+     for start, end in [(0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)]]
+    for i in range(19)
+])
+
+
+def parse_stamps(raw: Sequence[str | None], source_tz: str) -> tuple[np.ndarray, np.ndarray]:
+    """(UTC epoch microseconds, parsed) of each stamp: parse_timestamp over a column.
+
+    A stamp `YYYY-MM-DDTHH:MM:SS` followed by `+00:00`, `Z` or `z`, or by
+    nothing when source_tz is UTC, is read with numpy, fields and all, as
+    long as every field is in range. Every other stamp, a None cell
+    reading as "", goes through parse_timestamp on its own; where that
+    refuses one, `parsed` is False and its microseconds are 0.
+    """
+    n = len(raw)
+    if None in raw:
+        raw = [cell or "" for cell in raw]
+    lengths = np.fromiter(map(len, raw), np.intp, n)
+    codes = np.array(raw, dtype="U25").view(np.uint32).reshape(n, 25)  # cuts longer stamps
+    head = codes[:, :19]
+    fits = ((head >= _STAMP_LOW) & (head <= _STAMP_HIGH)).all(axis=1)
+    suffix = np.where(
+        lengths == 25, (codes[:, 19:] == _UTC_SUFFIX).all(axis=1),
+        np.where(lengths == 20, (codes[:, 19] == ord("Z")) | (codes[:, 19] == ord("z")),
+                 (lengths == 19) & (source_tz == "UTC")),
+    )
+    cand = np.flatnonzero(fits & suffix)
+    fields = ((head[cand] - 48.0) @ _FIELD_DIGITS).astype(np.int64)  # exact: at most 9999
+    year, month, day, hour, minute, second = fields.T
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
+             & (minute < 60) & (second < 60) & (days.astype("datetime64[M]") == months))
+    us, ok = np.zeros(n, np.int64), np.zeros(n, bool)
+    seconds = ((days.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
+    us[cand[valid]], ok[cand[valid]] = seconds[valid] * 1_000_000, True
+    for k in np.flatnonzero(~ok):
+        try:
+            us[k], ok[k] = epoch_us(parse_timestamp(raw[k], source_tz)), True
+        except (ValueError, KeyError, OverflowError):
+            pass
+    return us, ok
+
+
+def utc_stamps(us: Sequence[int]) -> list[str]:
+    """datetime.isoformat of each UTC epoch-microsecond stamp, `+00:00` and all."""
+    whole = np.asarray(us, dtype=np.int64)
+    text = np.datetime_as_string(whole.astype("datetime64[us]").astype("datetime64[s]")).tolist()
+    out = [*map(str.__add__, text, repeat("+00:00"))]
+    for k in np.flatnonzero(whole % 1_000_000):
+        out[k] = (EPOCH + timedelta(microseconds=int(whole[k]))).isoformat()
+    return out
 
 
 def _parse_date(raw: str) -> date:
@@ -196,40 +257,49 @@ def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Se
 
 
 def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport | None = None):
-    """Yield valid messages one at a time, recording skips in `report`.
+    """Yield (id, firm, UTC epoch microseconds, text) per valid message, recording skips in `report`.
 
-    Message ids must be unique within the corpus; a repeated id is a
-    skipped row, not a fatal error.
+    Each block is converted a column at a time and checked against one
+    table: a missing id, a duplicate id, a missing firm, a missing text
+    column value and a bad timestamp, a row skipped with the first reason
+    it meets. A duplicate repeats the id of an earlier valid row; the id
+    and firm are stripped.
     """
     if report is None:
         report = IngestReport(path=str(path))
-    seen_ids: set[str] = set()
-    for line, (msg_id, firm, raw_ts, text) in read_rows(
+    seen: set[str] = set()
+    for lines, (raw_ids, raw_firms, raw_ts, texts) in read_columns(
         path, "messages", ("id", "firm", "timestamp", "text")
     ):
-        msg_id = (msg_id or "").strip()
-        firm = (firm or "").strip()
-        raw_ts = (raw_ts or "").strip()
-        if not msg_id:
-            report.skip(line, "missing id")
-            continue
-        if msg_id in seen_ids:
-            report.skip(line, f"duplicate id {msg_id!r}")
-            continue
-        if not firm:
-            report.skip(line, "missing firm")
-            continue
-        if text is None:
-            report.skip(line, "missing text column value")
-            continue
-        try:
-            ts = parse_timestamp(raw_ts, source_tz)
-        except (ValueError, KeyError):
-            report.skip(line, f"bad timestamp {raw_ts!r}")
-            continue
-        seen_ids.add(msg_id)
-        report.keep()
-        yield Message(id=msg_id, firm=firm, timestamp=ts, text=text)
+        n = len(lines)
+        ids = [(raw or "").strip() for raw in raw_ids]
+        names = {raw: (raw or "").strip() for raw in set(raw_firms)}
+        firms = [*map(names.__getitem__, raw_firms)]
+        has_id, has_firm = filled(ids), filled(firms)
+        has_text = np.fromiter(map(is_not, texts, repeat(None)), bool, n)
+        us, parsed = parse_stamps(raw_ts, source_tz)
+        # the first row of an id that passes every other check is valid, unless an
+        # earlier block had the id; any later row of the id is a duplicate
+        seen_before = np.fromiter(map(seen.__contains__, ids), bool, n)
+        cand = np.flatnonzero(has_id & has_firm & has_text & parsed).tolist()
+        first = dict(zip(reversed([ids[k] for k in cand]), reversed(cand)))
+        repeat_of = np.fromiter(map(first.get, ids, repeat(n)), np.int64, n) < np.arange(n)
+        keep = np.ones(n, bool)
+        for k, reason in failures([
+            (has_id, lambda k: "missing id"),
+            (~(seen_before | repeat_of), lambda k: f"duplicate id {ids[k]!r}"),
+            (has_firm, lambda k: "missing firm"),
+            (has_text, lambda k: "missing text column value"),
+            (parsed, lambda k: f"bad timestamp {(raw_ts[k] or '').strip()!r}"),
+        ]):
+            report.skip(lines[k], reason)
+            keep[k] = False
+        if not keep.all():
+            ids, firms, texts = ([*compress(c, keep)] for c in (ids, firms, texts))
+            us = us[keep]
+        seen.update(ids)
+        report.keep(len(ids))
+        yield from zip(ids, firms, us.tolist(), texts)
     report.log_skips()
 
 

@@ -3,15 +3,16 @@
 Terms are short token sequences (one to five tokens). Matching is exact
 contiguous subsequence matching over the message tokens, implemented with
 an n-gram hash index behind a first-token prefilter: a start position whose
-token begins no term is skipped, and the others try n-grams only up to the
-longest term beginning with that token. Payloads are opaque, so the classify
-stage indexes the ESG and sentiment lexicons together and scans each message
-once.
+token begins no term is skipped, and the others look up only n-grams of the
+exact lengths of the terms beginning with that token. Payloads are opaque,
+so the classify stage indexes the ESG and sentiment lexicons together and
+scans each message once.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,6 +27,10 @@ Hit = tuple[int, tuple[str, ...], object]  # (start position, term, payload)
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
+_WORD_RE = re.compile(r"\w+")
+# every byte but [0-9A-Za-z_], which is what \w matches in ASCII text, becomes a space
+_WORD_BYTES = (string.ascii_letters + string.digits + "_").encode()
+_NON_WORD = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
@@ -37,10 +42,14 @@ def tokenize(text: str) -> list[str]:
     punctuation and whitespace.
     """
     text = text.lower()
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
     # $ and # are not word characters, so cashtag/hashtag markers fall away
-    return re.findall(r"\w+", text)
+    if text.isascii():
+        return text.encode("ascii").translate(_NON_WORD).decode("ascii").split()
+    return _WORD_RE.findall(text)
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,15 @@ class TokenMatcher:
 
     def __init__(self, entries: Iterable[tuple[tuple[str, ...], object]]):
         self._index: dict[tuple[str, ...], list[object]] = {}
-        # first token -> length of the longest term that starts with it
-        self._reach: dict[str, int] = {}
         for term, payload in entries:
             if not term:
                 raise DataError("empty term cannot be indexed")
             self._index.setdefault(term, []).append(payload)
-            self._reach[term[0]] = max(self._reach.get(term[0], 0), len(term))
+        # first token -> the distinct lengths of the terms that start with it, ascending
+        lengths: dict[str, set[int]] = {}
+        for term in self._index:
+            lengths.setdefault(term[0], set()).add(len(term))
+        self._lengths = {token: sorted(ns) for token, ns in lengths.items()}
 
     def find(self, tokens: Sequence[str]) -> list[Hit]:
         """All occurrences of indexed terms in a token sequence.
@@ -75,17 +86,18 @@ class TokenMatcher:
         were indexed in; overlapping and repeated occurrences are all reported.
         """
         hits: list[Hit] = []
-        index, reach = self._index, self._reach
+        index, lengths = self._index, self._lengths
         tokens = tuple(tokens)
         n = len(tokens)
         for start, token in enumerate(tokens):
-            longest = reach.get(token)
-            if longest is None:
-                continue
-            for end in range(start + 1, min(start + longest, n) + 1):
-                gram = tokens[start:end]
-                for payload in index.get(gram, ()):
-                    hits.append((start, gram, payload))
+            if token in lengths:
+                for length in lengths[token]:
+                    if start + length > n:
+                        break
+                    gram = tokens[start : start + length]
+                    if gram in index:
+                        for payload in index[gram]:
+                            hits.append((start, gram, payload))
         return hits
 
 

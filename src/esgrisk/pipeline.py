@@ -26,7 +26,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -52,13 +52,14 @@ from .ingest import (
     filled,
     floats,
     iter_messages,
-    parse_timestamp,
+    parse_stamps,
     read_calendar_events,
     read_market_index,
     read_columns,
     read_prices,
+    utc_stamps,
 )
-from .lexicon import TokenMatcher, esg_labels, load_esg_lexicon, tokenize
+from .lexicon import TokenMatcher, load_esg_lexicon, tokenize
 from .report import (
     render_event_counts_csv,
     render_removal_histogram_csv,
@@ -66,7 +67,7 @@ from .report import (
     render_results_text,
     render_scaar_curve_csv,
 )
-from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, load_sentiment_lexicon, mean_weight
+from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, load_sentiment_lexicon
 from .study import (
     EstimationConfig,
     NodeStudyResult,
@@ -76,7 +77,7 @@ from .study import (
     compute_event_abnormals,
 )
 from .taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key, parse_node
-from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_indices, check_zone, epoch_us
+from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, assign_trading_indices, check_zone
 from .trading import assign_trading_index  # noqa: F401 (bench/tracing.py patches it here)
 
 log = logging.getLogger(__name__)
@@ -256,25 +257,43 @@ _WORKER_ENGINE: "_ClassifyEngine | None" = None
 
 
 class _ClassifyEngine:
-    """One index over both lexicons: label bits for ESG, float weights for sentiment.
+    """One index over both lexicons, with one folded payload per distinct n-gram.
 
-    An ESG term's payload is 1 << node_sort_key(node), label_mask's layout
-    before the ancestor closure; a message's label bits OR its hits' bits.
-    Both lexicons are read and checked here, so a bad one raises DataError.
+    An n-gram's payload is (label bits, term text, sentiment weights): the
+    OR of 1 << node_sort_key(node) over its ESG entries (label_mask's
+    layout before the ancestor closure), its text if it is an ESG term and
+    None if not, and its sentiment entries' weights in lexicon order. Both
+    lexicons are read and checked here, so a bad one raises DataError.
     """
 
     def __init__(self, esg_lexicon_path: str, sentiment_lexicon_path: str):
-        esg = [(e.term, 1 << node_sort_key(e.node)) for e in load_esg_lexicon(esg_lexicon_path)]
-        sentiment = [(e.term, e.weight) for e in load_sentiment_lexicon(sentiment_lexicon_path)]
-        self.matcher = TokenMatcher(esg + sentiment)
+        payloads: dict[tuple[str, ...], tuple[int, str | None, tuple[float, ...]]] = {}
+        for e in load_esg_lexicon(esg_lexicon_path):
+            bits, _, weights = payloads.get(e.term, (0, None, ()))
+            payloads[e.term] = (bits | 1 << node_sort_key(e.node), e.text, weights)
+        for e in load_sentiment_lexicon(sentiment_lexicon_path):
+            bits, term, weights = payloads.get(e.term, (0, None, ()))
+            payloads[e.term] = (bits, term, (*weights, e.weight))
+        self.matcher = TokenMatcher(payloads.items())
 
     def rows(self, texts: Sequence[str]) -> list[tuple[int, str, str]]:
-        """(label bits, joined matched terms, str(score)) per message text."""
-        out = []
+        """(label bits, joined distinct matched terms, str(score)) per message text.
+
+        The score is the mean of the matched weights, summed left to right
+        in hit order as sentiment.mean_weight sums them; 0.0 if none match.
+        """
+        out, find = [], self.matcher.find
         for text in texts:
-            hits = self.matcher.find(tokenize(text))
-            labels, terms = esg_labels(hits)  # distinct bits, so their sum is their OR
-            out.append((sum(labels), "|".join(terms), str(mean_weight(hits))))
+            bits, terms, total, n = 0, [], 0.0, 0
+            for _, _, (labels, term, weights) in find(tokenize(text)):
+                bits |= labels
+                if term is not None:
+                    terms.append(term)
+                for weight in weights:
+                    total += weight
+                    n += 1
+            joined = "|".join(dict.fromkeys(terms)) if terms else ""
+            out.append((bits, joined, str(total / n) if n else "0.0"))
         return out
 
 
@@ -335,12 +354,17 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
         writer = csv.writer(fh)
         writer.writerow(CLASSIFIED_COLUMNS)
         while block := list(islice(stream, _BLOCK)):
-            tasks = [[m.text for m in block[i : i + _TASK]] for i in range(0, len(block), _TASK)]
-            for msg, (bits, terms, score) in zip(block, chain.from_iterable(classify(tasks))):
-                if (nodes := cells.get(bits)) is None:
-                    nodes = cells[bits] = "|".join(n.value for n in _bit_nodes(bits))
-                writer.writerow([msg.id, msg.firm, msg.timestamp.isoformat(), nodes, terms, score])
-                tally[bits] += 1
+            tasks = [block[i : i + _TASK] for i in range(0, len(block), _TASK)]
+            for task, rows in zip(tasks, classify([[m[3] for m in task] for task in tasks])):
+                labels = [bits for bits, _, _ in rows]
+                tally.update(labels)
+                for bits in set(labels).difference(cells):
+                    cells[bits] = "|".join(n.value for n in _bit_nodes(bits))
+                writer.writerows(
+                    (msg_id, firm, stamp, cells[bits], terms, score)
+                    for (msg_id, firm, _, _), stamp, (bits, terms, score)
+                    in zip(task, utc_stamps([m[2] for m in task]), rows)
+                )
 
     # Summary counts include ancestors: a subcategory message is also a
     # pillar and ESG_ALL message.
@@ -371,46 +395,14 @@ class DetectOutputs:
     dropped_messages: int  # timestamps outside the calendar
 
 
-_UTC_FORM = np.array([ord(c) for c in "dddd-dd-ddTdd:dd:dd+00:00"], dtype=np.uint32)  # d: a digit
-_YEAR_1 = np.datetime64("0001-01-01", "us")
-
-
-def _parse_stamps(path: Path, raw: list[str], lines: list[int]) -> np.ndarray:
-    """UTC epoch microseconds of a block of classified.csv stamps found on `lines`.
-
-    Rows exactly in classify's own form, `YYYY-MM-DDTHH:MM:SS+00:00` with
-    digits where the form has them, are read by numpy in one call. Every
-    other row goes through parse_timestamp; a bad one raises DataError.
-    """
-    us, ok = np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=bool)
-    text = np.array(raw, dtype="U25")  # this cuts longer stamps, so lengths are checked too
-    codes = text.view(np.uint32).reshape(-1, 25)
-    digits = (codes >= ord("0")) & (codes <= ord("9"))
-    fits = np.where(_UTC_FORM == ord("d"), digits, codes == _UTC_FORM).all(axis=1)
-    cand = np.flatnonzero(fits & (np.fromiter(map(len, raw), np.intp, len(raw)) == 25))
-    try:  # from a U array: numpy 2.4 crashes on a bad stamp in a large bytes (S) array
-        dt = text[cand].astype("U19").astype("datetime64[us]")
-        keep = dt >= _YEAR_1  # numpy reads year 0, which the scalar parser rejects
-        us[cand[keep]], ok[cand[keep]] = dt[keep].astype(np.int64), True
-    except ValueError:
-        pass  # a field out of range: the whole block goes row by row
-    for k in np.flatnonzero(~ok):
-        try:
-            us[k] = epoch_us(parse_timestamp(raw[k]))
-        except ValueError:
-            raise DataError(f"{path}:{lines[k]}: bad timestamp in classified file") from None
-    return us
-
-
 def _read_classified(path: Path):
     """Read a classified.csv into firm names and one column per field.
 
     Per row: firm code, UTC epoch-microsecond stamp, label_mask (made once
     per distinct `nodes` string) and score (0 when blank). Each block is
-    converted a column at a time and checked against one table: an unknown
-    node, a bad or non-finite score and a blank firm, in that order. The
-    first failing row raises DataError, unless a bad stamp on it or
-    before it comes first.
+    converted a column at a time and checked against one table: a bad
+    stamp, an unknown node, a bad or non-finite score and a blank firm, in
+    that order. The first failing row raises DataError.
     """
     codes: dict[str, int] = {}
     label_masks: dict[str | None, int] = {}  # -1 for a bad `nodes` string
@@ -419,8 +411,6 @@ def _read_classified(path: Path):
     for lines, (_, firms, raw_ts, raw_nodes, _, raw_scores) in read_columns(
         path, "classified", CLASSIFIED_COLUMNS
     ):
-        if None in raw_ts:  # a short row
-            raw_ts = [raw or "" for raw in raw_ts]
         for raw in set(raw_nodes).difference(label_masks):
             try:
                 label_masks[raw] = label_mask({parse_node(n) for n in (raw or "").split("|") if n})
@@ -430,14 +420,15 @@ def _read_classified(path: Path):
         scores, parsed = floats(raw_scores)
         if not parsed.all():  # a blank or absent score is 0
             scores[[not raw for raw in raw_scores]] = 0.0
+        stamps, stamped = parse_stamps(raw_ts, "UTC")
         for k, reason in failures([
+            (stamped, lambda k: "bad timestamp in classified file"),
             (masks >= 0, lambda k: node_errors[raw_nodes[k]]),
             (np.isfinite(scores), lambda k: f"bad score {raw_scores[k]!r}"),
             (filled(firms), lambda k: "missing firm"),
         ]):
-            _parse_stamps(path, raw_ts[: k + 1], lines[: k + 1])  # a bad stamp comes first
             raise DataError(f"{path}:{lines[k]}: {reason}")
-        parts.append((code_firms(firms, codes), _parse_stamps(path, raw_ts, lines), masks, scores))
+        parts.append((code_firms(firms, codes), stamps, masks, scores))
     if not parts:
         return [], *(np.zeros(0, t) for t in "qqqd")
     return list(codes), *map(np.concatenate, zip(*parts))

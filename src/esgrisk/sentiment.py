@@ -61,9 +61,18 @@ def load_sentiment_lexicon(path: str | Path) -> list[SentimentEntry]:
 
 
 def mean_weight(hits: Iterable[Hit]) -> float:
-    """Mean of the float-payload hits' weights, summed in hit order; 0.0 if none."""
-    weights = [w for _, _, w in hits if isinstance(w, float)]
-    return float(sum(weights) / len(weights)) if weights else 0.0
+    """Mean of the float-payload hits' weights; 0.0 if none.
+
+    The weights are added left to right in hit order, not with sum(),
+    which compensates float error from Python 3.12 on, so a score reads
+    the same on every Python version.
+    """
+    total, n = 0.0, 0
+    for _, _, weight in hits:
+        if isinstance(weight, float):
+            total += weight
+            n += 1
+    return total / n if n else 0.0
 
 
 class SentimentScorer:

@@ -16,11 +16,10 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import MarketIndexRow
+from .ingest import MarketIndexRow, epoch_us
 
 MARKET_CLOSE = time(16, 0)
 DEFAULT_EXCHANGE_TZ = "America/New_York"
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def check_zone(key: str, name: str) -> None:
@@ -90,11 +89,6 @@ def assign_trading_index(
     if idx >= len(calendar):
         return None
     return idx
-
-
-def epoch_us(ts: datetime) -> int:
-    """Exact microseconds since the Unix epoch of an aware datetime."""
-    return (ts - EPOCH) // timedelta(microseconds=1)
 
 
 def close_instants(days: Sequence[date], exchange_tz: str = DEFAULT_EXCHANGE_TZ) -> list[datetime]:

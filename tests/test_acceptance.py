@@ -8,7 +8,7 @@ each. Every test also prints a summary line with the measured numbers
 import filecmp
 import math
 import time
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 from conftest import corpus_paths, event_day_abnormals, make_run_config
@@ -20,7 +20,7 @@ from esgrisk.detect import (
     filter_and_merge,
     select_risk_events,
 )
-from esgrisk.ingest import iter_messages
+from esgrisk.ingest import EPOCH, iter_messages
 from esgrisk.lexicon import EsgClassifier, load_esg_lexicon, tokenize
 from esgrisk.pipeline import run_config_from_dict, run_detect, run_pipeline
 from esgrisk.sentiment import SentimentScorer, load_sentiment_lexicon
@@ -215,13 +215,13 @@ def test_criterion_5_detection_power_on_planted_spikes(tmp_path):
         scorer = SentimentScorer(load_sentiment_lexicon(corpus / "sentiment_lexicon.csv"))
         firms: dict[str, int] = {}
         columns = ([], [], [], [])  # firm code, trading day, label mask, score
-        for msg in iter_messages(corpus / "messages.csv"):
-            idx = assign_trading_index(msg.timestamp, calendar)
+        for msg_id, firm, stamp_us, text in iter_messages(corpus / "messages.csv"):
+            idx = assign_trading_index(EPOCH + timedelta(microseconds=stamp_us), calendar)
             if idx is None:
                 continue
-            tokens = tokenize(msg.text)
-            labeled = classifier.classify_tokens(msg.id, tokens)
-            row = (firms.setdefault(msg.firm, len(firms)), idx, label_mask(labeled.nodes),
+            tokens = tokenize(text)
+            labeled = classifier.classify_tokens(msg_id, tokens)
+            row = (firms.setdefault(firm, len(firms)), idx, label_mask(labeled.nodes),
                    scorer.score_tokens(tokens))
             for column, value in zip(columns, row):
                 column.append(value)

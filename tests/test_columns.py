@@ -1,13 +1,16 @@
 """Block column readers against the row loops they replaced.
 
-oracle_read_prices, oracle_read_classified and oracle_load_kept_events
-are the former row-loop ingest.read_prices, pipeline._read_classified
-and pipeline.load_kept_events, kept here as the reference. At read block
-sizes 1, 3 and the default, the column readers must give the same column
-bytes, the same IngestReport and the same first DataError. The one
-difference is on purpose: a blank firm in classified.csv, and a blank
-firm or a repeated (firm, node, date) on a kept events.csv row, are now
-DataErrors that the oracles let through.
+oracle_iter_messages, oracle_read_prices, oracle_read_classified and
+oracle_load_kept_events are the former row-loop ingest.iter_messages,
+ingest.read_prices, pipeline._read_classified and
+pipeline.load_kept_events, kept here as the reference. At read block
+sizes 1, 3 and the default, the column readers must give the same
+messages or column bytes, the same IngestReport and the same first
+DataError. The differences are on purpose: a blank firm in
+classified.csv, and a blank firm or a repeated (firm, node, date) on a
+kept events.csv row, are now DataErrors that the oracles let through;
+and a message stamp whose UTC instant is past datetime's range is a bad
+timestamp, where the former reader stopped with OverflowError.
 """
 
 import csv
@@ -20,13 +23,20 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from esgrisk import ingest, pipeline
 from esgrisk.aggregate import label_mask
 from esgrisk.errors import DataError
-from esgrisk.ingest import IngestReport, read_prices, read_rows
+from esgrisk.ingest import (
+    IngestReport,
+    epoch_us,
+    iter_messages,
+    parse_timestamp,
+    read_prices,
+    read_rows,
+)
 from esgrisk.pipeline import CLASSIFIED_COLUMNS, EVENT_COLUMNS, load_kept_events
 from esgrisk.taxonomy import parse_node
 from esgrisk.trading import TradingCalendar
@@ -36,6 +46,40 @@ START = date(2020, 1, 1)
 CALENDAR = TradingCalendar([
     START + timedelta(days=d) for d in range(5, 38) if (START + timedelta(days=d)).weekday() < 5
 ])
+
+
+def oracle_iter_messages(path, source_tz):
+    """The former iter_messages, each Message as an (id, firm, epoch us, text) tuple."""
+    report = IngestReport(path=str(path))
+    seen_ids = set()
+    messages = []
+    for line, (msg_id, firm, raw_ts, text) in read_rows(
+        path, "messages", ("id", "firm", "timestamp", "text")
+    ):
+        msg_id = (msg_id or "").strip()
+        firm = (firm or "").strip()
+        raw_ts = (raw_ts or "").strip()
+        if not msg_id:
+            report.skip(line, "missing id")
+            continue
+        if msg_id in seen_ids:
+            report.skip(line, f"duplicate id {msg_id!r}")
+            continue
+        if not firm:
+            report.skip(line, "missing firm")
+            continue
+        if text is None:
+            report.skip(line, "missing text column value")
+            continue
+        try:
+            ts = parse_timestamp(raw_ts, source_tz)
+        except (ValueError, KeyError, OverflowError):
+            report.skip(line, f"bad timestamp {raw_ts!r}")
+            continue
+        seen_ids.add(msg_id)
+        report.keep()
+        messages.append((msg_id, firm, epoch_us(ts), text))
+    return messages, report.as_dict()
 
 
 def oracle_read_prices(path):
@@ -96,49 +140,36 @@ def oracle_read_prices(path):
 
 
 def oracle_read_classified(path):
-    """The former _read_classified: a row loop, stamps parsed 2,048 rows at a time."""
+    """The former _read_classified: a row loop, each stamp parsed on its own."""
     codes = {}
     label_masks = {}
     firms, masks, scores = array("q"), array("q"), array("d")
-    stamps = []
-    raw_stamps = []
-    stamp_lines = []
-
-    def flush():
-        stamps.append(pipeline._parse_stamps(path, raw_stamps, stamp_lines))
-        raw_stamps.clear()
-        stamp_lines.clear()
-
-    try:
-        for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
-            path, "classified", CLASSIFIED_COLUMNS
-        ):
-            raw_stamps.append(raw_ts or "")
-            stamp_lines.append(line)
-            raw_nodes = raw_nodes or ""
-            mask = label_masks.get(raw_nodes)
-            if mask is None:
-                try:
-                    mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
-                except DataError as exc:
-                    raise DataError(f"{path}:{line}: {exc}") from None
-                label_masks[raw_nodes] = mask
+    stamps = array("q")
+    for line, (_, firm, raw_ts, raw_nodes, _, raw_score) in read_rows(
+        path, "classified", CLASSIFIED_COLUMNS
+    ):
+        try:
+            stamps.append(epoch_us(parse_timestamp(raw_ts or "")))
+        except ValueError:
+            raise DataError(f"{path}:{line}: bad timestamp in classified file") from None
+        raw_nodes = raw_nodes or ""
+        mask = label_masks.get(raw_nodes)
+        if mask is None:
             try:
-                score = float(raw_score or 0.0)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{line}: bad score {raw_score!r}")
-            firms.append(codes.setdefault((firm or "").strip(), len(codes)))
-            masks.append(mask)
-            scores.append(score)
-            if len(raw_stamps) == 2048:
-                flush()
-    except DataError:
-        flush()
-        raise
-    flush()
-    return list(codes), firms, np.concatenate(stamps), masks, scores
+                mask = label_mask({parse_node(n) for n in raw_nodes.split("|") if n})
+            except DataError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from None
+            label_masks[raw_nodes] = mask
+        try:
+            score = float(raw_score or 0.0)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise DataError(f"{path}:{line}: bad score {raw_score!r}")
+        firms.append(codes.setdefault((firm or "").strip(), len(codes)))
+        masks.append(mask)
+        scores.append(score)
+    return list(codes), firms, stamps, masks, scores
 
 
 def oracle_load_kept_events(path, calendar):
@@ -239,6 +270,14 @@ CLASSIFIED_CELLS = (
     st.sampled_from(["", "oil spill", "a\nb"]),
     pool(["0.5", "-0.25", "0.0", " 1 "], ["", "abc", "nan", "inf"]),
 )
+MESSAGE_CELLS = (
+    pool(["m1", " m1", "m2", "m3", "m4", "m5"], ["", " "]),
+    pool(["A", " A", "B", "C\nD"], ["", " "]),
+    pool(STAMPS + ["2020-01-08T09:00:00-05:00"],
+         ["yesterday", "", "2019-02-30T10:00:00Z", "2019-01-05T25:61:00+00:00",
+          "0001-01-01T00:00:00+05:00"]),
+    st.sampled_from(["", "oil spill", "a\nb", "hello"]),
+)
 EVENT_DAYS = [d for d in DAYS if date.fromisoformat(d) in CALENDAR]
 EVENT_CELLS = (
     pool(["A", " A", "B", "C\nD"], ["", " "]),
@@ -285,6 +324,34 @@ def first_strict_row(path, rows_before: float, kept_only: bool):
                     return reader.line_num, f"duplicate kept event {firm} {key[1]} {key[2]}"
                 seen.add(key)
     return None
+
+
+def messages_result(path, source_tz, read=iter_messages):
+    report = IngestReport(path=str(path))
+    return list(read(path, source_tz, report=report)), report.as_dict()
+
+
+MESSAGES_HEADER = "id,firm,timestamp,text\n"
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=csv_files(["id", "firm", "timestamp", "text"], MESSAGE_CELLS),
+       source_tz=st.sampled_from(["UTC", "America/New_York"]))
+@example(  # a duplicate whose first occurrence was skipped, then a repeat of a valid id
+    text=MESSAGES_HEADER + "m1,,2020-01-06T15:30:00Z,x\nm1,A,2020-01-06T15:30:00Z,y\n"
+    "m2,A,2020-01-07T15:30:00Z,z\n m1 ,B,2020-01-08T15:30:00Z,w\n",
+    source_tz="UTC",
+)
+@example(  # two blank ids, and rows failing several checks at once
+    text=MESSAGES_HEADER + ",A,2020-01-06T15:30:00Z,x\n ,A,2020-01-06T15:30:00Z,x\n"
+    "m1,A,2020-01-06T15:30:00Z,x\nm1, ,yesterday\n , ,yesterday\nm2, ,yesterday\nm2,A\n"
+    "m2,A,yesterday,x\nm2,A,2020-01-06 10:30:00,x\n",
+    source_tz="America/New_York",
+)
+def test_messages_match_row_oracle(tmp_path_factory, text, source_tz):
+    path = write(tmp_path_factory, "messages.csv", text)
+    expected = outcome(oracle_iter_messages, path, source_tz)
+    assert at_blocks(messages_result, path, source_tz) == expected
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])

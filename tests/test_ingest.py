@@ -2,7 +2,7 @@ import ast
 import csv
 import io
 import math
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -15,13 +15,16 @@ from esgrisk.errors import DataError
 from esgrisk.ingest import (
     EventKind,
     IngestReport,
+    epoch_us,
     iter_messages,
+    parse_stamps,
     parse_timestamp,
     read_calendar_events,
     read_market_index,
     read_columns,
     read_prices,
     read_rows,
+    utc_stamps,
 )
 from esgrisk import ingest
 
@@ -60,6 +63,54 @@ def test_parse_timestamp_rejects_garbage():
         parse_timestamp("not a time")
 
 
+def scalar_stamp(raw, source_tz):
+    """parse_timestamp's aware UTC datetime of `raw`, or None where it refuses it."""
+    try:
+        return parse_timestamp(raw, source_tz)
+    except (ValueError, OverflowError):
+        return None
+
+
+# near-misses of the numpy form: fields out of range, other suffixes and separators
+STAMPS = st.builds(
+    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}".format,
+    st.sampled_from([0, 1, 999, 1969, 1970, 2019, 2020, 2100, 9999]) | st.integers(0, 9999),
+    st.integers(0, 13), st.integers(0, 32), st.sampled_from("TTT t"),
+    st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+    st.sampled_from(["", "", "", ".000000", ".250000", ".5", ".000001"]),
+    st.sampled_from(["", "Z", "z", "+00:00", "+00:00", "-00:00", "-05:00", "+05:30", " ", "\x00",
+                     "+00:00x"]),
+) | st.sampled_from(["", " ", "yesterday", " 2020-01-06T15:30:00Z", "2020-02-29T24:00:00Z",
+                     "2020-01-06T15:30", "2020-01-06", "0001-01-01T00:00:00+05:00"]) | st.text(max_size=26)
+ZONES = st.sampled_from(["UTC", "UTC", "America/New_York", "Asia/Kolkata"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.lists(STAMPS, max_size=8), source_tz=ZONES)
+@example(raw=["2020-01-06T15:30:00Z", "2019-02-30T10:00:00Z", "2020-01-06T15:30:01+00:00"],
+         source_tz="UTC")
+@example(raw=["2020-01-01T24:00:00", "2020-01-01T23:59:60Z", "0001-01-01T00:00:00"],
+         source_tz="America/New_York")
+def test_parse_stamps_and_utc_stamps_match_scalar_parser(raw, source_tz):
+    # a stamp either parses to parse_timestamp's instant and writes back as its
+    # isoformat, or both refuse it; one refused stamp leaves its block's others alone
+    us, parsed = parse_stamps(raw, source_tz)
+    expected = [scalar_stamp(stamp, source_tz) for stamp in raw]
+    assert parsed.tolist() == [ts is not None for ts in expected]
+    kept = [ts for ts in expected if ts is not None]
+    assert us[parsed].tolist() == [epoch_us(ts) for ts in kept]
+    assert utc_stamps(us[parsed].tolist()) == [ts.isoformat() for ts in kept]
+
+
+@given(st.integers(epoch_us(datetime.min.replace(tzinfo=timezone.utc)),
+                   epoch_us(datetime.max.replace(tzinfo=timezone.utc))))
+@example(0)
+@example(epoch_us(datetime(1, 1, 1, tzinfo=timezone.utc)))
+@example(-1)
+def test_utc_stamps_match_isoformat(stamp_us):
+    assert utc_stamps([stamp_us]) == [(ingest.EPOCH + timedelta(microseconds=stamp_us)).isoformat()]
+
+
 def test_read_messages_valid_row(tmp_path):
     path = write_csv(
         tmp_path / "m.csv",
@@ -68,11 +119,8 @@ def test_read_messages_valid_row(tmp_path):
     )
     report = IngestReport(path=str(path))
     messages = list(iter_messages(path, report=report))
-    assert len(messages) == 1
-    m = messages[0]
-    assert (m.id, m.firm) == ("1", "AAPL")
-    assert m.timestamp == datetime(2020, 3, 10, 14, 0, tzinfo=timezone.utc)
-    assert m.text == 'hello, "quoted" text'
+    stamp_us = epoch_us(datetime(2020, 3, 10, 14, 0, tzinfo=timezone.utc))
+    assert messages == [("1", "AAPL", stamp_us, 'hello, "quoted" text')]
     assert report.skips_total == 0
 
 

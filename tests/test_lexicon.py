@@ -33,6 +33,33 @@ def test_tokenize_empty_and_www():
     assert tokenize("...!!!") == []
 
 
+def three_pass_tokenize(text):
+    """The former tokenize: URLs, then mentions, then \\w+ runs, each a regex pass."""
+    text = text.lower()
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    return re.findall(r"\w+", text)
+
+
+TEXT_PIECES = st.sampled_from([
+    "foo", "Bar", "_", "x_1", "42", "www.x.com", "foowww.x.com", "@www.x.com", "HTTP://t.co/x",
+    "https", "http", "www.", "@", "@user", "@_u1", "#Tag", "$AAPL", "\x1e", "\x00", " ", "\t",
+    "\n", ".", "-", "é", "Ünïcode", "ß", "\u212a", "İ", "—", "٣", "\u00a0",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TEXT_PIECES | st.text(max_size=4), max_size=12).map("".join))
+def test_tokenize_matches_three_pass_oracle(text):
+    assert tokenize(text) == three_pass_tokenize(text)
+
+
+def test_tokenize_keeps_the_three_pass_edges():
+    assert tokenize("foowww.x.com") == ["foo"]  # a URL glued to a word still goes
+    assert tokenize("@www.x.com a_b 9") == ["a_b", "9"]
+    assert tokenize("a\x1eb\u212a") == ["a", "bk"]
+
+
 def write_lexicon(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -8,6 +8,7 @@ from esgrisk.aggregate import build_series, label_mask
 from esgrisk.detect import DetectionConfig, filter_and_merge
 from esgrisk.errors import DataError, NumericError
 from esgrisk.lexicon import tokenize
+from esgrisk.pipeline import _ClassifyEngine
 from esgrisk.sentiment import (
     SentimentEntry,
     SentimentScorer,
@@ -48,6 +49,15 @@ def day_sentiment(scores):
 def test_score_is_mean_of_matched_weights():
     s = scorer([("good", 0.8), ("bad", -0.2)])
     assert score(s, "good but bad") == pytest.approx(0.3)
+
+
+def test_score_adds_weights_left_to_right(tmp_path):
+    # sum() of floats is compensated from Python 3.12 on and would give 0.6 / 3 = 0.2
+    assert score(scorer([("a", 0.1), ("b", 0.2), ("c", 0.3)]), "a b c") == 0.20000000000000004
+    esg, senti = tmp_path / "esg.csv", tmp_path / "senti.csv"
+    esg.write_text("term,node\noil spill,NaturalCapital\n", encoding="utf-8")
+    senti.write_text("term,weight\na,0.1\nb,0.2\nc,0.3\n", encoding="utf-8")
+    assert _ClassifyEngine(str(esg), str(senti)).rows(["a b c"]) == [(0, "", "0.20000000000000004")]
 
 
 def test_score_no_match_is_zero():
