@@ -16,11 +16,9 @@ final report. The same flow is available from the shell:
 from datetime import date
 from pathlib import Path
 
-from esgrisk.ingest import read_market_index
 from esgrisk.pipeline import run_config_from_dict, run_pipeline
 from esgrisk.synth import PlantedEvent, SynthConfig, generate, evaluate_detection
 from esgrisk.taxonomy import Node
-from esgrisk.trading import TradingCalendar
 
 out = Path(__file__).parent / "output" / "pipeline_demo"
 corpus = out / "corpus"
@@ -68,13 +66,11 @@ print(f"classified {classify_out.n_messages} messages "
 print(f"detected {len(detect_out.detected)} events, kept {len(detect_out.kept)} "
       f"negative unconfounded, {len(detect_out.removed)} removed")
 
-# score the kept events against what the generator planted
-index_rows, _ = read_market_index(corpus / "market_index.csv")
-calendar = TradingCalendar.from_market_index(index_rows)
+# score the kept events against what the generator planted, on detect's calendar
 score = evaluate_detection(
     [(e.firm, e.node, e.day) for e in detect_out.kept],
     truth.negative_keys(),
-    calendar,
+    detect_out.calendar,
     tolerance=1,
 )
 print(f"vs planted truth: matched {score.matched}/{score.n_truth}, "

@@ -8,6 +8,7 @@ writes resolved_config.yaml into the output directory. Exit codes:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -205,8 +206,8 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     for path in (events, truth, market_index):
         if not Path(path).exists():
             raise ConfigError(f"{path} does not exist")
-    rows, _ = read_market_index(market_index)
-    calendar = TradingCalendar.from_market_index(rows)
+    (dates, _), _ = read_market_index(market_index)
+    calendar = TradingCalendar(dates)
     detected = pl.load_kept_events(events, calendar)
     ground = GroundTruth.load(truth)
     for firm, node, day, _, sign in ground.planted:
@@ -221,16 +222,8 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     click.echo(f"precision: {precision}")
     click.echo(f"recall:    {recall}")
     if out_path:
-        payload = {
-            "events": str(events),
-            "truth": str(truth),
-            "tolerance": tolerance,
-            "matched": score.matched,
-            "n_detected": score.n_detected,
-            "n_truth": score.n_truth,
-            "precision": score.precision,
-            "recall": score.recall,
-        }
+        payload = {"events": str(events), "truth": str(truth), "tolerance": tolerance,
+                   **dataclasses.asdict(score)}
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -54,12 +54,6 @@ class EventKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MarketIndexRow:
-    day: date
-    ret: float
-
-
-@dataclass(frozen=True)
 class CalendarEventRow:
     firm: str
     day: date
@@ -415,11 +409,10 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
     return (list(codes), firm_code, ordinal, ret), report
 
 
-def read_market_index(path: str | Path) -> tuple[list[MarketIndexRow], IngestReport]:
-    """Read the market index returns; exactly one row per date, sorted."""
+def read_market_index(path: str | Path) -> tuple[tuple[list[date], np.ndarray], IngestReport]:
+    """Read the market index into (dates, returns) columns sorted by date; one row per date."""
     report = IngestReport(path=str(path))
-    rows: list[MarketIndexRow] = []
-    seen: set[date] = set()
+    returns: dict[date, float] = {}
     for line, (raw_day, raw_ret) in read_rows(path, "market index", ("date", "return")):
         try:
             day = _parse_date(raw_day or "")
@@ -434,14 +427,13 @@ def read_market_index(path: str | Path) -> tuple[list[MarketIndexRow], IngestRep
         if not math.isfinite(ret):
             report.skip(line, f"non-finite return {ret}")
             continue
-        if day in seen:
+        if day in returns:
             raise DataError(f"{path}:{line}: duplicate market index date {day}")
-        seen.add(day)
+        returns[day] = ret
         report.keep()
-        rows.append(MarketIndexRow(day=day, ret=ret))
     report.log_skips()
-    rows.sort(key=lambda r: r.day)
-    return rows, report
+    dates = sorted(returns)
+    return (dates, np.array([returns[day] for day in dates])), report
 
 
 def read_calendar_events(

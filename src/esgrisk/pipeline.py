@@ -419,7 +419,7 @@ def _read_classified(path: Path):
         masks = np.fromiter(map(label_masks.__getitem__, raw_nodes), np.int64, len(lines))
         scores, parsed = floats(raw_scores)
         if not parsed.all():  # a blank or absent score is 0
-            scores[[not raw for raw in raw_scores]] = 0.0
+            scores[~filled(raw_scores)] = 0.0
         stamps, stamped = parse_stamps(raw_ts, "UTC")
         for k, reason in failures([
             (stamped, lambda k: "bad timestamp in classified file"),
@@ -443,8 +443,8 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    index_rows, _ = read_market_index(index_path)
-    calendar = TradingCalendar.from_market_index(index_rows)
+    (dates, _), _ = read_market_index(index_path)
+    calendar = TradingCalendar(dates)
 
     confounds = []
     if cfg.paths.earnings:
@@ -622,12 +622,12 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
 
-    index_rows, _ = read_market_index(index_path)
-    calendar = TradingCalendar.from_market_index(index_rows)
+    (dates, market), _ = read_market_index(index_path)
+    calendar = TradingCalendar(dates)
     event_keys = load_kept_events(events_path, calendar)
     prices, _ = read_prices(prices_path)
     firm_returns = align_firm_returns(prices, calendar)
-    market_returns = align_market_returns(index_rows, calendar)
+    market_returns = align_market_returns(dates, market, calendar)
 
     outputs = _write_study_outputs(
         event_keys, firm_returns, market_returns, calendar, cfg.study, outdir, suffix=""

@@ -40,6 +40,15 @@ def fmt_window(window: Window) -> str:
     return f"[{fmt_offset(lo)};{fmt_offset(hi)}]"
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header row and then `rows`, each line ended by a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _ordered(results: Iterable[NodeStudyResult]) -> list[NodeStudyResult]:
     by_node = {r.node: r for r in results}
     return [by_node[node] for node in REPORT_ORDER if node in by_node]
@@ -52,12 +61,10 @@ def render_results_csv(results: Iterable[NodeStudyResult], config: EstimationCon
     then the raw percent ones. Parsing the file recovers everything at
     printed precision. Empty results still produce the header.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "stat", "window", "value", "tvalue", "significance", "n"])
+    rows: list[list] = []
 
     def row(node: Node, stat: str, window: str, value: float, t: float | None, n: int) -> None:
-        writer.writerow([
+        rows.append([
             node.value,
             stat,
             window,
@@ -76,7 +83,7 @@ def render_results_csv(results: Iterable[NodeStudyResult], config: EstimationCon
             row(res.node, "CAAR", fmt_window(window), res.caar[window], res.t_caar[window], res.n)
         for off in config.saar_offsets:
             row(res.node, "AAR", fmt_offset(off), res.aar[off], res.t_aar[off], res.n)
-    return buf.getvalue()
+    return _csv_text(["node", "stat", "window", "value", "tvalue", "significance", "n"], rows)
 
 
 def _text_table(
@@ -150,12 +157,7 @@ def render_event_counts_csv(events: Iterable[RiskEvent]) -> str:
     counts = {node: 0 for node in REPORT_ORDER}
     for event in events:
         counts[event.node] += 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "count"])
-    for node in REPORT_ORDER:
-        writer.writerow([node.value, counts[node]])
-    return buf.getvalue()
+    return _csv_text(["node", "count"], ([node.value, counts[node]] for node in REPORT_ORDER))
 
 
 def render_removal_histogram_csv(removed: Iterable[RemovedEvent], halfwidth: int) -> str:
@@ -163,19 +165,9 @@ def render_removal_histogram_csv(removed: Iterable[RemovedEvent], halfwidth: int
     counts = {d: 0 for d in range(-halfwidth, halfwidth + 1)}
     for rem in removed:
         counts[rem.distance] += 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["distance", "count"])
-    for d in range(-halfwidth, halfwidth + 1):
-        writer.writerow([d, counts[d]])
-    return buf.getvalue()
+    return _csv_text(["distance", "count"], counts.items())
 
 
 def render_scaar_curve_csv(result: NodeStudyResult) -> str:
     """Plot data for the running SAAR sum of one node (raw units)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["offset", "scaar"])
-    for off, value in result.curve:
-        writer.writerow([off, str(value)])
-    return buf.getvalue()
+    return _csv_text(["offset", "scaar"], ([off, str(value)] for off, value in result.curve))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -110,11 +111,13 @@ def align_firm_returns(
     return list(firms), out
 
 
-def align_market_returns(rows: Sequence, calendar: TradingCalendar) -> np.ndarray:
+def align_market_returns(
+    dates: Sequence[date], returns: np.ndarray, calendar: TradingCalendar
+) -> np.ndarray:
     arr = np.full(len(calendar), np.nan)
-    for row in rows:
-        if row.day in calendar:
-            arr[calendar.index_of(row.day)] = row.ret
+    for day, ret in zip(dates, returns):
+        if day in calendar:
+            arr[calendar.index_of(day)] = ret
     return arr
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Iterable, Sequence
+from typing import Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import MarketIndexRow, epoch_us
+from .ingest import epoch_us
 
 MARKET_CLOSE = time(16, 0)
 DEFAULT_EXCHANGE_TZ = "America/New_York"
@@ -42,10 +42,6 @@ class TradingCalendar:
                 raise DataError(f"calendar dates not strictly increasing at {cur}")
         self.dates: tuple[date, ...] = dates
         self._index = {d: i for i, d in enumerate(dates)}
-
-    @classmethod
-    def from_market_index(cls, rows: Iterable[MarketIndexRow]) -> "TradingCalendar":
-        return cls(sorted(row.day for row in rows))
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -332,6 +332,27 @@ def test_bad_score_in_classified_exits_3(cli_run, tmp_path, score):
     assert f"data error: {bad}:{line}: bad score '{score}'" in all_output(result)
 
 
+def test_blank_scores_in_classified_read_as_zero(cli_run, tmp_path):
+    # an empty and a whitespace-only score are both blank cells, read as 0
+    def scored(row):
+        return row["nodes"] and float(row["score"] or 0)
+
+    events = {}
+    for name, cells in (("blank", ("", " ")), ("zero", ("0", "0"))):
+        path = tmp_path / name / "classified.csv"
+        path.parent.mkdir()
+        corrupt_csv(cli_run["out"] / "classified.csv", path, "score", cells[0], scored)
+        corrupt_csv(path, path, "score", cells[1], scored)
+        result = CliRunner().invoke(
+            main,
+            ["detect", "--outdir", str(tmp_path / name / "out"), "--classified", str(path)]
+            + corpus_args(cli_run["corpus"]),
+        )
+        assert result.exit_code == 0, all_output(result)
+        events[name] = (tmp_path / name / "out" / "events.csv").read_bytes()
+    assert events["blank"] == events["zero"]
+
+
 @pytest.mark.parametrize("stamp", ["2020-13-45T00:00:00+00:00", "yesterday", ""])
 def test_bad_stamp_in_classified_exits_3(cli_run, tmp_path, stamp):
     bad = tmp_path / "classified.csv"

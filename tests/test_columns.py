@@ -161,7 +161,7 @@ def oracle_read_classified(path):
                 raise DataError(f"{path}:{line}: {exc}") from None
             label_masks[raw_nodes] = mask
         try:
-            score = float(raw_score or 0.0)
+            score = float((raw_score or "").strip() or 0.0)
         except ValueError:
             score = math.nan
         if not math.isfinite(score):
@@ -268,7 +268,7 @@ CLASSIFIED_CELLS = (
     pool(STAMPS, ["yesterday", "", "2020-13-45T00:00:00+00:00"]),
     pool(["", "ClimateChange", "Environment|ClimateChange", "climate_change", "Social"], ["Bogus"]),
     st.sampled_from(["", "oil spill", "a\nb"]),
-    pool(["0.5", "-0.25", "0.0", " 1 "], ["", "abc", "nan", "inf"]),
+    pool(["0.5", "-0.25", "0.0", " 1 "], ["", " ", "abc", "nan", "inf"]),
 )
 MESSAGE_CELLS = (
     pool(["m1", " m1", "m2", "m3", "m4", "m5"], ["", " "]),

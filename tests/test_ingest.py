@@ -232,9 +232,34 @@ def test_read_market_index(tmp_path):
         ["date", "return"],
         [["2020-01-02", "0.001"], ["2020-01-03", "-0.002"]],
     )
-    rows, _ = read_market_index(path)
-    assert [r.day for r in rows] == [date(2020, 1, 2), date(2020, 1, 3)]
-    assert rows[1].ret == pytest.approx(-0.002)
+    (dates, returns), _ = read_market_index(path)
+    assert dates == [date(2020, 1, 2), date(2020, 1, 3)]
+    assert returns[1] == pytest.approx(-0.002)
+
+
+def test_read_market_index_sorts_and_skips(tmp_path):
+    # a row may reuse the date of an earlier skipped row; only valid repeats are fatal
+    path = write_csv(
+        tmp_path / "i.csv",
+        ["date", "return"],
+        [
+            ["2020-01-06", "0.003"],
+            ["bogus", "0.1"],
+            ["2020-01-03", "abc"],
+            ["2020-01-07", "nan"],
+            ["2020-01-03", "-0.002"],
+            ["2020-01-02", "0.001"],
+        ],
+    )
+    (dates, returns), report = read_market_index(path)
+    assert dates == [date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
+    assert returns.tolist() == [0.001, -0.002, 0.003]
+    assert report.skips == [
+        (3, "bad date 'bogus'"),
+        (4, "bad return 'abc'"),
+        (5, "non-finite return nan"),
+    ]
+    assert (report.valid_rows, report.total_rows) == (3, 6)
 
 
 def test_read_market_index_duplicate_date_fatal(tmp_path):
@@ -243,7 +268,7 @@ def test_read_market_index_duplicate_date_fatal(tmp_path):
         ["date", "return"],
         [["2020-01-02", "0.001"], ["2020-01-02", "0.002"]],
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"i\.csv:3: duplicate market index date 2020-01-02"):
         read_market_index(path)
 
 
