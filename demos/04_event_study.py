@@ -48,8 +48,9 @@ for label, injected in (("null", 0.0), ("injected -0.5%", -0.005)):
     res = aggregate_node(Node.ESG_ALL, events.take(events.dropped == ""), config)
     t0 = bmp_tstat(events.sar[:, events.offsets.index(0)])
     print(f"\npanel '{label}' ({res.n} events)")
-    print(f"  AAR(0)        {res.aar[0]:+.5f}   t {t0:+.2f}")
-    print(f"  SCAAR[-1;+1]  {res.scaar[(-1, 1)]:+.3f}    t {res.t_scaar[(-1, 1)]:+.2f}")
+    scaar, t_scaar = res.stats["SCAAR", (-1, 1)]
+    print(f"  AAR(0)        {res.stats['AAR', 0][0]:+.5f}   t {t0:+.2f}")
+    print(f"  SCAAR[-1;+1]  {scaar:+.3f}    t {t_scaar:+.2f}")
     print("  running SCAAR curve over [-5;+5]:")
     for off, val in res.curve:
         bar = "#" * int(abs(val) * 4)

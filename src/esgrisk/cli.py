@@ -18,7 +18,7 @@ import click
 import yaml
 
 from . import pipeline as pl
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, config_errors
 from .ingest import read_market_index
 from .sentiment import Sign
 from .synth import GroundTruth, evaluate_detection, generate, synth_config_from_dict
@@ -224,7 +224,7 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     if out_path:
         payload = {"events": str(events), "truth": str(truth), "tolerance": tolerance,
                    **dataclasses.asdict(score)}
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with config_errors(f"write {out_path}"), open(out_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         click.echo(f"scores written to {out_path}")

@@ -43,7 +43,7 @@ from .detect import (
     filter_and_merge,
     select_risk_events,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_errors
 from .ingest import (
     EventKind,
     IngestReport,
@@ -215,10 +215,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 def read_yaml_mapping(path: str | Path) -> dict:
     """The top-level mapping of a YAML config file; empty for an empty file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with config_errors(f"read config {path}"), open(path, encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"bad YAML in {path}: {exc}") from exc
     if loaded is None:
@@ -242,7 +240,8 @@ def _as_plain(obj) -> dict:
 
 
 def write_resolved_config(cfg: RunConfig, outdir: Path) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
+    with config_errors(f"create output directory {outdir}"):
+        outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "resolved_config.yaml"
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(_as_plain(cfg), fh, sort_keys=True, default_flow_style=False)
@@ -655,8 +654,8 @@ def _write_study_outputs(
     results, drops = study_events(event_keys, firm_returns, market_returns, calendar, study_cfg)
     results_csv = outdir / f"results{suffix}.csv"
     results_text = outdir / f"results{suffix}.txt"
-    results_csv.write_text(render_results_csv(results, study_cfg), encoding="utf-8")
-    results_text.write_text(render_results_text(results, study_cfg), encoding="utf-8")
+    results_csv.write_text(render_results_csv(results), encoding="utf-8")
+    results_text.write_text(render_results_text(results), encoding="utf-8")
     for res in results:
         curve_path = outdir / f"scaar_curve_{res.node.value}{suffix}.csv"
         curve_path.write_text(render_scaar_curve_csv(res), encoding="utf-8")

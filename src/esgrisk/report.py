@@ -13,7 +13,7 @@ import math
 from typing import Iterable, Sequence
 
 from .detect import RemovedEvent, RiskEvent
-from .study import EstimationConfig, NodeStudyResult, Window
+from .study import NodeStudyResult, Window
 from .taxonomy import REPORT_ORDER, SUBCATEGORIES, Node
 
 
@@ -54,51 +54,29 @@ def _ordered(results: Iterable[NodeStudyResult]) -> list[NodeStudyResult]:
     return [by_node[node] for node in REPORT_ORDER if node in by_node]
 
 
-def render_results_csv(results: Iterable[NodeStudyResult], config: EstimationConfig) -> str:
+def render_results_csv(results: Iterable[NodeStudyResult]) -> str:
     """Long-format results: node,stat,window,value,tvalue,significance,n.
 
-    Values are x 100 at three decimals; standardized statistics first,
-    then the raw percent ones. Parsing the file recovers everything at
-    printed precision. Empty results still produce the header.
+    Values are x 100 at three decimals, one row per `stats` entry in its
+    order: standardized statistics first, then the raw percent ones.
+    Parsing the file recovers everything at printed precision. Empty
+    results still produce the header.
     """
-    rows: list[list] = []
-
-    def row(node: Node, stat: str, window: str, value: float, t: float | None, n: int) -> None:
-        rows.append([
-            node.value,
-            stat,
-            window,
-            f"{value * 100.0:.3f}",
-            "n/a" if t is None else f"{t:.3f}",
-            significance_stars(t),
-            n,
-        ])
-
-    for res in _ordered(results):
-        for window in config.event_windows:
-            row(res.node, "SCAAR", fmt_window(window), res.scaar[window], res.t_scaar[window], res.n)
-        for off in config.saar_offsets:
-            row(res.node, "SAAR", fmt_offset(off), res.saar[off], res.t_saar[off], res.n)
-        for window in config.event_windows:
-            row(res.node, "CAAR", fmt_window(window), res.caar[window], res.t_caar[window], res.n)
-        for off in config.saar_offsets:
-            row(res.node, "AAR", fmt_offset(off), res.aar[off], res.t_aar[off], res.n)
+    rows = (
+        [res.node.value, stat, fmt_window(key) if isinstance(key, tuple) else fmt_offset(key),
+         f"{value * 100.0:.3f}", "n/a" if t is None else f"{t:.3f}", significance_stars(t), res.n]
+        for res in _ordered(results)
+        for (stat, key), (value, t) in res.stats.items()
+    )
     return _csv_text(["node", "stat", "window", "value", "tvalue", "significance", "n"], rows)
 
 
-def _text_table(
-    results: Sequence[NodeStudyResult],
-    config: EstimationConfig,
-    values_of,
-    tvals_of,
-    caption: str,
-    window_stat: str,
-    offset_stat: str,
-) -> list[str]:
-    headers = (
-        [f"{window_stat}{fmt_window(w)}" for w in config.event_windows]
-        + [f"{offset_stat}({fmt_offset(o)})" for o in config.saar_offsets]
-    )
+def _text_table(results: Sequence[NodeStudyResult], keys: list, caption: str) -> list[str]:
+    """A table of the `stats` entries at `keys`: a value row and a t row per node."""
+    headers = [
+        stat + (fmt_window(key) if isinstance(key, tuple) else f"({fmt_offset(key)})")
+        for stat, key in keys
+    ]
     label_width = max([len("node")] + [len(_label(r.node)) for r in results]) + 2
     col_width = max(max((len(h) for h in headers), default=8), 12)
 
@@ -107,14 +85,11 @@ def _text_table(
     header_line += "n".rjust(8)
     lines.append(header_line)
     for res in results:
-        values, tvals = values_of(res), tvals_of(res)
-        cells = []
-        tcells = []
-        for value, t in zip(values, tvals):
-            cells.append(f"{value * 100.0:.3f}{significance_stars(t)}".rjust(col_width))
-            tcells.append(("" if t is None else f"({t:.3f})").rjust(col_width))
-        lines.append(_label(res.node).ljust(label_width) + "".join(cells) + str(res.n).rjust(8))
-        lines.append(" " * label_width + "".join(tcells))
+        stats = [res.stats[key] for key in keys]
+        cells = "".join(f"{v * 100.0:.3f}{significance_stars(t)}".rjust(col_width) for v, t in stats)
+        tcells = "".join(("" if t is None else f"({t:.3f})").rjust(col_width) for _, t in stats)
+        lines.append(_label(res.node).ljust(label_width) + cells + str(res.n).rjust(8))
+        lines.append(" " * label_width + tcells)
     return lines
 
 
@@ -123,32 +98,20 @@ def _label(node: Node) -> str:
     return ("  " + node.value) if node in SUBCATEGORIES else node.value
 
 
-def render_results_text(results: Iterable[NodeStudyResult], config: EstimationConfig) -> str:
+def render_results_text(results: Iterable[NodeStudyResult]) -> str:
     """Aligned two-table report: standardized values, then raw percent."""
     ordered = _ordered(results)
     lines = ["Shareholder response around detected events", ""]
     if not ordered:
         lines.append("(no events to study)")
         return "\n".join(lines) + "\n"
+    keys = list(ordered[0].stats)
+    standardized = [key for key in keys if key[0].startswith("S")]
+    raw = [key for key in keys if key not in standardized]
     lines += _text_table(
-        ordered,
-        config,
-        lambda r: [r.scaar[w] for w in config.event_windows] + [r.saar[o] for o in config.saar_offsets],
-        lambda r: [r.t_scaar[w] for w in config.event_windows] + [r.t_saar[o] for o in config.saar_offsets],
-        "Standardized abnormal returns, values x 100; t-values in parentheses",
-        "SCAAR",
-        "SAAR",
+        ordered, standardized, "Standardized abnormal returns, values x 100; t-values in parentheses"
     )
-    lines.append("")
-    lines += _text_table(
-        ordered,
-        config,
-        lambda r: [r.caar[w] for w in config.event_windows] + [r.aar[o] for o in config.saar_offsets],
-        lambda r: [r.t_caar[w] for w in config.event_windows] + [r.t_aar[o] for o in config.saar_offsets],
-        "Raw abnormal returns, percent; t-values in parentheses",
-        "CAAR",
-        "AAR",
-    )
+    lines += ["", *_text_table(ordered, raw, "Raw abnormal returns, percent; t-values in parentheses")]
     return "\n".join(lines) + "\n"
 
 

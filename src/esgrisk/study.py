@@ -263,18 +263,15 @@ def bmp_tstat(values: Sequence[float]) -> float | None:
 
 @dataclass
 class NodeStudyResult:
-    """Aggregated study statistics for one taxonomy node."""
+    """Aggregated study statistics for one taxonomy node.
+
+    `stats` maps (stat, offset or window) to (mean, BMP t), in report order:
+    SCAAR per event window, SAAR per offset, then CAAR and AAR alike.
+    """
 
     node: Node
     n: int
-    saar: dict[int, float] = field(default_factory=dict)
-    t_saar: dict[int, float | None] = field(default_factory=dict)
-    scaar: dict[Window, float] = field(default_factory=dict)
-    t_scaar: dict[Window, float | None] = field(default_factory=dict)
-    aar: dict[int, float] = field(default_factory=dict)
-    t_aar: dict[int, float | None] = field(default_factory=dict)
-    caar: dict[Window, float] = field(default_factory=dict)
-    t_caar: dict[Window, float | None] = field(default_factory=dict)
+    stats: dict[tuple[str, int | Window], tuple[float, float | None]] = field(default_factory=dict)
     curve: tuple[tuple[int, float], ...] = ()
     curve_n: int = 0
 
@@ -290,19 +287,15 @@ def aggregate_node(
     result = NodeStudyResult(node=node, n=len(abnormals.sar))
     if not result.n:
         return result
-    for off in config.saar_offsets:
-        col = abnormals.offsets.index(off)
-        sars, ars = abnormals.sar[:, col], abnormals.ar[:, col]
-        result.saar[off], result.t_saar[off] = float(np.mean(sars)), bmp_tstat(sars)
-        result.aar[off], result.t_aar[off] = float(np.mean(ars)), bmp_tstat(ars)
-    for window in config.event_windows:
-        cols = abnormals.columns(*window)
-        scars = abnormals.sar[:, cols].sum(axis=1)
-        if config.scar_normalize:
-            scars /= math.sqrt(window[1] - window[0] + 1)
-        cars = abnormals.ar[:, cols].sum(axis=1)
-        result.scaar[window], result.t_scaar[window] = float(np.mean(scars)), bmp_tstat(scars)
-        result.caar[window], result.t_caar[window] = float(np.mean(cars)), bmp_tstat(cars)
+    for prefix, grid in (("S", abnormals.sar), ("", abnormals.ar)):
+        for window in config.event_windows:
+            sums = grid[:, abnormals.columns(*window)].sum(axis=1)
+            if prefix and config.scar_normalize:
+                sums /= math.sqrt(window[1] - window[0] + 1)
+            result.stats[f"{prefix}CAAR", window] = float(np.mean(sums)), bmp_tstat(sums)
+        for off in config.saar_offsets:
+            values = grid[:, abnormals.offsets.index(off)]
+            result.stats[f"{prefix}AAR", off] = float(np.mean(values)), bmp_tstat(values)
     span = abnormals.sar[:, abnormals.columns(-config.curve_span, config.curve_span)]
     covered = span[np.isfinite(span).all(axis=1)]
     result.curve_n = len(covered)

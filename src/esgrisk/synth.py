@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_errors
 from .lexicon import load_esg_lexicon
 from .pipeline import build_config
 from .sentiment import Sign, load_sentiment_lexicon
@@ -241,7 +241,7 @@ class GroundTruth:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
             raise DataError(f"cannot read ground truth {path}: {exc}") from exc
 
 
@@ -335,7 +335,8 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     """
     config.validate()
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with config_errors(f"create output directory {outdir}"):
+        outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     calendar_days = business_days(config.start, config.n_days)
     closes = np.array([int(c.timestamp()) for c in close_instants(calendar_days, config.exchange_tz)])

@@ -272,8 +272,8 @@ def test_criterion_6_parameter_robustness(std_corpus, std_run, tmp_path):
     sign_flips = [
         node.value
         for node in shared
-        if math.copysign(1.0, main_res[node].saar[0])
-        != math.copysign(1.0, robust_res[node].saar[0])
+        if math.copysign(1.0, main_res[node].stats["SAAR", 0][0])
+        != math.copysign(1.0, robust_res[node].stats["SAAR", 0][0])
     ]
     signs_ok = bool(shared) and not sign_flips
 
@@ -314,7 +314,8 @@ def test_criterion_8_window_sums_decompose(std_run):
     checked = 0
     for outputs in (std_run["study"], std_run["study"].robustness):
         for res in outputs.results:
-            gap = abs(res.scaar[(-1, 1)] - (res.scaar[(-1, 0)] + res.saar[1]))
+            stats = res.stats
+            gap = abs(stats["SCAAR", (-1, 1)][0] - (stats["SCAAR", (-1, 0)][0] + stats["SAAR", 1][0]))
             worst = max(worst, gap)
             checked += 1
 
@@ -332,7 +333,8 @@ def test_criterion_8_window_sums_decompose(std_run):
         ar, sar = (np.array(rows) for rows in zip(*draws))
         events = EventAbnormals(offsets, ar, sar, np.full(len(draws), ""))
         res = aggregate_node(Node.ESG_ALL, events, config)
-        gap = abs(res.scaar[(-1, 1)] - (res.scaar[(-1, 0)] + res.saar[1]))
+        stats = res.stats
+        gap = abs(stats["SCAAR", (-1, 1)][0] - (stats["SCAAR", (-1, 0)][0] + stats["SAAR", 1][0]))
         worst = max(worst, gap)
         checked += 1
 

@@ -668,3 +668,63 @@ def test_synth_invalid_config_exits_2(tmp_path, text, message):
     )
     assert result.exit_code == 2, all_output(result)
     assert message in all_output(result)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"planted": [1]},
+        {"planted": [{"firm": "FIRM00", "node": "ClimateChange", "date": "2020-01-02", "spike_size": [1]}]},
+        {"truth": 5},
+        {"planted": [{"firm": "FIRM00", "node": "Bogus", "date": "2020-01-02"}]},
+    ],
+    ids=["list", "planted-entry-not-a-mapping", "spike-size-a-list", "truth-not-a-list", "unknown-node"],
+)
+def test_malformed_ground_truth_exits_3(cli_run, tmp_path, payload):
+    bad = tmp_path / "ground_truth.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--events", str(cli_run["out"] / "events.csv"), "--truth", str(bad),
+         "--market-index", str(cli_run["corpus"] / "market_index.csv")],
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: cannot read ground truth {bad}: " in all_output(result)
+
+
+def assert_config_error(result, message):
+    assert result.exit_code == 2, all_output(result)
+    assert f"config error: {message}" in all_output(result)
+    assert "Traceback" not in all_output(result)
+
+
+@pytest.mark.parametrize("command", ["detect", "synth"])
+def test_non_utf8_config_exits_2(tmp_path, command):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"seed: 1\n# \xff\n")
+    result = CliRunner().invoke(main, [command, "-c", str(bad), "--outdir", str(tmp_path / "out")])
+    assert_config_error(result, f"cannot read config {bad}: ")
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["a-file", "beneath-a-file"])
+@pytest.mark.parametrize(
+    "args", [["classify"], ["synth", "--n-firms", "1", "--n-days", "30"]], ids=["classify", "synth"]
+)
+def test_outdir_on_a_file_exits_2(tmp_path, args, beneath):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    outdir = taken / "out" if beneath else taken
+    result = CliRunner().invoke(main, args + ["--outdir", str(outdir)])
+    assert_config_error(result, f"cannot create output directory {outdir}: ")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_eval_out_unopenable_exits_2(cli_run, tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--events", str(cli_run["out"] / "events.csv"),
+         "--truth", str(cli_run["corpus"] / "ground_truth.json"),
+         "--market-index", str(cli_run["corpus"] / "market_index.csv"), "--out", str(tmp_path)],
+    )
+    assert_config_error(result, f"cannot write {tmp_path}: ")

@@ -206,9 +206,9 @@ def test_study_outputs(std_run):
     root = by_node[Node.ESG_ALL]
     assert root.n == 4
     # a -2% injected return against 2% idiosyncratic vol shows up clearly
-    assert root.aar[0] < 0
-    assert root.saar[0] < 0
-    assert root.scaar[(-1, 1)] < 0
+    assert root.stats["AAR", 0][0] < 0
+    assert root.stats["SAAR", 0][0] < 0
+    assert root.stats["SCAAR", (-1, 1)][0] < 0
     curve = dict(root.curve)
     assert root.curve_n == 4
     assert set(curve) == set(range(-5, 6))
@@ -222,7 +222,7 @@ def test_study_robustness_variant(std_run):
     by_node = {r.node: r for r in study.robustness.results}
     assert by_node[Node.ESG_ALL].n == 4
     # same events, same direction under the shorter estimation window
-    assert by_node[Node.ESG_ALL].saar[0] < 0
+    assert by_node[Node.ESG_ALL].stats["SAAR", 0][0] < 0
 
 
 def test_scaar_curve_files_written(std_run):

@@ -388,12 +388,12 @@ def test_car_and_scar_windows():
     config = EstimationConfig(event_windows=((-1, 1), (-1, 0), (0, 0)))
     ev = events_with({-1: 0.5, 0: -2.0, 1: 0.3})
     res = aggregate_node(Node.ESG_ALL, ev, config)
-    assert res.scaar[(-1, 1)] == pytest.approx(-1.2)
-    assert res.scaar[(-1, 0)] == pytest.approx(-1.5)
-    assert res.scaar[(0, 0)] == pytest.approx(-2.0)
-    assert res.caar[(-1, 1)] == pytest.approx(0.02 * -1.2)
+    assert res.stats["SCAAR", (-1, 1)][0] == pytest.approx(-1.2)
+    assert res.stats["SCAAR", (-1, 0)][0] == pytest.approx(-1.5)
+    assert res.stats["SCAAR", (0, 0)][0] == pytest.approx(-2.0)
+    assert res.stats["CAAR", (-1, 1)][0] == pytest.approx(0.02 * -1.2)
     normed = aggregate_node(Node.ESG_ALL, ev, EstimationConfig(scar_normalize=True))
-    assert normed.scaar[(-1, 1)] == pytest.approx(-1.2 / math.sqrt(3))
+    assert normed.stats["SCAAR", (-1, 1)][0] == pytest.approx(-1.2 / math.sqrt(3))
 
 
 def test_bmp_tstat_fixture():
@@ -439,17 +439,20 @@ def test_aggregate_node_means_and_additivity():
     ))
     result = aggregate_node(Node.CLIMATE_CHANGE, events, config)
     assert result.n == 9
-    assert result.saar[0] == pytest.approx(np.mean(events.sar[:, 5]), rel=1e-12)
+    assert result.stats["SAAR", 0][0] == pytest.approx(np.mean(events.sar[:, 5]), rel=1e-12)
     # window sums decompose into per-offset averages over the same events
-    assert result.scaar[(-1, 1)] == pytest.approx(
-        result.scaar[(-1, 0)] + result.saar[1], abs=1e-12
+    assert result.stats["SCAAR", (-1, 1)][0] == pytest.approx(
+        result.stats["SCAAR", (-1, 0)][0] + result.stats["SAAR", 1][0], abs=1e-12
     )
-    assert result.caar[(-1, 1)] == pytest.approx(
-        result.caar[(-1, 0)] + result.aar[1], abs=1e-12
+    assert result.stats["CAAR", (-1, 1)][0] == pytest.approx(
+        result.stats["CAAR", (-1, 0)][0] + result.stats["AAR", 1][0], abs=1e-12
     )
     assert result.curve_n == 9
     assert result.curve[-1][1] == pytest.approx(
-        sum(result.saar.get(off, np.mean(events.sar[:, off + 5])) for off in range(-5, 6)),
+        sum(
+            result.stats.get(("SAAR", off), (np.mean(events.sar[:, off + 5]),))[0]
+            for off in range(-5, 6)
+        ),
         rel=1e-9,
     )
 
@@ -457,7 +460,7 @@ def test_aggregate_node_means_and_additivity():
 def test_aggregate_node_empty():
     result = aggregate_node(Node.ESG_ALL, events_with(), EstimationConfig())
     assert result.n == 0
-    assert result.saar == {} and result.scaar == {}
+    assert result.stats == {}
     assert result.curve == () and result.curve_n == 0
 
 
@@ -465,9 +468,9 @@ def test_aggregate_node_single_event_has_no_t():
     events = events_with({off: 0.3 for off in range(-5, 6)})
     result = aggregate_node(Node.HUMAN_CAPITAL, events, EstimationConfig())
     assert result.n == 1
-    assert result.saar[0] == pytest.approx(0.3)
-    assert result.t_saar[0] is None
-    assert result.t_scaar[(-1, 1)] is None
+    assert result.stats["SAAR", 0][0] == pytest.approx(0.3)
+    assert result.stats["SAAR", 0][1] is None
+    assert result.stats["SCAAR", (-1, 1)][1] is None
 
 
 def test_aggregate_node_curve_skips_partial_events():
@@ -480,12 +483,13 @@ def test_aggregate_node_curve_skips_partial_events():
     assert result.curve[0] == (-5, pytest.approx(0.1))
     assert result.curve[-1][1] == pytest.approx(1.1)
     # but the headline stats still use both events
-    assert result.saar[0] == pytest.approx(5.0)
+    assert result.stats["SAAR", 0][0] == pytest.approx(5.0)
 
 
 def test_scar_normalization_flag():
     events = events_with(*({off: float(v) for off in range(-5, 6)} for v in (0.2, -1.0, 0.7)))
     plain = aggregate_node(Node.ESG_ALL, events, EstimationConfig())
     normed = aggregate_node(Node.ESG_ALL, events, EstimationConfig(scar_normalize=True))
-    assert normed.scaar[(-1, 1)] == pytest.approx(plain.scaar[(-1, 1)] / math.sqrt(3), rel=1e-12)
-    assert normed.scaar[(-1, 0)] == pytest.approx(plain.scaar[(-1, 0)] / math.sqrt(2), rel=1e-12)
+    for window, length in (((-1, 1), 3), ((-1, 0), 2)):
+        expected = plain.stats["SCAAR", window][0] / math.sqrt(length)
+        assert normed.stats["SCAAR", window][0] == pytest.approx(expected, rel=1e-12)
