@@ -239,6 +239,13 @@ def _as_plain(obj) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(obj)))
 
 
+def _open_artifact(path: Path):
+    """Open a CSV artifact for writing. Its path is configured (--classified,
+    --events), so one that cannot be opened is a config error."""
+    with config_errors(f"write {path}"):
+        return open(path, "w", newline="", encoding="utf-8")
+
+
 def write_resolved_config(cfg: RunConfig, outdir: Path) -> Path:
     with config_errors(f"create output directory {outdir}"):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -349,7 +356,7 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
                 initargs=(engine,),
             ))
             classify = partial(pool.map, _worker_rows)
-        fh = stack.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
+        fh = stack.enter_context(_open_artifact(out_path))
         writer = csv.writer(fh)
         writer.writerow(CLASSIFIED_COLUMNS)
         while block := list(islice(stream, _BLOCK)):
@@ -468,7 +475,7 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
 
     removal_by_event = {rem.event: rem for rem in removed}
     events_path = cfg.events_path()
-    with open(events_path, "w", newline="", encoding="utf-8") as fh:
+    with _open_artifact(events_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
         for event in detected:

@@ -8,7 +8,10 @@ Two generators share one seeded PCG64 stream model:
   abnormal return injected on event days. Each firm's messages come from one
   Poisson draw over a (days x sources) rate matrix, then one array draw each
   for filler word counts, filler words, terms, sentiment words and stamps;
-  they are formatted and written in blocks of _BLOCK messages.
+  they are formatted from one line template per source and written as
+  joined lines, one write per _BLOCK messages. No cell of any CSV file
+  written here holds a comma, quote or line break, so joined lines are the
+  bytes csv.writer would write.
 * :func:`simulate_event_panel` draws stacked bare return series around
   planted event days for fast event-study calibration runs.
 
@@ -19,7 +22,6 @@ corpus byte for byte. No wall clock, no platform entropy.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -259,7 +261,7 @@ def _sentiment_words(path: Path) -> tuple[list[str], list[str]]:
             [" ".join(e.term) for e in entries if e.weight > 0])
 
 
-_BLOCK = 512  # messages per writerows call; no draw depends on it
+_BLOCK = 512  # messages per joined write; no draw depends on it
 
 
 def _firm_sources(
@@ -295,11 +297,12 @@ def _picks(rng: np.random.Generator, src: np.ndarray, lists: Sequence[Sequence[s
 
 
 def _write_firm_messages(
-    writer, rng: np.random.Generator, firm: str, sources: list[tuple],
+    fh, rng: np.random.Generator, firm: str, sources: list[tuple],
     lower: np.ndarray, span: np.ndarray, first_id: int,
 ) -> int:
     """Draw one firm's messages as arrays, grouped by day then source, and write them
-    through the csv writer with ids from first_id; returns the count."""
+    to fh as CSV lines with ids from first_id; returns the count. Texts are a cashtag,
+    filler words and joined lexicon tokens, so no cell needs quoting."""
     rates, fill_range, term_lists, word_lists, templates = zip(*sources)
     counts = rng.poisson(np.column_stack(rates)).ravel()
     day, src = np.divmod(np.repeat(np.arange(counts.size), counts), len(sources))
@@ -310,19 +313,19 @@ def _write_firm_messages(
     words, word = _picks(rng, src, word_lists)
     seconds = lower[day] + rng.integers(1, span[day] + 1)
 
-    fillers, cashtag, ends = np.array(FILLER_WORDS), f"${firm}", np.cumsum(n_fill)
+    # one line template per source over (id, stamp, filler words, term, sentiment word)
+    lines = np.array([f"m{{0:07d}},{firm},{{1}}+00:00," + t.format(f"${firm}", "{2}", "{3}", "{4}")
+                      + "\r\n" for t in templates], dtype=object)
+    fillers, ends = np.array(FILLER_WORDS), np.cumsum(n_fill)
     for a in range(0, len(src), _BLOCK):
         b = min(a + _BLOCK, len(src))
         base = ends[a] - n_fill[a]
         block_fill = fillers[fill[base:ends[b - 1]]].tolist()
         stamps = np.datetime_as_string(seconds[a:b].astype("datetime64[s]"), unit="s").tolist()
-        writer.writerows([
-            (f"m{j:07d}", firm, f"{stamp}+00:00",
-             templates[k].format(cashtag, " ".join(block_fill[i - n:i]), t, w))
-            for j, stamp, k, n, i, t, w in zip(
-                range(first_id + a, first_id + b), stamps, src[a:b].tolist(), n_fill[a:b].tolist(),
-                (ends[a:b] - base).tolist(), terms[term[a:b]].tolist(), words[word[a:b]].tolist())
-        ])
+        fill_texts = [" ".join(block_fill[i - n:i])
+                      for n, i in zip(n_fill[a:b].tolist(), (ends[a:b] - base).tolist())]
+        fh.write("".join(map(str.format, lines[src[a:b]].tolist(), range(first_id + a, first_id + b),
+                             stamps, fill_texts, terms[term[a:b]].tolist(), words[word[a:b]].tolist())))
     return len(src)
 
 
@@ -351,45 +354,37 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     market = rng.normal(0.0, config.market_vol, config.n_days)
 
     with open(outdir / "messages.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "firm", "timestamp", "text"])
+        fh.write("id,firm,timestamp,text\r\n")
         written = 0
         for fi in range(config.n_firms):
             sources = _firm_sources(config, planted_by_firm.get(fi, []), terms,
                                     negative_words, positive_words)
-            written += _write_firm_messages(writer, rng, firm_name(fi), sources, lower, span, written + 1)
+            written += _write_firm_messages(fh, rng, firm_name(fi), sources, lower, span, written + 1)
 
+    isos = [d.isoformat() for d in calendar_days]
     with open(outdir / "prices.csv", "w", newline="", encoding="utf-8") as fh:
-        pw = csv.writer(fh)
-        pw.writerow(["firm", "date", "close", "return"])
+        fh.write("firm,date,close,return\r\n")
         for fi in range(config.n_firms):
-            firm = firm_name(fi)
             alpha = float(rng.uniform(*config.alpha_range))
             beta = float(rng.uniform(*config.beta_range))
             eps = rng.normal(0.0, config.idio_vol, config.n_days)
             rets = alpha + beta * market + eps
             for di in {ev.day_index for ev in planted_by_firm.get(fi, ())}:
                 rets[di] += config.injected_ar
-            close = 100.0
-            for di in range(config.n_days):
-                close *= 1.0 + rets[di]
-                pw.writerow([firm, calendar_days[di].isoformat(), str(close), str(float(rets[di]))])
+            # a left fold, as close *= 1 + ret day by day
+            closes = np.multiply.accumulate(np.concatenate(([100.0], 1.0 + rets)))[1:]
+            fh.write("".join(map(f"{firm_name(fi)},{{}},{{}},{{}}\r\n".format,
+                                 isos, closes.tolist(), rets.tolist())))
 
     with open(outdir / "market_index.csv", "w", newline="", encoding="utf-8") as fh:
-        mw = csv.writer(fh)
-        mw.writerow(["date", "return"])
-        for di in range(config.n_days):
-            mw.writerow([calendar_days[di].isoformat(), str(float(market[di]))])
+        fh.write("date,return\r\n" + "".join(map("{},{}\r\n".format, isos, market.tolist())))
 
     confound_rows = {"earnings": [], "controversy": []}
     for fi, di, kind in config.confounds:
-        confound_rows[kind].append((firm_name(fi), calendar_days[di].isoformat()))
-    for kind in ("earnings", "controversy"):
+        confound_rows[kind].append((firm_name(fi), isos[di]))
+    for kind, rows in confound_rows.items():
         with open(outdir / f"{kind}.csv", "w", newline="", encoding="utf-8") as fh:
-            cw = csv.writer(fh)
-            cw.writerow(["firm", "date"])
-            for row in sorted(confound_rows[kind]):
-                cw.writerow(row)
+            fh.write("firm,date\r\n" + "".join(f"{firm},{day}\r\n" for firm, day in sorted(rows)))
 
     (outdir / "esg_lexicon.csv").write_bytes(demo_esg_lexicon_path().read_bytes())
     (outdir / "sentiment_lexicon.csv").write_bytes(demo_sentiment_lexicon_path().read_bytes())

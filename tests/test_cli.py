@@ -720,6 +720,17 @@ def test_outdir_on_a_file_exits_2(tmp_path, args, beneath):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("stage, flag", [("classify", "--classified"), ("detect", "--events")])
+def test_artifact_in_missing_directory_exits_2(cli_run, tmp_path, stage, flag):
+    target = tmp_path / "missing" / "artifact.csv"
+    args = [stage, "--outdir", str(tmp_path / "out"), flag, str(target)] + corpus_args(cli_run["corpus"])
+    if stage == "detect":
+        args += ["--classified", str(cli_run["out"] / "classified.csv")]
+    result = CliRunner().invoke(main, args)
+    assert_config_error(result, f"cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_eval_out_unopenable_exits_2(cli_run, tmp_path):
     result = CliRunner().invoke(
         main,

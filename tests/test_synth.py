@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -272,6 +273,46 @@ def test_message_count_matches_poisson_mean(tmp_path):
         mean = (config.n_days * (config.n_firms * config.filler_rate + background_nodes * config.base_rate)
                 + sum(config.base_rate * ev.spike_size for ev in plants))
         assert abs(n - mean) <= 6 * np.sqrt(mean), (seed, n, mean)
+
+
+_CSV_SPECIALS = (",", '"', "\r", "\n")  # what makes csv.writer's QUOTE_MINIMAL quote a cell
+
+
+@pytest.mark.parametrize("background", ["neutral", "positive"])
+def test_written_csvs_survive_a_csv_round_trip(tmp_path, background):
+    """synth writes joined lines, not csv.writer rows: csv.writer must give the
+    same bytes back, so no cell would have needed quoting. The lexicons are
+    byte copies of the demo files and are not formatted by synth."""
+    plants = (PlantedEvent(0, Node.CLIMATE_CHANGE, 8, 6.0),
+              PlantedEvent(1, Node.HUMAN_CAPITAL, 12, 6.0, sign=Sign.POSITIVE))
+    config = SynthConfig(seed=13, n_firms=2, n_days=20, base_rate=4.0, filler_rate=6.0,
+                         background_sentiment=background, planted=plants,
+                         confounds=((0, 3, "earnings"), (1, 5, "controversy"), (0, 2, "earnings")))
+    generate(config, tmp_path)
+    for name in ("messages.csv", "prices.csv", "market_index.csv", "earnings.csv", "controversy.csv"):
+        raw = (tmp_path / name).read_bytes()
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1, name
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerows(rows)
+        assert buffer.getvalue().encode("utf-8") == raw, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("oil, spill")
+@example('say "hi"\r\nnow')
+def test_joined_tokens_need_no_csv_quoting(text):
+    """Lexicon terms and sentiment words are joined tokens, so no text synth
+    builds from them holds a character that csv.writer would quote."""
+    joined = " ".join(tokenize(text))
+    assert not any(c in joined for c in _CSV_SPECIALS)
+
+
+def test_filler_words_and_firm_names_need_no_csv_quoting():
+    for cell in (*FILLER_WORDS, *(firm_name(i) for i in (0, 7, 99, 100, 12345))):
+        assert not any(c in cell for c in _CSV_SPECIALS), cell
 
 
 def test_ground_truth_round_trip(tmp_path):
