@@ -24,8 +24,8 @@ config = SynthConfig(
     base_rate=5.0,
     filler_rate=6.0,
     planted=(
-        PlantedEvent(firm_index=0, node=Node.CLIMATE_CHANGE, day_index=262, spike_size=12.0),
-        PlantedEvent(firm_index=1, node=Node.CORPORATE_GOVERNANCE, day_index=275, spike_size=12.0),
+        PlantedEvent(firm=0, node=Node.CLIMATE_CHANGE, day=262, spike=12.0),
+        PlantedEvent(firm=1, node=Node.CORPORATE_GOVERNANCE, day=275, spike=12.0),
     ),
     injected_ar=-0.02,  # planted days also get a -2% abnormal return
 )

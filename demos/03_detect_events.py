@@ -15,7 +15,7 @@ import numpy as np
 
 from esgrisk.detect import DetectionConfig, esd_outliers
 from esgrisk.pipeline import run_classify, run_config_from_dict, run_detect
-from esgrisk.synth import PlantedEvent, SynthConfig, generate
+from esgrisk.synth import Confound, PlantedEvent, SynthConfig, generate
 from esgrisk.taxonomy import Node
 
 # --- the spike rule on raw counts ------------------------------------
@@ -42,8 +42,8 @@ truth = generate(
         n_days=300,
         base_rate=5.0,
         filler_rate=4.0,
-        planted=(PlantedEvent(firm_index=0, node=Node.CLIMATE_CHANGE, day_index=262, spike_size=12.0),),
-        confounds=((0, 264, "earnings"),),
+        planted=(PlantedEvent(firm=0, node=Node.CLIMATE_CHANGE, day=262, spike=12.0),),
+        confounds=(Confound(firm=0, day=264, kind="earnings"),),
         background_sentiment="positive",
     ),
     corpus,

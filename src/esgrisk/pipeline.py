@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
 import json
 import logging
 import math
@@ -170,6 +171,16 @@ def _typed(tp, value, section: str, key: str):
             pass
     elif type(value) is tp:  # strict: a bool is not an int
         return value
+    elif isinstance(tp, enum.EnumMeta):  # by value; Node also takes parse_node's spellings
+        try:
+            return tp(value)
+        except ValueError:
+            expected = "one of " + ", ".join(member.value for member in tp)
+    elif tp is date:  # PyYAML reads an unquoted 2018-01-01 as a date already
+        try:
+            return date.fromisoformat(str(value))
+        except ValueError:
+            expected = "an ISO date"
     expected = expected or f"a {tp.__name__}"
     raise ConfigError(f"bad {section} config: {key} must be {expected}, got {value!r}")
 
@@ -212,12 +223,15 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, when PyYAML has it
+
+
 def read_yaml_mapping(path: str | Path) -> dict:
     """The top-level mapping of a YAML config file; empty for an empty file."""
     try:
         with config_errors(f"read config {path}"), open(path, encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+            loaded = yaml.load(fh, Loader=_SAFE_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date-like scalar that is no date
         raise ConfigError(f"bad YAML in {path}: {exc}") from exc
     if loaded is None:
         return {}

@@ -53,11 +53,20 @@ _POISSON_MAX = _INT64_MAX - 10 * np.sqrt(_INT64_MAX)  # the largest mean rng.poi
 class PlantedEvent:
     """A message spike planted on one firm, node and trading day."""
 
-    firm_index: int
+    firm: int  # firm index
     node: Node
-    day_index: int
-    spike_size: float = 10.0  # spike-day Poisson mean is spike_size * base_rate
+    day: int  # trading day index
+    spike: float = 10.0  # spike-day Poisson mean is spike * base_rate
     sign: Sign = Sign.NEGATIVE
+
+
+@dataclass(frozen=True)
+class Confound:
+    """An earnings or controversy calendar row for one firm and trading day."""
+
+    firm: int  # firm index
+    day: int  # trading day index
+    kind: str  # "earnings" or "controversy"
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class SynthConfig:
     start: date = date(2018, 1, 1)
     exchange_tz: str = DEFAULT_EXCHANGE_TZ
     background_sentiment: str = "neutral"  # or "positive"
-    confounds: tuple[tuple[int, int, str], ...] = ()  # (firm_index, day_index, kind)
+    confounds: tuple[Confound, ...] = ()
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -99,77 +108,31 @@ class SynthConfig:
         check_zone("exchange_tz", self.exchange_tz)
         seen: set[tuple[int, Node, int]] = set()
         for ev in self.planted:
-            if not 0 <= ev.firm_index < self.n_firms:
-                raise ConfigError(f"planted firm index {ev.firm_index} out of range")
-            if not 0 <= ev.day_index < self.n_days:
-                raise ConfigError(f"planted day index {ev.day_index} out of range")
-            if not 0 < ev.spike_size < np.inf:
-                raise ConfigError(f"spike_size must be positive and finite, got {ev.spike_size}")
-            if self.base_rate * ev.spike_size > _POISSON_MAX:
-                raise ConfigError(f"base_rate * spike_size must be at most {_POISSON_MAX:.4g}")
-            key = (ev.firm_index, ev.node, ev.day_index)
+            if not 0 <= ev.firm < self.n_firms:
+                raise ConfigError(f"planted firm index {ev.firm} out of range")
+            if not 0 <= ev.day < self.n_days:
+                raise ConfigError(f"planted day index {ev.day} out of range")
+            if not 0 < ev.spike < np.inf:
+                raise ConfigError(f"spike must be positive and finite, got {ev.spike}")
+            if self.base_rate * ev.spike > _POISSON_MAX:
+                raise ConfigError(f"base_rate * spike must be at most {_POISSON_MAX:.4g}")
+            key = (ev.firm, ev.node, ev.day)
             if key in seen:
                 raise ConfigError(f"duplicate planted event {key}")
             seen.add(key)
-        for firm_index, day_index, kind in self.confounds:
-            if not 0 <= firm_index < self.n_firms:
-                raise ConfigError(f"confound firm index {firm_index} out of range")
-            if not 0 <= day_index < self.n_days:
-                raise ConfigError(f"confound day index {day_index} out of range")
-            if kind not in ("earnings", "controversy"):
-                raise ConfigError(f"bad confound kind {kind!r}")
-
-
-_PLANTED_KEYS = {"firm": "firm_index", "node": "node", "day": "day_index", "spike": "spike_size",
-                 "sign": "sign"}  # YAML key -> PlantedEvent field
-_CONFOUND_KEYS = ("firm", "day", "kind")  # YAML keys, in confound tuple order
-
-
-def _parsed(parse, value, key: str):
-    try:
-        return parse(str(value))
-    except (ValueError, DataError) as exc:
-        raise ConfigError(f"bad synth config: {key}: {exc}") from None
-
-
-def _check_entry_keys(item: dict, known, key: str) -> None:
-    for name in item:
-        if name not in known:
-            raise ConfigError(f"bad synth config: {key}.{name} is not one of {', '.join(known)}")
-
-
-def _planted_fields(item, key: str):
-    if not isinstance(item, dict):
-        return item  # left for build_config to report
-    _check_entry_keys(item, _PLANTED_KEYS, key)
-    fields = {_PLANTED_KEYS[k]: v for k, v in item.items()}
-    for name, parse in (("node", parse_node), ("sign", Sign)):
-        if name in fields:
-            fields[name] = _parsed(parse, fields[name], key)
-    return fields
-
-
-def _confound_fields(item, key: str):
-    if not isinstance(item, dict):
-        return item  # left for build_config to report
-    _check_entry_keys(item, _CONFOUND_KEYS, key)
-    return [item.get(k) for k in _CONFOUND_KEYS]
+        for confound in self.confounds:
+            if not 0 <= confound.firm < self.n_firms:
+                raise ConfigError(f"confound firm index {confound.firm} out of range")
+            if not 0 <= confound.day < self.n_days:
+                raise ConfigError(f"confound day index {confound.day} out of range")
+            if confound.kind not in ("earnings", "controversy"):
+                raise ConfigError(f"bad confound kind {confound.kind!r}")
 
 
 def synth_config_from_dict(raw: dict) -> SynthConfig:
-    """Build and validate a SynthConfig from parsed YAML/JSON.
-
-    Maps the keys of planted and confound entries to fields and parses
-    nodes, signs and the start date; build_config checks everything else.
-    """
-    raw = dict(raw)
-    if "start" in raw:
-        raw["start"] = _parsed(date.fromisoformat, raw["start"], "start")
-    planted, confounds = raw.get("planted") or [], raw.get("confounds") or []
-    if isinstance(planted, list):
-        raw["planted"] = [_planted_fields(item, f"planted[{i}]") for i, item in enumerate(planted)]
-    if isinstance(confounds, list):
-        raw["confounds"] = [_confound_fields(item, f"confounds[{i}]") for i, item in enumerate(confounds)]
+    """Build and validate a SynthConfig from parsed YAML/JSON; a null
+    planted or confounds list plants nothing."""
+    raw = {k: () if v is None and k in ("planted", "confounds") else v for k, v in raw.items()}
     return build_config(SynthConfig, raw, "synth")
 
 
@@ -281,7 +244,7 @@ def _firm_sources(
                         "{0} {1} {2} {3}" if positive else "{0} {1} {2}"))
     for ev in planted:
         rates = np.zeros(n)
-        rates[ev.day_index] = config.base_rate * ev.spike_size
+        rates[ev.day] = config.base_rate * ev.spike
         words = negative_words if ev.sign is Sign.NEGATIVE else positive_words
         sources.append((rates, (1, 3), terms[ev.node], words, "{0} {2} {3} {1}"))
     return sources
@@ -349,7 +312,7 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     negative_words, positive_words = _sentiment_words(demo_sentiment_lexicon_path())
     planted_by_firm: dict[int, list[PlantedEvent]] = {}
     for ev in config.planted:
-        planted_by_firm.setdefault(ev.firm_index, []).append(ev)
+        planted_by_firm.setdefault(ev.firm, []).append(ev)
 
     market = rng.normal(0.0, config.market_vol, config.n_days)
 
@@ -369,7 +332,7 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
             beta = float(rng.uniform(*config.beta_range))
             eps = rng.normal(0.0, config.idio_vol, config.n_days)
             rets = alpha + beta * market + eps
-            for di in {ev.day_index for ev in planted_by_firm.get(fi, ())}:
+            for di in {ev.day for ev in planted_by_firm.get(fi, ())}:
                 rets[di] += config.injected_ar
             # a left fold, as close *= 1 + ret day by day
             closes = np.multiply.accumulate(np.concatenate(([100.0], 1.0 + rets)))[1:]
@@ -380,8 +343,8 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
         fh.write("date,return\r\n" + "".join(map("{},{}\r\n".format, isos, market.tolist())))
 
     confound_rows = {"earnings": [], "controversy": []}
-    for fi, di, kind in config.confounds:
-        confound_rows[kind].append((firm_name(fi), isos[di]))
+    for confound in config.confounds:
+        confound_rows[confound.kind].append((firm_name(confound.firm), isos[confound.day]))
     for kind, rows in confound_rows.items():
         with open(outdir / f"{kind}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("firm,date\r\n" + "".join(f"{firm},{day}\r\n" for firm, day in sorted(rows)))
@@ -390,7 +353,7 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     (outdir / "sentiment_lexicon.csv").write_bytes(demo_sentiment_lexicon_path().read_bytes())
 
     planted_resolved = tuple(
-        (firm_name(ev.firm_index), ev.node, calendar_days[ev.day_index], ev.spike_size, ev.sign)
+        (firm_name(ev.firm), ev.node, calendar_days[ev.day], ev.spike, ev.sign)
         for ev in config.planted
     )
     truth_keys: set[tuple[str, Node, date]] = set()

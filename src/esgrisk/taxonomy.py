@@ -34,6 +34,11 @@ class Node(enum.Enum):
     def __str__(self) -> str:  # file columns carry the enum value
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        # Node(name) takes every spelling parse_node does; others raise ValueError
+        return _LOOKUP.get(_normalize(value)) if isinstance(value, str) else None
+
 
 PILLARS: tuple[Node, ...] = (Node.ENVIRONMENT, Node.SOCIAL, Node.GOVERNANCE)
 

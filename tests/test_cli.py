@@ -247,6 +247,7 @@ def test_missing_required_path_exits_2(tmp_path):
         ("detection: {z: .nan}\n", "z must be a finite positive number, got nan"),
         ("detection: {z: .inf}\n", "z must be a finite positive number, got inf"),
         ("sentiment_threshold: .nan\n", "sentiment_threshold must be finite, got nan"),
+        ("detection: {z: 2019-02-30}\n", "bad YAML in "),
     ],
     ids=[
         "yaml-syntax", "z-not-a-number", "section-not-a-mapping", "parallelism-not-a-number",
@@ -254,7 +255,7 @@ def test_missing_required_path_exits_2(tmp_path):
         "robustness-not-a-number", "threshold-not-a-number", "parallelism-not-an-integer",
         "curve-span-not-an-integer", "window-len-not-an-integer", "two-sided-not-a-bool",
         "z-a-bool", "scar-normalize-a-string", "unknown-exchange-tz", "exchange-tz-not-a-string",
-        "unknown-source-tz", "z-nan", "z-inf", "threshold-nan",
+        "unknown-source-tz", "z-nan", "z-inf", "threshold-nan", "impossible-yaml-date",
     ],
 )
 def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
@@ -624,16 +625,16 @@ def test_synth_flag_overrides(tmp_path):
         ("n_firms: x\n", "bad synth config"),
         ("exchange_tz: Not/AZone\n", "exchange_tz: unknown time zone 'Not/AZone'"),
         ("planted:\n  - {firm: 0, node: Bogus, day: 5}\n",
-         "bad synth config: planted[0]: unknown taxonomy node: 'Bogus'"),
+         "bad synth config: planted[0].node must be one of ESG_ALL, Environment, "),
         ("seed: -1\n", "seed must be non-negative"),
         ("n_days: 2.5\n", "bad synth config: n_days must be an integer"),
         ("injected_ar: x\n", "bad synth config: injected_ar must be a number"),
         ("planted:\n  - {firm: 1.5, node: ClimateChange, day: 5}\n",
-         "bad synth config: planted[0].firm_index must be an integer"),
+         "bad synth config: planted[0].firm must be an integer"),
         ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spkie: 8}\n",
-         "bad synth config: planted[0].spkie is not one of firm, node, day, spike, sign"),
+         "unknown synth config keys: ['planted[0].spkie']"),
         ("confounds:\n  - {firm: 0, day: 9, kind: earnings}\n  - {firm: 0, day: 9, knd: earnings}\n",
-         "bad synth config: confounds[1].knd is not one of firm, day, kind"),
+         "unknown synth config keys: ['confounds[1].knd']"),
         ("idio_vol: .inf\n", "idio_vol must be finite"),
         ("market_vol: .nan\n", "market_vol must be finite"),
         ("base_rate: .nan\n", "base_rate must be finite"),
@@ -642,14 +643,27 @@ def test_synth_flag_overrides(tmp_path):
         ("beta_range: [.nan, 1.0]\n", "beta_range must be finite"),
         ("alpha_range: [0.0, .inf]\n", "alpha_range must be finite"),
         ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: .nan}\n",
-         "spike_size must be positive and finite"),
+         "spike must be positive and finite"),
         ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: .inf}\n",
-         "spike_size must be positive and finite"),
+         "spike must be positive and finite"),
         ("n_days: 30\nfiller_rate: 1.0e+19\n", "filler_rate must be at most 9.223e+18"),
         ("n_days: 30\nbase_rate: 1.0e+19\nplanted:\n  - {firm: 0, node: ClimateChange, day: 5}\n",
          "base_rate must be at most 9.223e+18"),
         ("n_days: 30\nplanted:\n  - {firm: 0, node: ClimateChange, day: 5, spike: 1.0e+19}\n",
-         "base_rate * spike_size must be at most 9.223e+18"),
+         "base_rate * spike must be at most 9.223e+18"),
+        ("planted:\n  - {firm: 0, node: ClimateChange, day: 5, sign: bad}\n",
+         "bad synth config: planted[0].sign must be one of negative, positive, got 'bad'"),
+        ("confounds:\n  - [0, 5, earnings]\n",
+         "confounds[0] config must be a mapping, got [0, 5, 'earnings']"),
+        ("planted: 0\n", "bad synth config: planted must be a list, got 0"),
+        ("planted: false\n", "bad synth config: planted must be a list, got False"),
+        ("planted: {}\n", "bad synth config: planted must be a list, got {}"),
+        ("planted: ''\n", "bad synth config: planted must be a list, got ''"),
+        ("confounds: 0\n", "bad synth config: confounds must be a list, got 0"),
+        ("confounds: false\n", "bad synth config: confounds must be a list, got False"),
+        ("confounds: {}\n", "bad synth config: confounds must be a list, got {}"),
+        ("confounds: ''\n", "bad synth config: confounds must be a list, got ''"),
+        ("start: 2020-13-45\n", "bad YAML in "),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
          "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
@@ -658,7 +672,9 @@ def test_synth_flag_overrides(tmp_path):
          "unknown-confound-key", "idio-vol-inf", "market-vol-nan", "base-rate-nan",
          "injected-ar-nan", "filler-rate-inf", "beta-range-nan", "alpha-range-inf", "spike-nan",
          "spike-inf", "filler-rate-above-poisson-limit", "base-rate-above-poisson-limit",
-         "spike-above-poisson-limit"],
+         "spike-above-poisson-limit", "unknown-planted-sign", "confound-a-list", "planted-zero",
+         "planted-false", "planted-empty-mapping", "planted-empty-string", "confounds-zero",
+         "confounds-false", "confounds-empty-mapping", "confounds-empty-string", "start-impossible-date"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"
@@ -668,6 +684,16 @@ def test_synth_invalid_config_exits_2(tmp_path, text, message):
     )
     assert result.exit_code == 2, all_output(result)
     assert message in all_output(result)
+
+
+def test_synth_null_entry_lists_plant_nothing(tmp_path):
+    config = tmp_path / "synth.yaml"
+    config.write_text("n_days: 30\nplanted: null\nconfounds:\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["synth", "-c", str(config), "--outdir", str(tmp_path / "c")])
+    assert result.exit_code == 0, all_output(result)
+    assert "planted events: 0 " in all_output(result)
+    for kind in ("earnings", "controversy"):
+        assert (tmp_path / "c" / f"{kind}.csv").read_text(encoding="utf-8") == "firm,date\n"
 
 
 @pytest.mark.parametrize(

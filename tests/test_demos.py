@@ -1,16 +1,23 @@
-"""Every demo script and README Python example runs against the current package.
+"""Every demo script and README Python example runs against the current package,
+and every README YAML block builds the config it documents.
 
 Each script runs from a copy under tmp_path, so the output it writes next
 to itself stays out of the source tree. The scripts share that copy's
 output directory, so they run in name order, as their numbering intends.
 """
 
+import dataclasses
 import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
+
+from esgrisk.pipeline import RunConfig, run_config_from_dict
+from esgrisk.synth import SynthConfig, synth_config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -35,10 +42,26 @@ def test_demos_run_in_order(tmp_path):
         assert result.returncode == 0, f"{script.name}:\n{result.stderr}"
 
 
+def readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
 def test_readme_python_blocks_run(tmp_path):
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                        re.MULTILINE | re.DOTALL)
+    blocks = readme_blocks("python")
     assert blocks
     for k, block in enumerate(blocks):
         result = run_python(["-c", block], tmp_path)
         assert result.returncode == 0, f"README python block {k}:\n{block}\n{result.stderr}"
+
+
+def test_readme_yaml_blocks_build():
+    synth_yaml, run_yaml, run_defaults, synth_defaults = map(yaml.safe_load, readme_blocks("yaml"))
+    synth = synth_config_from_dict(synth_yaml)
+    assert [list(entry) for entry in dataclasses.asdict(synth)["planted"]] == [
+        ["firm", "node", "day", "spike", "sign"]] * 2  # the YAML keys are the field names
+    assert run_config_from_dict(run_yaml).paths.messages == "corpus/messages.csv"
+    assert run_config_from_dict(run_defaults) == RunConfig()
+    assert synth_config_from_dict(synth_defaults) == SynthConfig()
+    for block, cls in ((run_defaults, RunConfig), (synth_defaults, SynthConfig)):
+        assert list(block) == [f.name for f in dataclasses.fields(cls)]  # every key, in field order

@@ -1,6 +1,9 @@
+import ast
 import csv
 import filecmp
+import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 import yaml
@@ -28,7 +31,7 @@ from esgrisk.pipeline import (
     write_resolved_config,
 )
 from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
-from esgrisk.synth import PlantedEvent, SynthConfig, evaluate_detection, generate
+from esgrisk.synth import Confound, PlantedEvent, SynthConfig, evaluate_detection, generate
 from esgrisk.taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key
 from esgrisk.trading import epoch_us
 
@@ -109,6 +112,48 @@ def test_load_run_config_errors(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")
     assert load_run_config(empty).detection.z == 2.0
+
+
+def yaml_texts():
+    """README's YAML blocks and every YAML config text written in the tests."""
+    tests = Path(__file__).parent
+    texts = re.findall(r"^```yaml\n(.*?)^```", (tests.parent / "README.md").read_text(encoding="utf-8"),
+                       re.MULTILINE | re.DOTALL)
+    for path in sorted(tests.glob("*.py")):
+        texts += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.endswith("\n") and re.search(r"^(- )?\w+:( |$)", node.value, re.MULTILINE)]
+    return texts
+
+
+def load_or_error(text, loader):
+    try:
+        return repr(yaml.load(text, Loader=loader))  # repr: nan compares equal to itself
+    except (yaml.YAMLError, ValueError):  # what read_yaml_mapping reports as bad YAML
+        return "bad YAML"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_safe_loaders_agree():
+    texts = yaml_texts()
+    assert len(texts) > 50
+    for text in texts:
+        assert load_or_error(text, yaml.CSafeLoader) == load_or_error(text, yaml.SafeLoader), text
+
+
+def test_read_yaml_mapping_with_the_pure_loader(tmp_path, monkeypatch):
+    """Without libyaml, configs are read by PyYAML's pure SafeLoader."""
+    path = tmp_path / "synth.yaml"
+    path.write_text("start: 2019-06-03\nplanted:\n  - {firm: 0, node: ClimateChange, spike: .inf}\n",
+                    encoding="utf-8")
+    expected = {"start": date(2019, 6, 3),
+                "planted": [{"firm": 0, "node": "ClimateChange", "spike": float("inf")}]}
+    assert pipeline.read_yaml_mapping(path) == expected
+    monkeypatch.setattr(pipeline, "_SAFE_LOADER", yaml.SafeLoader)
+    assert pipeline.read_yaml_mapping(path) == expected
+    path.write_text("detection: [unclosed\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad YAML"):
+        pipeline.read_yaml_mapping(path)
 
 
 def test_require_path(tmp_path):
@@ -407,7 +452,7 @@ def test_confounded_event_excluded_end_to_end(tmp_path):
         seed=7, n_firms=1, n_days=300, base_rate=5.0, filler_rate=4.0,
         planted=(PlantedEvent(0, Node.CLIMATE_CHANGE, 262, 12.0),),
         background_sentiment="positive",
-        confounds=((0, 263, "earnings"),),
+        confounds=(Confound(0, 263, "earnings"),),
     )
     corpus = tmp_path / "corpus"
     generate(config, corpus)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import io
 from datetime import date, timedelta
@@ -18,6 +19,7 @@ from esgrisk.sentiment import Sign
 from esgrisk.study import EstimationConfig
 from esgrisk.synth import (
     FILLER_WORDS,
+    Confound,
     DetectionScore,
     GroundTruth,
     PlantedEvent,
@@ -55,7 +57,7 @@ def test_config_validation():
         small_config(planted=(PlantedEvent(0, Node.CLIMATE_CHANGE, 30, 12.0),)).validate()
     with pytest.raises(ConfigError, match="firm index"):
         small_config(planted=(PlantedEvent(2, Node.CLIMATE_CHANGE, 5, 12.0),)).validate()
-    with pytest.raises(ConfigError, match="spike_size"):
+    with pytest.raises(ConfigError, match="spike must be positive"):
         small_config(planted=(PlantedEvent(0, Node.CLIMATE_CHANGE, 5, 0.0),)).validate()
     with pytest.raises(ConfigError, match="duplicate"):
         dup = PlantedEvent(0, Node.CLIMATE_CHANGE, 5, 12.0)
@@ -63,7 +65,7 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="background_sentiment"):
         small_config(background_sentiment="angry").validate()
     with pytest.raises(ConfigError, match="confound kind"):
-        small_config(confounds=((0, 5, "merger"),)).validate()
+        small_config(confounds=(Confound(0, 5, "merger"),)).validate()
     with pytest.raises(ConfigError):
         SynthConfig(n_days=1).validate()
 
@@ -82,9 +84,10 @@ def test_config_from_dict():
     assert config.start == date(2019, 6, 3)
     assert config.planted[0].node is Node.CLIMATE_CHANGE
     assert config.planted[0].sign is Sign.NEGATIVE
-    assert config.confounds == ((0, 12, "earnings"),)
+    assert config.confounds == (Confound(0, 12, "earnings"),)
     with pytest.raises(ConfigError, match="unknown"):
         synth_config_from_dict({"n_dayz": 40})
+    assert synth_config_from_dict(dataclasses.asdict(config)) == config  # entry keys are field names
 
 
 def test_business_days_skips_weekends():
@@ -250,7 +253,7 @@ def test_texts_classify_as_drawn(tmp_path, background):
             kinds.add("background")
         else:  # planted: the term and its sentiment word come first
             day = assign_trading_index(parse_timestamp(row["timestamp"]), calendar)
-            assert day == plant.day_index, row
+            assert day == plant.day, row
             expected = -1 if plant.sign is Sign.NEGATIVE else 1
             kinds.add(f"planted {plant.sign.value}")
         assert np.sign(float(score)) == expected, row
@@ -271,7 +274,7 @@ def test_message_count_matches_poisson_mean(tmp_path):
         n = len(read_messages(tmp_path / str(seed) / "messages.csv"))
         background_nodes = 2 + 1  # two planted nodes on firm 0, one on firm 2
         mean = (config.n_days * (config.n_firms * config.filler_rate + background_nodes * config.base_rate)
-                + sum(config.base_rate * ev.spike_size for ev in plants))
+                + sum(config.base_rate * ev.spike for ev in plants))
         assert abs(n - mean) <= 6 * np.sqrt(mean), (seed, n, mean)
 
 
@@ -287,7 +290,8 @@ def test_written_csvs_survive_a_csv_round_trip(tmp_path, background):
               PlantedEvent(1, Node.HUMAN_CAPITAL, 12, 6.0, sign=Sign.POSITIVE))
     config = SynthConfig(seed=13, n_firms=2, n_days=20, base_rate=4.0, filler_rate=6.0,
                          background_sentiment=background, planted=plants,
-                         confounds=((0, 3, "earnings"), (1, 5, "controversy"), (0, 2, "earnings")))
+                         confounds=(Confound(0, 3, "earnings"), Confound(1, 5, "controversy"),
+                                    Confound(0, 2, "earnings")))
     generate(config, tmp_path)
     for name in ("messages.csv", "prices.csv", "market_index.csv", "earnings.csv", "controversy.csv"):
         raw = (tmp_path / name).read_bytes()

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esgrisk.errors import DataError
 from esgrisk.taxonomy import (
@@ -44,6 +48,40 @@ def test_parse_node_variants():
     assert parse_node("esg") is Node.ESG_ALL
     assert parse_node("ESG_ALL") is Node.ESG_ALL
     assert parse_node("Governance") is Node.GOVERNANCE
+
+
+def spellings(node):
+    """Ways to write a node's name that parse_node accepts."""
+    words = re.findall(r"[A-Z][a-z]*", node.value)
+    yield from (node.value, node.name, node.value.lower(), node.value.upper())
+    for sep in (" ", "-", "_", " - "):
+        yield sep.join(words)
+        yield sep.join(words).lower()
+
+
+SPELLINGS = [name for node in Node for name in spellings(node)] + ["esg", "ESG", "E.S.G."]
+
+
+def test_node_lookup_takes_every_parse_node_spelling():
+    for name in SPELLINGS:
+        assert Node(name) is parse_node(name), name
+
+
+@given(st.one_of(st.sampled_from(SPELLINGS), st.text(max_size=30)))
+def test_node_lookup_agrees_with_parse_node_on_any_text(name):
+    try:
+        expected = parse_node(name)
+    except DataError:
+        with pytest.raises(ValueError):
+            Node(name)
+    else:
+        assert Node(name) is expected
+
+
+def test_node_lookup_of_an_unknown_name_raises_value_error():
+    for name in ("Bogus", "", "Sustainability", 5, None, ["Social"]):
+        with pytest.raises(ValueError):
+            Node(name)
 
 
 def test_parse_node_unknown_is_fatal():
