@@ -12,7 +12,7 @@ from datetime import date
 from pathlib import Path
 
 from esgrisk.synth import PlantedEvent, SynthConfig, business_days, generate
-from esgrisk.taxonomy import Node, node_sort_key
+from esgrisk.taxonomy import Node
 
 OUT = Path(__file__).parent / "output" / "corpus"
 
@@ -38,9 +38,9 @@ for f in sorted(OUT.iterdir()):
 
 # the generator records what it planted, expanded to parent taxonomy
 # levels, so detection output can be scored against it later
-print(f"\n{len(truth.planted)} planted events, {len(truth.truth_keys)} truth keys after rollup:")
-for firm, node, day in sorted(truth.truth_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2])):
-    print(f"  {firm}  {node.value:22s} {day}")
+print(f"\n{len(truth.planted)} planted events, {len(truth.truth)} truth keys after rollup:")
+for key in truth.truth:
+    print(f"  {key.firm}  {key.node.value:22s} {key.date}")
 
 days = business_days(config.start, config.n_days)
 print(f"\ntrading calendar: {days[0]} .. {days[-1]} ({len(days)} days)")

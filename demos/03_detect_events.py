@@ -67,8 +67,8 @@ cfg = run_config_from_dict(
 run_classify(cfg)
 detection = run_detect(cfg)
 
-firm_name, node, day, _, _ = truth.planted[0]
-print(f"\nplanted: {firm_name}, {node.value}, {day}")
+planted = truth.planted[0]
+print(f"\nplanted: {planted.firm}, {planted.node.value}, {planted.date}")
 print(f"detected {len(detection.detected)} events before confound exclusion:")
 for ev in detection.detected:
     print(f"  {ev.firm}  {ev.node.value:22s} {ev.day}  sentiment {ev.score:+.3f}")

@@ -190,7 +190,7 @@ def synth(config_path, outdir, **flags) -> None:
     with open(out / "resolved_synth_config.yaml", "w", encoding="utf-8") as fh:
         yaml.safe_dump(json.loads(json.dumps(raw, default=str)), fh, sort_keys=True)
     click.echo(f"synthetic corpus written to {out}")
-    click.echo(f"planted events: {len(truth.planted)} (expanded truth keys: {len(truth.truth_keys)})")
+    click.echo(f"planted events: {len(truth.planted)} (expanded truth keys: {len(truth.truth)})")
 
 
 @main.command("eval")
@@ -210,9 +210,9 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
     calendar = TradingCalendar(dates)
     detected = pl.load_kept_events(events, calendar)
     ground = GroundTruth.load(truth)
-    for firm, node, day, _, sign in ground.planted:
-        if sign is Sign.NEGATIVE and day not in calendar:
-            raise DataError(f"{truth}: planted entry ({firm}, {node.value}, {day}) "
+    for ev in ground.planted:
+        if ev.sign is Sign.NEGATIVE and ev.date not in calendar:
+            raise DataError(f"{truth}: planted entry ({ev.firm}, {ev.node.value}, {ev.date}) "
                             "is not on a trading day in this calendar")
     score = evaluate_detection(detected, ground.negative_keys(), calendar, tolerance=tolerance)
     precision = "n/a" if score.precision is None else f"{score.precision:.4f}"

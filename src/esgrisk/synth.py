@@ -22,6 +22,7 @@ corpus byte for byte. No wall clock, no platform entropy.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -35,7 +36,7 @@ from .errors import ConfigError, DataError, config_errors
 from .lexicon import load_esg_lexicon
 from .pipeline import build_config
 from .sentiment import Sign, load_sentiment_lexicon
-from .taxonomy import Node, expand_to_ancestors, node_sort_key, parse_node
+from .taxonomy import Node, expand_to_ancestors, node_sort_key
 from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, check_zone, close_instants
 
 # Vocabulary for messages that should match nothing; kept disjoint from
@@ -146,67 +147,57 @@ def firm_name(index: int) -> str:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """What was planted, in both raw and taxonomy-expanded form."""
+class TruthEvent:
+    """A planted event as ground_truth.json records it: firm name and calendar date."""
 
-    planted: tuple[tuple[str, Node, date, float, Sign], ...]
-    injected_ar: float
-    truth_keys: frozenset[tuple[str, Node, date]]
+    firm: str
+    node: Node
+    date: date
+    spike_size: float = 0.0
+    sign: Sign = Sign.NEGATIVE
+
+
+@dataclass(frozen=True)
+class TruthKey:
+    """A (firm, node, date) that a planted event makes true, its node's ancestors included."""
+
+    firm: str
+    node: Node
+    date: date
+
+
+def _keys(events: Iterable[TruthEvent]) -> set[tuple[str, Node, date]]:
+    return {(ev.firm, node, ev.date) for ev in events for node in expand_to_ancestors({ev.node})}
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """ground_truth.json: what was planted, and the keys it makes true (truth),
+    sorted by firm, node_sort_key and date."""
+
+    injected_ar: float = 0.0
+    planted: tuple[TruthEvent, ...] = ()
+    truth: tuple[TruthKey, ...] = ()
+
+    @classmethod
+    def of(cls, planted: tuple[TruthEvent, ...], injected_ar: float) -> "GroundTruth":
+        """The ground truth of these planted events, their truth keys derived."""
+        keys = sorted(_keys(planted), key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
+        return cls(injected_ar, planted, tuple(TruthKey(*k) for k in keys))
 
     def negative_keys(self) -> frozenset[tuple[str, Node, date]]:
         """Expanded keys for negatively signed planted events only."""
-        keys: set[tuple[str, Node, date]] = set()
-        for firm, node, day, _, sign in self.planted:
-            if sign is Sign.NEGATIVE:
-                for anc in expand_to_ancestors({node}):
-                    keys.add((firm, anc, day))
-        return frozenset(keys)
-
-    def to_json(self) -> dict:
-        return {
-            "injected_ar": self.injected_ar,
-            "planted": [
-                {
-                    "firm": firm,
-                    "node": node.value,
-                    "date": day.isoformat(),
-                    "spike_size": spike,
-                    "sign": sign.value,
-                }
-                for firm, node, day, spike, sign in self.planted
-            ],
-            "truth": [
-                {"firm": firm, "node": node.value, "date": day.isoformat()}
-                for firm, node, day in sorted(
-                    self.truth_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2])
-                )
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "GroundTruth":
-        planted = tuple(
-            (
-                str(item["firm"]),
-                parse_node(str(item["node"])),
-                date.fromisoformat(str(item["date"])),
-                float(item.get("spike_size", 0.0)),
-                Sign(str(item.get("sign", "negative"))),
-            )
-            for item in raw.get("planted", [])
-        )
-        truth = frozenset(
-            (str(item["firm"]), parse_node(str(item["node"])), date.fromisoformat(str(item["date"])))
-            for item in raw.get("truth", [])
-        )
-        return cls(planted=planted, injected_ar=float(raw.get("injected_ar", 0.0)), truth_keys=truth)
+        return frozenset(_keys(ev for ev in self.planted if ev.sign is Sign.NEGATIVE))
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
+                raw = json.load(fh)
+            if raw is None:  # build_config reads null as all defaults
+                raise ConfigError("ground truth config must be a mapping, got None")
+            return build_config(cls, raw, "ground truth")
+        except (OSError, ValueError, ConfigError) as exc:
             raise DataError(f"cannot read ground truth {path}: {exc}") from exc
 
 
@@ -352,21 +343,12 @@ def generate(config: SynthConfig, outdir: str | Path) -> GroundTruth:
     (outdir / "esg_lexicon.csv").write_bytes(demo_esg_lexicon_path().read_bytes())
     (outdir / "sentiment_lexicon.csv").write_bytes(demo_sentiment_lexicon_path().read_bytes())
 
-    planted_resolved = tuple(
-        (firm_name(ev.firm), ev.node, calendar_days[ev.day], ev.spike, ev.sign)
+    truth = GroundTruth.of(tuple(
+        TruthEvent(firm_name(ev.firm), ev.node, calendar_days[ev.day], ev.spike, ev.sign)
         for ev in config.planted
-    )
-    truth_keys: set[tuple[str, Node, date]] = set()
-    for firm, node, day, _, _ in planted_resolved:
-        for anc in expand_to_ancestors({node}):
-            truth_keys.add((firm, anc, day))
-    truth = GroundTruth(
-        planted=planted_resolved,
-        injected_ar=config.injected_ar,
-        truth_keys=frozenset(truth_keys),
-    )
+    ), config.injected_ar)
     with open(outdir / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(truth), fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return truth
 
@@ -423,28 +405,17 @@ def evaluate_detection(
     """
     detected = list(detected)
     truth = sorted(set(truth), key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
-    pool: dict[tuple[str, Node], list[tuple[int, bool]]] = {}
+    unmatched: dict[tuple[str, Node], list[int]] = {}  # detected day indices per (firm, node)
     for firm, node, day in detected:
-        pool.setdefault((firm, node), []).append((calendar.index_of(day), False))
-    for candidates in pool.values():
-        candidates.sort()
+        unmatched.setdefault((firm, node), []).append(calendar.index_of(day))
 
     matched = 0
     for firm, node, day in truth:
         idx = calendar.index_of(day)
-        candidates = pool.get((firm, node), [])
-        best: int | None = None
-        for j, (pos, used) in enumerate(candidates):
-            if used or abs(pos - idx) > tolerance:
-                continue
-            if best is None or (abs(pos - idx), pos) < (
-                abs(candidates[best][0] - idx),
-                candidates[best][0],
-            ):
-                best = j
-        if best is not None:
-            pos, _ = candidates[best]
-            candidates[best] = (pos, True)
+        days = unmatched.get((firm, node), [])
+        near = [pos for pos in days if abs(pos - idx) <= tolerance]
+        if near:
+            days.remove(min(near, key=lambda pos: (abs(pos - idx), pos)))
             matched += 1
 
     n_detected = len(detected)

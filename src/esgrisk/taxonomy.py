@@ -40,57 +40,29 @@ class Node(enum.Enum):
         return _LOOKUP.get(_normalize(value)) if isinstance(value, str) else None
 
 
-PILLARS: tuple[Node, ...] = (Node.ENVIRONMENT, Node.SOCIAL, Node.GOVERNANCE)
-
-# Subcategories grouped by pillar, in reporting order.
-SUBCATEGORIES: tuple[Node, ...] = (
-    Node.CLIMATE_CHANGE,
-    Node.NATURAL_CAPITAL,
-    Node.POLLUTION_AND_WASTE,
-    Node.ENVIRONMENTAL_OPPORTUNITIES,
-    Node.HUMAN_CAPITAL,
-    Node.PRODUCT_LIABILITY,
-    Node.STAKEHOLDER_OPPOSITION,
-    Node.SOCIAL_OPPORTUNITIES,
-    Node.CORPORATE_GOVERNANCE,
-    Node.CORPORATE_BEHAVIOR,
-)
-
+# Each node's parent, in the order of every report and output file: the
+# root, then each pillar followed by its subcategories.
 PARENT: dict[Node, Node | None] = {
     Node.ESG_ALL: None,
     Node.ENVIRONMENT: Node.ESG_ALL,
-    Node.SOCIAL: Node.ESG_ALL,
-    Node.GOVERNANCE: Node.ESG_ALL,
     Node.CLIMATE_CHANGE: Node.ENVIRONMENT,
     Node.NATURAL_CAPITAL: Node.ENVIRONMENT,
     Node.POLLUTION_AND_WASTE: Node.ENVIRONMENT,
     Node.ENVIRONMENTAL_OPPORTUNITIES: Node.ENVIRONMENT,
+    Node.SOCIAL: Node.ESG_ALL,
     Node.HUMAN_CAPITAL: Node.SOCIAL,
     Node.PRODUCT_LIABILITY: Node.SOCIAL,
     Node.STAKEHOLDER_OPPOSITION: Node.SOCIAL,
     Node.SOCIAL_OPPORTUNITIES: Node.SOCIAL,
+    Node.GOVERNANCE: Node.ESG_ALL,
     Node.CORPORATE_GOVERNANCE: Node.GOVERNANCE,
     Node.CORPORATE_BEHAVIOR: Node.GOVERNANCE,
 }
 
-# Order used by every report and output file: root, then each pillar
-# followed by its subcategories.
-REPORT_ORDER: tuple[Node, ...] = (
-    Node.ESG_ALL,
-    Node.ENVIRONMENT,
-    Node.CLIMATE_CHANGE,
-    Node.NATURAL_CAPITAL,
-    Node.POLLUTION_AND_WASTE,
-    Node.ENVIRONMENTAL_OPPORTUNITIES,
-    Node.SOCIAL,
-    Node.HUMAN_CAPITAL,
-    Node.PRODUCT_LIABILITY,
-    Node.STAKEHOLDER_OPPOSITION,
-    Node.SOCIAL_OPPORTUNITIES,
-    Node.GOVERNANCE,
-    Node.CORPORATE_GOVERNANCE,
-    Node.CORPORATE_BEHAVIOR,
-)
+REPORT_ORDER: tuple[Node, ...] = tuple(PARENT)
+PILLARS: tuple[Node, ...] = tuple(node for node, parent in PARENT.items() if parent is Node.ESG_ALL)
+# grouped by pillar, in report order
+SUBCATEGORIES: tuple[Node, ...] = tuple(node for node, parent in PARENT.items() if parent in PILLARS)
 
 _ORDER_INDEX = {node: i for i, node in enumerate(REPORT_ORDER)}
 

@@ -696,18 +696,30 @@ def test_synth_null_entry_lists_plant_nothing(tmp_path):
         assert (tmp_path / "c" / f"{kind}.csv").read_text(encoding="utf-8") == "firm,date\n"
 
 
+ENTRY = {"firm": "FIRM00", "node": "ClimateChange", "date": "2020-01-02"}
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        [],
-        {"planted": [1]},
-        {"planted": [{"firm": "FIRM00", "node": "ClimateChange", "date": "2020-01-02", "spike_size": [1]}]},
-        {"truth": 5},
-        {"planted": [{"firm": "FIRM00", "node": "Bogus", "date": "2020-01-02"}]},
+        ([], "ground truth config must be a mapping, got []"),
+        (None, "ground truth config must be a mapping, got None"),
+        ({"planted": [1]}, "planted[0] config must be a mapping, got 1"),
+        ({"planted": [{**ENTRY, "spike_size": [1]}]}, "bad ground truth config: planted[0].spike_size must be a number, got [1]"),
+        ({"truth": 5}, "bad ground truth config: truth must be a list, got 5"),
+        ({"planted": [{**ENTRY, "node": "Bogus"}]}, "bad ground truth config: planted[0].node must be one of ESG_ALL, "),
+        ({"planted": [{"node": "ClimateChange", "date": "2020-01-02"}]},
+         "bad ground truth config: planted[0].firm is required"),
+        ({"planted": [{**ENTRY, "spike_sise": 2.0}]},
+         "unknown ground truth config keys: ['planted[0].spike_sise']"),
+        ({"planted": [{**ENTRY, "firm": 5}]}, "bad ground truth config: planted[0].firm must be a string, got 5"),
+        ({"planted": [{**ENTRY, "spike_size": True}]},
+         "bad ground truth config: planted[0].spike_size must be a number, got True"),
     ],
-    ids=["list", "planted-entry-not-a-mapping", "spike-size-a-list", "truth-not-a-list", "unknown-node"],
+    ids=["list", "null", "planted-entry-not-a-mapping", "spike-size-a-list", "truth-not-a-list", "unknown-node",
+         "missing-firm", "misspelled-entry-key", "numeric-firm", "boolean-spike-size"],
 )
-def test_malformed_ground_truth_exits_3(cli_run, tmp_path, payload):
+def test_malformed_ground_truth_exits_3(cli_run, tmp_path, payload, message):
     bad = tmp_path / "ground_truth.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
     result = CliRunner().invoke(
@@ -716,7 +728,7 @@ def test_malformed_ground_truth_exits_3(cli_run, tmp_path, payload):
          "--market-index", str(cli_run["corpus"] / "market_index.csv")],
     )
     assert result.exit_code == 3, all_output(result)
-    assert f"data error: cannot read ground truth {bad}: " in all_output(result)
+    assert f"data error: cannot read ground truth {bad}: {message}" in all_output(result)
 
 
 def assert_config_error(result, message):

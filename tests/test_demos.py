@@ -1,5 +1,6 @@
 """Every demo script and README Python example runs against the current package,
-and every README YAML block builds the config it documents.
+every README YAML block builds the config it documents, and README's
+ground_truth.json example is what the package writes and reads.
 
 Each script runs from a copy under tmp_path, so the output it writes next
 to itself stays out of the source tree. The scripts share that copy's
@@ -7,6 +8,7 @@ output directory, so they run in name order, as their numbering intends.
 """
 
 import dataclasses
+import json
 import os
 import re
 import shutil
@@ -17,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from esgrisk.pipeline import RunConfig, run_config_from_dict
-from esgrisk.synth import SynthConfig, synth_config_from_dict
+from esgrisk.synth import GroundTruth, SynthConfig, synth_config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -65,3 +67,11 @@ def test_readme_yaml_blocks_build():
     assert synth_config_from_dict(synth_defaults) == SynthConfig()
     for block, cls in ((run_defaults, RunConfig), (synth_defaults, SynthConfig)):
         assert list(block) == [f.name for f in dataclasses.fields(cls)]  # every key, in field order
+
+
+def test_readme_ground_truth_block_round_trips(tmp_path):
+    (block,) = readme_blocks("json")
+    (tmp_path / "ground_truth.json").write_text(block, encoding="utf-8")
+    truth = GroundTruth.load(tmp_path / "ground_truth.json")
+    assert truth == GroundTruth.of(truth.planted, truth.injected_ar)  # truth is planted's closure
+    assert json.dumps(dataclasses.asdict(truth), indent=2, sort_keys=True, default=str) + "\n" == block

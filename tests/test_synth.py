@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import filecmp
 import io
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,7 +15,7 @@ from esgrisk.demodata import demo_esg_lexicon_path, demo_sentiment_lexicon_path
 from esgrisk.errors import ConfigError
 from esgrisk.ingest import parse_timestamp
 from esgrisk.lexicon import tokenize
-from esgrisk.pipeline import _ClassifyEngine
+from esgrisk.pipeline import _ClassifyEngine, build_config
 from esgrisk.sentiment import Sign
 from esgrisk.study import EstimationConfig
 from esgrisk.synth import (
@@ -24,6 +25,8 @@ from esgrisk.synth import (
     GroundTruth,
     PlantedEvent,
     SynthConfig,
+    TruthEvent,
+    TruthKey,
     business_days,
     evaluate_detection,
     firm_name,
@@ -111,14 +114,12 @@ def test_generate_writes_complete_corpus(tmp_path):
         assert (tmp_path / name).exists(), name
     day = business_days(config.start, config.n_days)[20]
     assert truth.injected_ar == -0.01
-    assert truth.planted == (("FIRM00", Node.CLIMATE_CHANGE, day, 12.0, Sign.NEGATIVE),)
-    # truth keys carry the full ancestor chain of the planted node
-    assert truth.truth_keys == frozenset(
-        {
-            ("FIRM00", Node.CLIMATE_CHANGE, day),
-            ("FIRM00", Node.ENVIRONMENT, day),
-            ("FIRM00", Node.ESG_ALL, day),
-        }
+    assert truth.planted == (TruthEvent("FIRM00", Node.CLIMATE_CHANGE, day, 12.0, Sign.NEGATIVE),)
+    # truth keys carry the full ancestor chain of the planted node, in report order
+    assert truth.truth == (
+        TruthKey("FIRM00", Node.ESG_ALL, day),
+        TruthKey("FIRM00", Node.ENVIRONMENT, day),
+        TruthKey("FIRM00", Node.CLIMATE_CHANGE, day),
     )
 
 
@@ -321,10 +322,77 @@ def test_filler_words_and_firm_names_need_no_csv_quoting():
 
 def test_ground_truth_round_trip(tmp_path):
     truth = generate(small_config(), tmp_path)
-    again = GroundTruth.from_json(truth.to_json())
-    assert again == truth
-    loaded = GroundTruth.load(tmp_path / "ground_truth.json")
-    assert loaded == truth
+    plain = json.loads(json.dumps(dataclasses.asdict(truth), default=str))
+    assert build_config(GroundTruth, plain, "ground truth") == truth
+    assert GroundTruth.load(tmp_path / "ground_truth.json") == truth
+
+
+GOLDEN_GROUND_TRUTH = """\
+{
+  "injected_ar": -0.01,
+  "planted": [
+    {
+      "date": "2018-01-29",
+      "firm": "FIRM00",
+      "node": "ClimateChange",
+      "sign": "negative",
+      "spike_size": 12.0
+    },
+    {
+      "date": "2018-01-31",
+      "firm": "FIRM01",
+      "node": "HumanCapital",
+      "sign": "positive",
+      "spike_size": 8.5
+    }
+  ],
+  "truth": [
+    {
+      "date": "2018-01-29",
+      "firm": "FIRM00",
+      "node": "ESG_ALL"
+    },
+    {
+      "date": "2018-01-29",
+      "firm": "FIRM00",
+      "node": "Environment"
+    },
+    {
+      "date": "2018-01-29",
+      "firm": "FIRM00",
+      "node": "ClimateChange"
+    },
+    {
+      "date": "2018-01-31",
+      "firm": "FIRM01",
+      "node": "ESG_ALL"
+    },
+    {
+      "date": "2018-01-31",
+      "firm": "FIRM01",
+      "node": "Social"
+    },
+    {
+      "date": "2018-01-31",
+      "firm": "FIRM01",
+      "node": "HumanCapital"
+    }
+  ]
+}
+"""
+
+
+def test_ground_truth_json_text_is_pinned(tmp_path):
+    """The file's keys, value spellings, key order and indentation are fixed."""
+    config = small_config(
+        planted=(
+            PlantedEvent(0, Node.CLIMATE_CHANGE, 20, 12.0),
+            PlantedEvent(1, Node.HUMAN_CAPITAL, 22, 8.5, sign=Sign.POSITIVE),
+        ),
+    )
+    truth = generate(config, tmp_path)
+    assert (tmp_path / "ground_truth.json").read_text(encoding="utf-8") == GOLDEN_GROUND_TRUTH
+    assert GroundTruth.load(tmp_path / "ground_truth.json") == truth
 
 
 def test_ground_truth_negative_keys_exclude_positive_events(tmp_path):
@@ -344,7 +412,7 @@ def test_ground_truth_negative_keys_exclude_positive_events(tmp_path):
         }
     )
     # but the full truth set still carries the positive plant
-    assert ("FIRM01", Node.HUMAN_CAPITAL, days[22]) in truth.truth_keys
+    assert TruthKey("FIRM01", Node.HUMAN_CAPITAL, days[22]) in truth.truth
 
 
 def test_ground_truth_load_missing_file(tmp_path):
@@ -443,3 +511,51 @@ def test_evaluate_detection_no_double_counting():
     score = evaluate_detection(detected, truth, cal)
     assert score.matched == 1
     assert score.recall == pytest.approx(0.5)
+
+
+def evaluate_detection_oracle(detected, truth, calendar, tolerance=1):
+    """The (position, used) candidate scan evaluate_detection replaced, kept as its oracle."""
+    detected = list(detected)
+    truth = sorted(set(truth), key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
+    pool = {}
+    for firm, node, day in detected:
+        pool.setdefault((firm, node), []).append((calendar.index_of(day), False))
+    for candidates in pool.values():
+        candidates.sort()
+    matched = 0
+    for firm, node, day in truth:
+        idx = calendar.index_of(day)
+        candidates = pool.get((firm, node), [])
+        best = None
+        for j, (pos, used) in enumerate(candidates):
+            if used or abs(pos - idx) > tolerance:
+                continue
+            if best is None or (abs(pos - idx), pos) < (abs(candidates[best][0] - idx), candidates[best][0]):
+                best = j
+        if best is not None:
+            candidates[best] = (candidates[best][0], True)
+            matched += 1
+    n_detected, n_truth = len(detected), len(truth)
+    return DetectionScore(
+        precision=(matched / n_detected) if n_detected else None,
+        recall=(matched / n_truth) if n_truth else None,
+        matched=matched, n_detected=n_detected, n_truth=n_truth,
+    )
+
+
+_KEYS = st.tuples(st.sampled_from(["A", "B"]), st.sampled_from([Node.ESG_ALL, Node.SOCIAL]),
+                  st.integers(0, 11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KEYS, max_size=12), st.lists(_KEYS, max_size=12), st.integers(0, 3))
+@example([("A", Node.ESG_ALL, 5)] * 2, [("A", Node.ESG_ALL, 4), ("A", Node.ESG_ALL, 6)], 1)
+@example([("A", Node.ESG_ALL, 4), ("A", Node.ESG_ALL, 6)], [("A", Node.ESG_ALL, 5)] * 3, 1)
+@example([("A", Node.ESG_ALL, 4), ("A", Node.ESG_ALL, 6)], [("A", Node.ESG_ALL, 5), ("A", Node.ESG_ALL, 7)], 1)
+def test_evaluate_detection_matches_candidate_scan(detected, truth, tolerance):
+    """Repeated keys and ties in distance included, every score field agrees."""
+    cal = weekday_calendar(12)
+    detected = [(firm, node, cal.date_at(i)) for firm, node, i in detected]
+    truth = [(firm, node, cal.date_at(i)) for firm, node, i in truth]
+    expected = evaluate_detection_oracle(detected, truth, cal, tolerance)
+    assert evaluate_detection(detected, truth, cal, tolerance=tolerance) == expected

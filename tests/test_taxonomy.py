@@ -40,6 +40,19 @@ def test_report_order_groups_pillars():
     assert keys == sorted(keys) and len(set(keys)) == 14
 
 
+def test_report_order_is_pinned():
+    """Every report, output file and label-bits int depends on this order."""
+    assert [n.value for n in REPORT_ORDER] == [
+        "ESG_ALL",
+        "Environment", "ClimateChange", "NaturalCapital", "PollutionAndWaste",
+        "EnvironmentalOpportunities",
+        "Social", "HumanCapital", "ProductLiability", "StakeholderOpposition", "SocialOpportunities",
+        "Governance", "CorporateGovernance", "CorporateBehavior",
+    ]
+    assert PILLARS == (Node.ENVIRONMENT, Node.SOCIAL, Node.GOVERNANCE)
+    assert SUBCATEGORIES == tuple(n for n in REPORT_ORDER if n not in PILLARS and n is not Node.ESG_ALL)
+
+
 def test_parse_node_variants():
     assert parse_node("ClimateChange") is Node.CLIMATE_CHANGE
     assert parse_node("climate change") is Node.CLIMATE_CHANGE
