@@ -208,7 +208,7 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
             raise ConfigError(f"{path} does not exist")
     (dates, _), _ = read_market_index(market_index)
     calendar = TradingCalendar(dates)
-    detected = pl.load_kept_events(events, calendar)
+    detected = pl.load_kept_events(events, calendar).keys(calendar)
     ground = GroundTruth.load(truth)
     for ev in ground.planted:
         if ev.sign is Sign.NEGATIVE and ev.date not in calendar:

@@ -336,13 +336,14 @@ def failures(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]):
         yield int(row), checks[np.argmin(passes[:, row])][1](row)
 
 
-def code_firms(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+def code_firms(cells: Sequence[str | None], codes: dict[str, int]) -> np.ndarray:
     """Each row's firm code, coding a new stripped name in first-row order.
 
-    A reader calls this on the rows that pass its checks only, so a firm
-    is coded by its first valid row.
+    A reader calls this on the rows that pass its checks only, or on a
+    block whose every failing row raises, so a firm is coded by its first
+    valid row.
     """
-    names = {raw: raw.strip() for raw in dict.fromkeys(cells)}
+    names = {raw: (raw or "").strip() for raw in dict.fromkeys(cells)}
     code = {raw: codes.setdefault(name, len(codes)) for raw, name in names.items()}
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
 
@@ -394,16 +395,18 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
             column.frombytes(part.tobytes())
     report.log_skips()
 
-    firm_code, ordinal, lines = (np.frombuffer(c, dtype=np.int64) for c in columns[:3])
-    order = np.lexsort((ordinal, firm_code))  # stable, so repeats stay in file order
-    firm_code, ordinal, lines = firm_code[order], ordinal[order], lines[order]
-    close, ret = (np.frombuffer(c)[order] for c in columns[3:])
+    keys = [np.frombuffer(c, dtype=np.int64) for c in columns[1::-1]]
+    order = np.lexsort(keys)  # by firm code, then date; stable, so repeats stay in file order
+    # with no view left on it, each unsorted buffer goes once its sorted copy exists
+    del keys
+    firm_code, ordinal, lines, close, ret = (np.frombuffer(columns.pop(0), t)[order] for t in "qqqdd")
     same_firm = firm_code[1:] == firm_code[:-1]
     repeat = same_firm & (ordinal[1:] == ordinal[:-1])
     if repeat.any():
         k = 1 + np.flatnonzero(repeat)[np.argmin(lines[1:][repeat])]
         firm, day = list(codes)[firm_code[k]], date.fromordinal(int(ordinal[k]))
         raise DataError(f"{path}:{lines[k]}: duplicate price row for {firm} {day}")
+    del order, lines, repeat
     derive = np.flatnonzero(same_firm & np.isnan(ret[1:])) + 1
     ret[derive] = close[derive] / close[derive - 1] - 1.0
     return (list(codes), firm_code, ordinal, ret), report

@@ -531,7 +531,25 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     )
 
 
-def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
+class KeptEvents(typing.NamedTuple):
+    """Kept events as columns, in file order: the distinct firm names, coded
+    by first row, then per event its firm code, node index (node_sort_key)
+    and calendar day index."""
+
+    names: list[str]
+    firm: np.ndarray
+    node: np.ndarray
+    day: np.ndarray
+
+    def keys(self, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
+        """(firm, node, date) per event, in file order."""
+        return [
+            (self.names[f], REPORT_ORDER[n], calendar.dates[d])
+            for f, n, d in zip(self.firm.tolist(), self.node.tolist(), self.day.tolist())
+        ]
+
+
+def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
     """Read kept events from an events.csv; each must fall on a trading day, once.
 
     Each block's kept rows are converted a column at a time, each distinct
@@ -539,10 +557,14 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[
     a day off the calendar, an unknown node, a blank firm and a repeated
     (firm, node, date), in that order. DataError names the first failing row.
     """
-    out: list[tuple[str, Node, date]] = []
-    seen: set[tuple[str, Node, date]] = set()
-    days: dict[str | None, date | None] = {}  # None for a bad date
-    nodes: dict[str | None, Node | str] = {}  # a bad node string maps to its error
+    codes: dict[str, int] = {}
+    day_index: dict[str | None, int] = {}  # -2 for a bad date, -1 for a day off the calendar
+    node_index: dict[str | None, int] = {}  # -1 for a bad node string
+    node_errors: dict[str | None, str] = {}
+    # (firm * nodes + node) * days + day of every event so far; a failing row
+    # raises before any later row counts, so its key cannot shadow a valid one
+    seen: set[int] = set()
+    parts: list[tuple[np.ndarray, ...]] = []  # per block: firm code, node index, day index
     for lines, (firms, raw_nodes, raw_days, *_, flags, _, _) in read_columns(
         path, "event", EVENT_COLUMNS
     ):
@@ -550,35 +572,38 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> list[tuple[
         kept = [*map(true.__contains__, flags)]
         cells = (lines, firms, raw_nodes, raw_days)
         lines, firms, raw_nodes, raw_days = ([*compress(column, kept)] for column in cells)
-        for raw in set(raw_days).difference(days):
+        n = len(lines)
+        for raw in set(raw_days).difference(day_index):
             try:
-                days[raw] = date.fromisoformat((raw or "").strip())
+                day = date.fromisoformat((raw or "").strip())
+                day_index[raw] = calendar.index_of(day) if day in calendar else -1
             except ValueError:
-                days[raw] = None
-        for raw in set(raw_nodes).difference(nodes):
+                day_index[raw] = -2
+        for raw in set(raw_nodes).difference(node_index):
             try:
-                nodes[raw] = parse_node(raw or "")
+                node_index[raw] = node_sort_key(parse_node(raw or ""))
             except DataError as exc:
-                nodes[raw] = str(exc)
-        names = {raw: (raw or "").strip() for raw in set(firms)}
-        node, day = [*map(nodes.__getitem__, raw_nodes)], [*map(days.__getitem__, raw_days)]
-        events = [*zip(map(names.__getitem__, firms), node, day)]
-        fresh = np.ones(len(events), bool)
-        for k, event in enumerate(events):
-            fresh[k] = event not in seen
-            seen.add(event)
+                node_index[raw], node_errors[raw] = -1, str(exc)
+        firm = code_firms(firms, codes)
+        node = np.fromiter(map(node_index.__getitem__, raw_nodes), np.int64, n)
+        day = np.fromiter(map(day_index.__getitem__, raw_days), np.int64, n)
+        fresh = np.ones(n, bool)
+        for k, key in enumerate(((firm * len(REPORT_ORDER) + node) * len(calendar) + day).tolist()):
+            fresh[k] = key not in seen
+            seen.add(key)
         for k, reason in failures([
-            (np.array([d is not None for d in day], bool),
-             lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
-            (np.fromiter(map(calendar.__contains__, day), bool, len(day)),
-             lambda k: f"{day[k]} is not a trading day in this calendar"),
-            (np.array([isinstance(v, Node) for v in node], bool), lambda k: node[k]),
+            (day > -2, lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
+            (day >= 0, lambda k: "{} is not a trading day in this calendar".format(
+                date.fromisoformat(raw_days[k].strip()))),
+            (node >= 0, lambda k: node_errors[raw_nodes[k]]),
             (filled(firms), lambda k: "missing firm"),
-            (fresh, lambda k: "duplicate kept event {} {} {}".format(*events[k])),
+            (fresh, lambda k: "duplicate kept event {} {} {}".format(
+                firms[k].strip(), REPORT_ORDER[node[k]], calendar.dates[day[k]])),
         ]):
             raise DataError(f"{path}:{lines[k]}: {reason}")
-        out += events
-    return out
+        parts.append((firm, node, day))
+    columns = map(np.concatenate, zip(*parts)) if parts else (np.zeros(0, np.int64),) * 3
+    return KeptEvents(list(codes), *columns)
 
 
 # --- study stage -------------------------------------------------------------
@@ -594,40 +619,42 @@ class StudyOutputs:
 
 
 def study_events(
-    event_keys: Sequence[tuple[str, Node, date]],
+    events: KeptEvents,
     firm_returns: tuple[Sequence[str], np.ndarray],
     market_returns: np.ndarray,
     calendar: TradingCalendar,
     config: EstimationConfig,
 ) -> tuple[list[NodeStudyResult], list[tuple[str, Node, date, str]]]:
-    """Compute per-node study results for (firm, node, date) events.
+    """Compute per-node study results for kept events.
 
     `firm_returns` is align_firm_returns' (firm names, returns matrix).
-    Each distinct (firm, day) is studied once, in one stacked call.
+    Events are taken in (firm name, node_sort_key, date) order, the order
+    of each node's events and of the drops. Each distinct (firm, day) is
+    studied once, in one stacked call.
     """
     firms, returns = firm_returns
     row_of = {firm: i for i, firm in enumerate(firms)}
-    keys = sorted(event_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
-    stacked: dict[tuple[str, date], int] = {}
-    for firm, _, day in keys:
-        if firm in row_of:
-            stacked.setdefault((firm, day), len(stacked))
-    rows = np.array([row_of[firm] for firm, _ in stacked], dtype=np.intp)
-    days = np.array([calendar.index_of(day) for _, day in stacked], dtype=np.intp)
+    rank = np.empty(len(events.names), np.int64)
+    rank[sorted(range(len(events.names)), key=events.names.__getitem__)] = np.arange(len(rank))
+    order = np.lexsort((events.day, events.node, rank[events.firm]))
+    firm, node, day = events.firm[order], events.node[order], events.day[order]
+    price_row = np.array([row_of.get(name, -1) for name in events.names], np.int64)[firm]
+    priced = np.flatnonzero(price_row >= 0)
+    stacked, k = np.unique(price_row[priced] * len(calendar) + day[priced], return_inverse=True)
+    rows, days = np.divmod(stacked, len(calendar))
     abnormals = compute_event_abnormals(returns, market_returns, rows, days, config)
-    by_node: dict[Node, list[int]] = {}
-    drops: list[tuple[str, Node, date, str]] = []
-    for firm, node, day in keys:
-        k = stacked.get((firm, day))
-        reason = "no price data for firm" if k is None else str(abnormals.dropped[k])
-        if reason:
-            drops.append((firm, node, day, reason))
-        else:
-            by_node.setdefault(node, []).append(k)
+    reason = np.full(len(firm), "no price data for firm", dtype=object)
+    reason[priced] = abnormals.dropped[k].tolist()
+    stacked_at = np.full(len(firm), -1)
+    stacked_at[priced] = k
+    studied = reason == ""
     results = [
-        aggregate_node(node, abnormals.take(by_node[node]), config)
-        for node in REPORT_ORDER
-        if node in by_node
+        aggregate_node(REPORT_ORDER[n], abnormals.take(stacked_at[studied & (node == n)]), config)
+        for n in sorted(set(node[studied].tolist()))  # not np.unique, which imports numpy.ma
+    ]
+    drops = [
+        (events.names[f], REPORT_ORDER[n], calendar.dates[d], r)
+        for f, n, d, r in zip(*(column[~studied].tolist() for column in (firm, node, day, reason)))
     ]
     return results, drops
 
@@ -644,13 +671,13 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
 
     (dates, market), _ = read_market_index(index_path)
     calendar = TradingCalendar(dates)
-    event_keys = load_kept_events(events_path, calendar)
+    events = load_kept_events(events_path, calendar)
     prices, _ = read_prices(prices_path)
     firm_returns = align_firm_returns(prices, calendar)
     market_returns = align_market_returns(dates, market, calendar)
 
     outputs = _write_study_outputs(
-        event_keys, firm_returns, market_returns, calendar, cfg.study, outdir, suffix=""
+        events, firm_returns, market_returns, calendar, cfg.study, outdir, suffix=""
     )
     if robust_len := cfg.robustness_est_len:
         robust_cfg = dataclasses.replace(
@@ -663,16 +690,16 @@ def run_study(cfg: RunConfig) -> StudyOutputs:
         )
         robust_cfg.validate()
         outputs.robustness = _write_study_outputs(
-            event_keys, firm_returns, market_returns, calendar, robust_cfg, outdir,
+            events, firm_returns, market_returns, calendar, robust_cfg, outdir,
             suffix=f"_est{robust_len}",
         )
     return outputs
 
 
 def _write_study_outputs(
-    event_keys, firm_returns, market_returns, calendar, study_cfg, outdir: Path, suffix: str
+    events, firm_returns, market_returns, calendar, study_cfg, outdir: Path, suffix: str
 ) -> StudyOutputs:
-    results, drops = study_events(event_keys, firm_returns, market_returns, calendar, study_cfg)
+    results, drops = study_events(events, firm_returns, market_returns, calendar, study_cfg)
     results_csv = outdir / f"results{suffix}.csv"
     results_text = outdir / f"results{suffix}.txt"
     results_csv.write_text(render_results_csv(results), encoding="utf-8")

@@ -34,6 +34,9 @@ log = logging.getLogger(__name__)
 
 Window = tuple[int, int]
 
+_BLOCK = 256  # events fitted per block of compute_event_abnormals
+_MISSING = "missing event-window returns"
+
 
 @dataclass(frozen=True)
 class EstimationConfig:
@@ -217,30 +220,40 @@ def compute_event_abnormals(
     per firm row. An event whose fit is usable is still dropped ("missing
     event-window returns") if a required offset lacks a firm or market
     return; offsets needed only for the running-sum curve may be NaN.
+
+    Events are fitted _BLOCK at a time into the output arrays, so the fit
+    temporaries do not grow with the event count. Every statistic is
+    row-wise, so the block size changes no value.
     """
     rows = np.asarray(rows, dtype=np.intp)
     days = np.asarray(days, dtype=np.intp)
     market_grid = np.atleast_2d(market_returns)
-    market_rows = rows[:, None] if len(market_grid) > 1 else 0
-
-    def windows(offsets) -> tuple[np.ndarray, np.ndarray]:
-        cols = days[:, None] + np.asarray(offsets, dtype=np.intp)
-        return _take(firm_returns, rows[:, None], cols), _take(market_grid, market_rows, cols)
-
-    fit = fit_market_model(*windows(config.est_offsets()), config)
     required = config.required_offsets()
     span = (-config.curve_span, *required, config.curve_span)
     offsets = range(min(span), max(span) + 1)
-    # offsets x events, so that the per-event fit arrays broadcast along rows
-    firm, market = (w.T for w in windows(offsets))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ar = abnormal_return(fit, firm, market)
-        sar = standardize(fit, ar, market)
-    ar, sar = ar.T, sar.T
     need = [off - offsets.start for off in required]
-    missing = np.isnan(ar[:, need]).any(axis=1)
-    dropped = np.where((fit.dropped == "") & missing, "missing event-window returns", fit.dropped)
-    ar[dropped != ""] = sar[dropped != ""] = np.nan
+    ar, sar = np.empty((len(rows), len(offsets))), np.empty((len(rows), len(offsets)))
+    dropped = np.empty(len(rows), dtype=f"U{len(_MISSING)}")  # the longest reason
+    for start in range(0, len(rows), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        grid_rows = rows[block, None]
+        market_rows = grid_rows if len(market_grid) > 1 else 0
+
+        def windows(offsets) -> tuple[np.ndarray, np.ndarray]:
+            cols = days[block, None] + np.asarray(offsets, dtype=np.intp)
+            return _take(firm_returns, grid_rows, cols), _take(market_grid, market_rows, cols)
+
+        fit = fit_market_model(*windows(config.est_offsets()), config)
+        # offsets x events, so that the per-event fit arrays broadcast along rows
+        firm, market = (w.T for w in windows(offsets))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block_ar = abnormal_return(fit, firm, market)
+            block_sar = standardize(fit, block_ar, market)
+        block_ar, block_sar = block_ar.T, block_sar.T
+        missing = np.isnan(block_ar[:, need]).any(axis=1)
+        reason = np.where((fit.dropped == "") & missing, _MISSING, fit.dropped)
+        block_ar[reason != ""] = block_sar[reason != ""] = np.nan
+        ar[block], sar[block], dropped[block] = block_ar, block_sar, reason
     return EventAbnormals(offsets, ar, sar, dropped)
 
 

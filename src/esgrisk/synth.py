@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, config_errors
 from .lexicon import load_esg_lexicon
 from .pipeline import build_config
 from .sentiment import Sign, load_sentiment_lexicon
-from .taxonomy import Node, expand_to_ancestors, node_sort_key
+from .taxonomy import SUBCATEGORIES, Node, expand_to_ancestors, node_sort_key
 from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, check_zone, close_instants
 
 # Vocabulary for messages that should match nothing; kept disjoint from
@@ -108,7 +108,12 @@ class SynthConfig:
             raise ConfigError(f"bad background_sentiment {self.background_sentiment!r}")
         check_zone("exchange_tz", self.exchange_tz)
         seen: set[tuple[int, Node, int]] = set()
-        for ev in self.planted:
+        for i, ev in enumerate(self.planted):
+            if ev.node not in SUBCATEGORIES:  # messages carry the lexicon's subcategory terms
+                raise ConfigError(
+                    f"bad synth config: planted[{i}].node must be a subcategory, one of "
+                    f"{', '.join(node.value for node in SUBCATEGORIES)}, got {ev.node.value!r}"
+                )
             if not 0 <= ev.firm < self.n_firms:
                 raise ConfigError(f"planted firm index {ev.firm} out of range")
             if not 0 <= ev.day < self.n_days:
@@ -191,14 +196,20 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
+        """Read a ground_truth.json; DataError if it is unreadable or malformed,
+        or if its truth is not the one of its planted events."""
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
             if raw is None:  # build_config reads null as all defaults
                 raise ConfigError("ground truth config must be a mapping, got None")
-            return build_config(cls, raw, "ground truth")
+            truth = build_config(cls, raw, "ground truth")
         except (OSError, ValueError, ConfigError) as exc:
             raise DataError(f"cannot read ground truth {path}: {exc}") from exc
+        if truth.truth != cls.of(truth.planted, truth.injected_ar).truth:
+            raise DataError(f"cannot read ground truth {path}: truth must list each key that "
+                            "planted makes true once, sorted by firm, node and date")
+        return truth
 
 
 def _terms_by_node(path: Path) -> dict[Node, list[str]]:

@@ -504,6 +504,8 @@ def test_planted_entry_off_the_calendar_names_the_entry(cli_run, tmp_path):
     day = date.fromisoformat(entry["date"])
     saturday = (day - timedelta(days=(day.weekday() - 5) % 7)).isoformat()
     entry["date"] = saturday
+    for key in truth["truth"]:  # the one plant's keys, so truth stays planted's closure
+        key["date"] = saturday
     bad = tmp_path / "ground_truth.json"
     bad.write_text(json.dumps(truth), encoding="utf-8")
     result = CliRunner().invoke(
@@ -735,6 +737,46 @@ def assert_config_error(result, message):
     assert result.exit_code == 2, all_output(result)
     assert f"config error: {message}" in all_output(result)
     assert "Traceback" not in all_output(result)
+
+
+def eval_truth(cli_run, truth):
+    return CliRunner().invoke(
+        main,
+        ["eval", "--events", str(cli_run["out"] / "events.csv"), "--truth", str(truth),
+         "--market-index", str(cli_run["corpus"] / "market_index.csv")],
+    )
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing", "repeated"])
+def test_ground_truth_disagreeing_with_planted_exits_3(cli_run, tmp_path, edit):
+    written = cli_run["corpus"] / "ground_truth.json"
+    assert eval_truth(cli_run, written).exit_code == 0  # synth's own file is valid
+    payload = json.loads(written.read_text(encoding="utf-8"))
+    truth = payload["truth"]
+    if edit == "extra":
+        truth.append({**truth[-1], "firm": "FIRM99"})
+    elif edit == "missing":
+        del truth[0]
+    else:
+        truth.insert(1, truth[0])
+    bad = tmp_path / "ground_truth.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    result = eval_truth(cli_run, bad)
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: cannot read ground truth {bad}: truth must list each key" in all_output(result)
+    assert "Traceback" not in all_output(result)
+
+
+@pytest.mark.parametrize("node", ["Governance", "ESG"])
+def test_synth_planted_pillar_or_root_exits_2(tmp_path, node):
+    config = tmp_path / "synth.yaml"
+    config.write_text(f"n_firms: 3\nn_days: 60\nplanted:\n  - {{firm: 2, node: {node}, day: 42}}\n",
+                      encoding="utf-8")
+    result = CliRunner().invoke(main, ["synth", "-c", str(config), "--outdir", str(tmp_path / "out")])
+    assert_config_error(result, "bad synth config: planted[0].node must be a subcategory, one of "
+                        "ClimateChange, NaturalCapital, PollutionAndWaste, EnvironmentalOpportunities, "
+                        "HumanCapital, ProductLiability, StakeholderOpposition, SocialOpportunities, "
+                        "CorporateGovernance, CorporateBehavior, got ")
 
 
 @pytest.mark.parametrize("command", ["detect", "synth"])

@@ -2,9 +2,10 @@ import ast
 import csv
 import filecmp
 import re
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -22,18 +23,21 @@ from esgrisk.pipeline import (
     CLASSIFIED_COLUMNS,
     _ClassifyEngine,
     EVENT_COLUMNS,
+    KeptEvents,
     load_kept_events,
     load_run_config,
     run_classify,
     run_config_from_dict,
     run_detect,
     run_study,
+    study_events,
     write_resolved_config,
 )
 from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
 from esgrisk.synth import Confound, PlantedEvent, SynthConfig, evaluate_detection, generate
 from esgrisk.taxonomy import REPORT_ORDER, Node, expand_to_ancestors, node_sort_key
-from esgrisk.trading import epoch_us
+from esgrisk.study import EstimationConfig, aggregate_node, compute_event_abnormals
+from esgrisk.trading import TradingCalendar, epoch_us
 
 
 def test_run_config_defaults():
@@ -238,8 +242,74 @@ def test_detect_summary_files(std_run):
 
 
 def test_load_kept_events_matches_outputs(std_run):
-    keys = load_kept_events(std_run["detect"].events_path, std_run["detect"].calendar)
-    assert keys == [(e.firm, e.node, e.day) for e in std_run["detect"].kept]
+    calendar, kept = std_run["detect"].calendar, std_run["detect"].kept
+    events = load_kept_events(std_run["detect"].events_path, calendar)
+    assert events.names == list(dict.fromkeys(e.firm for e in kept))
+    assert [events.names[f] for f in events.firm.tolist()] == [e.firm for e in kept]
+    assert events.node.tolist() == [node_sort_key(e.node) for e in kept]
+    assert events.day.tolist() == [calendar.index_of(e.day) for e in kept]
+    assert events.keys(calendar) == [(e.firm, e.node, e.day) for e in kept]
+
+
+def oracle_study_events(event_keys, firm_returns, market_returns, calendar, config):
+    """The former study_events on (firm, node, date) tuples: a Python sort key,
+    a dict of distinct (firm, date) and one calendar lookup per key."""
+    firms, returns = firm_returns
+    row_of = {firm: i for i, firm in enumerate(firms)}
+    keys = sorted(event_keys, key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
+    stacked = {}
+    for firm, _, day in keys:
+        if firm in row_of:
+            stacked.setdefault((firm, day), len(stacked))
+    rows = np.array([row_of[firm] for firm, _ in stacked], dtype=np.intp)
+    days = np.array([calendar.index_of(day) for _, day in stacked], dtype=np.intp)
+    abnormals = compute_event_abnormals(returns, market_returns, rows, days, config)
+    by_node, drops = {}, []
+    for firm, node, day in keys:
+        k = stacked.get((firm, day))
+        reason = "no price data for firm" if k is None else str(abnormals.dropped[k])
+        if reason:
+            drops.append((firm, node, day, reason))
+        else:
+            by_node.setdefault(node, []).append(k)
+    results = [aggregate_node(node, abnormals.take(by_node[node]), config)
+               for node in REPORT_ORDER if node in by_node]
+    return results, drops
+
+
+def kept_columns(keys, calendar):
+    """KeptEvents of (firm, node, date) keys in this order, names coded by first key."""
+    codes = {}
+    firm = [codes.setdefault(name, len(codes)) for name, _, _ in keys]
+    return KeptEvents(list(codes), np.array(firm, np.int64),
+                      np.array([node_sort_key(node) for _, node, _ in keys], np.int64),
+                      np.array([calendar.index_of(day) for _, _, day in keys], np.int64))
+
+
+def test_study_events_match_tuple_oracle():
+    rng = np.random.default_rng(9)
+    calendar = TradingCalendar([date(2019, 1, 1) + timedelta(days=d) for d in range(400)])
+    # firm codes follow first appearance: "b", "B", "a", "Z" against string order "B", "Z", "a", "b";
+    # "Z" has no prices
+    names = ["b", "B", "a"]
+    market = rng.normal(0.0, 0.01, 400)
+    returns = 1e-4 + market + rng.normal(0.0, 0.02, (3, 400))
+    returns[1, 300] = np.nan  # a missing event-day return
+    keys = {(name, node, calendar.dates[int(day)])
+            for name, node, day in zip(rng.choice([*names, "Z"], 300), rng.choice(REPORT_ORDER, 300),
+                                       rng.integers(100, 398, 300))}
+    keys |= {("B", node, calendar.dates[300]) for node in (Node.ESG_ALL, Node.SOCIAL, Node.HUMAN_CAPITAL)}
+    keys |= {("a", node, calendar.dates[250]) for node in (Node.GOVERNANCE, Node.CORPORATE_BEHAVIOR)}
+    keys |= {("b", Node.ENVIRONMENT, calendar.dates[50])}  # a thin estimation window
+    # file order: by firm code, then latest day first
+    keys = sorted(keys, key=lambda k: ((names + ["Z"]).index(k[0]), -k[2].toordinal(), node_sort_key(k[1])))
+    config = EstimationConfig()
+    got = study_events(kept_columns(keys, calendar), (names, returns), market, calendar, config)
+    want = oracle_study_events(keys, (names, returns), market, calendar, config)
+    assert got == want
+    reasons = {reason for *_, reason in got[1]}
+    assert reasons == {"no price data for firm", "missing event-window returns", "thin estimation window"}
+    assert len(got[0]) == len(REPORT_ORDER)
 
 
 def test_study_outputs(std_run):

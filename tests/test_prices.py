@@ -11,6 +11,7 @@ import csv
 import io
 import logging
 import math
+import tracemalloc
 from contextlib import contextmanager
 from datetime import date, timedelta
 
@@ -249,3 +250,23 @@ def test_outside_calendar_note_counts_rows_with_returns(tmp_path, caplog):
     assert np.count_nonzero(~np.isnan(matrix[0])) == 1  # only 2020-01-06
     assert matrix[0, CALENDAR.index_of(date(2020, 1, 6))] == 102 / 101 - 1.0
     assert matrix[1, CALENDAR.index_of(date(2020, 1, 7))] == 51 / 50 - 1.0
+
+
+def test_read_prices_peak_memory_is_bounded_by_its_columns(tmp_path):
+    """The traced peak of read_prices stays within a small multiple of the
+    columns it returns: each unsorted buffer goes once its sorted copy exists."""
+    days = [START + timedelta(days=d) for d in range(500)]
+    lines = ["firm,date,close,return"]
+    for f in range(40):  # every other return blank, so half are derived
+        lines += [f"F{f:02d},{day},{100 + (i * 7 + f) % 13},{'' if i % 2 else 0.001}"
+                  for i, day in enumerate(days)]
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        (_, firm, ordinal, ret), _ = read_prices(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(firm) == 20_000
+    assert peak < 3.2 * (firm.nbytes + ordinal.nbytes + ret.nbytes)

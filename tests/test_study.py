@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esgrisk import study
 from esgrisk.errors import ConfigError
 from esgrisk.study import (
     EstimationConfig,
@@ -373,6 +375,100 @@ def test_compute_event_abnormals_rows_match_single_events():
     # one market row per firm row reads the same as the shared market
     per_row = compute_event_abnormals(firms, np.stack([market] * 3), rows, days, EstimationConfig())
     np.testing.assert_array_equal(per_row.sar, stacked.sar)
+
+
+def oracle_compute_event_abnormals(firm_returns, market_returns, rows, days, config):
+    """The former one-shot compute_event_abnormals: every event's fit
+    temporaries at once. Kept as the reference for the blocked kernel."""
+    rows = np.asarray(rows, dtype=np.intp)
+    days = np.asarray(days, dtype=np.intp)
+    market_grid = np.atleast_2d(market_returns)
+    market_rows = rows[:, None] if len(market_grid) > 1 else 0
+
+    def windows(offsets):
+        cols = days[:, None] + np.asarray(offsets, dtype=np.intp)
+        return study._take(firm_returns, rows[:, None], cols), study._take(market_grid, market_rows, cols)
+
+    fit = fit_market_model(*windows(config.est_offsets()), config)
+    required = config.required_offsets()
+    span = (-config.curve_span, *required, config.curve_span)
+    offsets = range(min(span), max(span) + 1)
+    firm, market = (w.T for w in windows(offsets))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ar = abnormal_return(fit, firm, market)
+        sar = standardize(fit, ar, market)
+    ar, sar = ar.T, sar.T
+    need = [off - offsets.start for off in required]
+    missing = np.isnan(ar[:, need]).any(axis=1)
+    dropped = np.where((fit.dropped == "") & missing, "missing event-window returns", fit.dropped)
+    ar[dropped != ""] = sar[dropped != ""] = np.nan
+    return EventAbnormals(offsets, ar, sar, dropped)
+
+
+def kernel_panel(rng, n_events):
+    """(firms, market, rows, days) of 8 firms x 600 days with n_events events.
+
+    Event k is, by k % 5: a thin estimation window (row 7 has no returns on
+    days 150-299), a degenerate regressor (the market is constant on days
+    0-129), a missing event-day return (row 6 has none on days 400-419), or,
+    for 3 and 4, a usable event on rows 0-5. So every kind of drop falls on
+    both sides of each block boundary.
+    """
+    market = rng.normal(0.0, 0.01, 600)
+    market[:130] = 0.001
+    firms = 2e-4 + rng.uniform(0.8, 1.2, (8, 1)) * market + rng.normal(0.0, 0.02, (8, 600))
+    firms[7, 150:300] = np.nan
+    firms[6, 400:420] = np.nan
+    kinds = np.arange(n_events) % 5
+    rows = np.where(kinds == 0, 7, np.where(kinds == 2, 6, rng.integers(0, 6, n_events)))
+    days = np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        [rng.integers(300, 341, n_events), rng.integers(121, 132, n_events),
+         rng.integers(402, 420, n_events)],
+        rng.integers(200, 590, n_events),
+    )
+    return firms, market, rows, days
+
+
+@pytest.mark.parametrize("shared_market", [True, False], ids=["shared-market", "market-per-row"])
+@pytest.mark.parametrize("extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["0", "1", "C-1", "C", "C+1", "2C+3"])
+def test_blocked_kernel_matches_one_shot(extra, shared_market):
+    blocks, plus = extra
+    n = blocks * study._BLOCK + plus
+    firms, market, rows, days = kernel_panel(np.random.default_rng(n), n)
+    if not shared_market:
+        market = np.stack([market] * len(firms))
+    got = compute_event_abnormals(firms, market, rows, days, EstimationConfig())
+    want = oracle_compute_event_abnormals(firms, market, rows, days, EstimationConfig())
+    assert got.offsets == want.offsets
+    for name in ("ar", "sar", "dropped"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    if n >= study._BLOCK + 5:  # each kind of event within 5 of the first boundary, both sides
+        before, after = got.dropped[study._BLOCK - 5:study._BLOCK], got.dropped[study._BLOCK:][:5]
+        assert set(before.tolist()) == set(after.tolist()) == {"", "thin estimation window", "degenerate regressor",
+                           "missing event-window returns"}
+
+
+def test_kernel_memory_beyond_outputs_does_not_grow():
+    """Traced peak minus the output arrays, at 1x and 8x the events."""
+    rng = np.random.default_rng(5)
+    firms, market, *_ = kernel_panel(rng, 0)
+
+    def overhead(n):
+        rows, days = rng.integers(0, 6, n), rng.integers(200, 590, n)
+        tracemalloc.start()
+        try:
+            out = compute_event_abnormals(firms, market, rows, days, EstimationConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.ar.nbytes - out.sar.nbytes - out.dropped.nbytes
+
+    small, large = overhead(2 * study._BLOCK), overhead(16 * study._BLOCK)
+    assert large < 1.1 * small + 65536, (small, large)
 
 
 def events_with(*sar_rows):
