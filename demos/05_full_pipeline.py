@@ -68,9 +68,8 @@ print(f"detected {len(detect_out.detected)} events, kept {len(detect_out.kept)} 
 
 # score the kept events against what the generator planted, on detect's calendar
 score = evaluate_detection(
-    [(e.firm, e.node, e.day) for e in detect_out.kept],
-    truth.negative_keys(),
-    detect_out.calendar,
+    [(e.firm, e.node, e.day_index) for e in detect_out.kept],
+    [(firm, node, detect_out.calendar.index_of(day)) for firm, node, day in truth.negative_keys()],
     tolerance=1,
 )
 print(f"vs planted truth: matched {score.matched}/{score.n_truth}, "

@@ -208,13 +208,15 @@ def eval_cmd(events, truth, market_index, tolerance, out_path) -> None:
             raise ConfigError(f"{path} does not exist")
     (dates, _), _ = read_market_index(market_index)
     calendar = TradingCalendar(dates)
-    detected = pl.load_kept_events(events, calendar).keys(calendar)
+    kept = pl.load_kept_events(events, calendar)
+    detected = zip([kept.names[f] for f in kept.firm], [REPORT_ORDER[n] for n in kept.node], kept.day.tolist())
     ground = GroundTruth.load(truth)
     for ev in ground.planted:
         if ev.sign is Sign.NEGATIVE and ev.date not in calendar:
             raise DataError(f"{truth}: planted entry ({ev.firm}, {ev.node.value}, {ev.date}) "
                             "is not on a trading day in this calendar")
-    score = evaluate_detection(detected, ground.negative_keys(), calendar, tolerance=tolerance)
+    expected = [(firm, node, calendar.index_of(day)) for firm, node, day in ground.negative_keys()]
+    score = evaluate_detection(detected, expected, tolerance=tolerance)
     precision = "n/a" if score.precision is None else f"{score.precision:.4f}"
     recall = "n/a" if score.recall is None else f"{score.recall:.4f}"
     click.echo(f"matched {score.matched} of {score.n_truth} truth events "

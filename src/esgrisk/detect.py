@@ -182,13 +182,13 @@ def filter_and_merge(
             RiskEvent(
                 firm=firm,
                 node=node,
-                day=calendar.date_at(days[a]),
+                day=calendar.dates[days[a]],
                 day_index=days[a],
                 count=counts[a],
                 share=shares[a],
                 score=score,
                 sign=classify_sign(score, sign_threshold),
-                merged_outlier_days=tuple(calendar.date_at(t) for t in days[a:b]),
+                merged_outlier_days=tuple(calendar.dates[t] for t in days[a:b]),
             )
         )
     return events

@@ -8,10 +8,10 @@ structural problems that would corrupt downstream arithmetic (duplicate
 price rows, duplicate index dates, unreadable or undecodable files,
 malformed CSV records) are fatal.
 
-A column reader states its rule once, as an ordered table of (mask,
-reason) checks over a block's converted columns; `failures` names each
-failing row's first failed check, which iter_messages and read_prices
-skip and the artifact readers in pipeline raise.
+Every CSV reader is a check table: it states its rule once, as an
+ordered table of (mask, reason) checks over a block's converted columns;
+`failures` names each failing row's first failed check, which the input
+readers here skip and the artifact and lexicon readers raise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -83,6 +82,14 @@ class IngestReport:
             line, reason = self.skips[0]
             log.warning("%s: skipped %d of %d rows; first at line %d: %s",
                         self.path, self.skips_total, self.total_rows, line, reason)
+
+    def skip_failing(self, lines: Sequence[int], checks) -> np.ndarray:
+        """Skip each row that fails a check (see `failures`); the mask of the rows that pass."""
+        keep = np.ones(len(lines), bool)
+        for k, reason in failures(checks):
+            self.skip(lines[k], reason)
+            keep[k] = False
+        return keep
 
     def keep(self, rows: int = 1) -> None:
         self.total_rows += rows
@@ -181,10 +188,6 @@ def utc_stamps(us: Sequence[int]) -> list[str]:
     return out
 
 
-def _parse_date(raw: str) -> date:
-    return date.fromisoformat(raw.strip())
-
-
 def _breaks(row: list[str]) -> int:
     """Line breaks inside a row's quoted cells: \r\n, \r and \n each end one physical line."""
     return sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
@@ -244,12 +247,6 @@ def read_columns(path: str | Path, what: str, required: Sequence[str], optional:
             raise DataError(f"{path}:{reader.line_num}: malformed {what} record: {exc}") from None
 
 
-def read_rows(path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (line_num, values) for each non-blank row: read_columns, one row at a time."""
-    for lines, columns in read_columns(path, what, required, optional):
-        yield from zip(lines, zip(*columns))
-
-
 def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport | None = None):
     """Yield (id, firm, UTC epoch microseconds, text) per valid message, recording skips in `report`.
 
@@ -278,16 +275,13 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
         cand = np.flatnonzero(has_id & has_firm & has_text & parsed).tolist()
         first = dict(zip(reversed([ids[k] for k in cand]), reversed(cand)))
         repeat_of = np.fromiter(map(first.get, ids, repeat(n)), np.int64, n) < np.arange(n)
-        keep = np.ones(n, bool)
-        for k, reason in failures([
+        keep = report.skip_failing(lines, [
             (has_id, lambda k: "missing id"),
             (~(seen_before | repeat_of), lambda k: f"duplicate id {ids[k]!r}"),
             (has_firm, lambda k: "missing firm"),
             (has_text, lambda k: "missing text column value"),
             (parsed, lambda k: f"bad timestamp {(raw_ts[k] or '').strip()!r}"),
-        ]):
-            report.skip(lines[k], reason)
-            keep[k] = False
+        ])
         if not keep.all():
             ids, firms, texts = ([*compress(c, keep)] for c in (ids, firms, texts))
             us = us[keep]
@@ -323,6 +317,26 @@ def floats(cells: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
             except (ValueError, TypeError):
                 pass
         return values, parsed
+
+
+def ordinals(cells: Sequence[str | None], cache: dict[str | None, int]) -> np.ndarray:
+    """date.fromisoformat(cell.strip()).toordinal() of each cell, 0 for a bad date or None;
+    `cache` keeps each distinct cell's ordinal, so a file's readers parse it once."""
+    for raw in set(cells).difference(cache):
+        try:
+            cache[raw] = date.fromisoformat((raw or "").strip()).toordinal()
+        except ValueError:
+            cache[raw] = 0
+    return np.fromiter(map(cache.__getitem__, cells), np.int64, len(cells))
+
+
+def fresh(keys: Sequence, seen: set) -> np.ndarray:
+    """Whether each key is new, in neither `seen` nor earlier in `keys`; adds every key to `seen`."""
+    new = np.zeros(len(keys), bool)
+    for k, key in enumerate(keys):
+        new[k] = key not in seen
+        seen.add(key)
+    return new
 
 
 def failures(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]):
@@ -361,31 +375,23 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
     """
     report = IngestReport(path=str(path))
     codes: dict[str, int] = {}
-    ordinals: dict[str | None, int] = {}  # 0 for a bad date
+    days: dict[str | None, int] = {}
     columns = [array(t) for t in "qqqdd"]  # firm code, ordinal, line, close, return
     blocks = read_columns(path, "prices", ("firm", "date", "close"), optional=("return",))
     for lines, (firms, raw_days, raw_closes, raw_rets) in blocks:
         n = len(lines)
-        for raw in set(raw_days).difference(ordinals):
-            try:
-                ordinals[raw] = _parse_date(raw or "").toordinal()
-            except ValueError:
-                ordinals[raw] = 0
-        day = np.fromiter(map(ordinals.__getitem__, raw_days), np.int64, n)
+        day = ordinals(raw_days, days)
         close, close_parsed = floats(raw_closes)
         given = filled(raw_rets)  # a blank return is derived from the closes
         ret, ret_parsed = floats(raw_rets) if given.any() else (np.full(n, np.nan), given)
-        keep = np.ones(n, bool)
-        for k, reason in failures([
+        keep = report.skip_failing(lines, [
             (filled(firms), lambda k: "missing firm"),
             (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
             (close_parsed, lambda k: f"bad close {raw_closes[k]!r}"),
             (np.isfinite(close) & (close > 0), lambda k: f"close must be positive, got {float(close[k])}"),
             (ret_parsed | ~given, lambda k: f"bad return {raw_rets[k].strip()!r}"),
             (np.isfinite(ret) | ~given, lambda k: f"non-finite return {float(ret[k])}"),
-        ]):
-            report.skip(lines[k], reason)
-            keep[k] = False
+        ])
         if not keep.all():
             lines, firms = [*compress(lines, keep)], [*compress(firms, keep)]
             day, close, ret = day[keep], close[keep], ret[keep]
@@ -413,50 +419,50 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
 
 
 def read_market_index(path: str | Path) -> tuple[tuple[list[date], np.ndarray], IngestReport]:
-    """Read the market index into (dates, returns) columns sorted by date; one row per date."""
+    """Read the market index into (dates, returns) columns sorted by date; one row per date.
+
+    A row with a bad date or a bad or non-finite return is skipped; a valid row's repeated date is fatal.
+    """
     report = IngestReport(path=str(path))
-    returns: dict[date, float] = {}
-    for line, (raw_day, raw_ret) in read_rows(path, "market index", ("date", "return")):
-        try:
-            day = _parse_date(raw_day or "")
-        except ValueError:
-            report.skip(line, f"bad date {raw_day!r}")
-            continue
-        try:
-            ret = float(raw_ret or "")
-        except ValueError:
-            report.skip(line, f"bad return {raw_ret!r}")
-            continue
-        if not math.isfinite(ret):
-            report.skip(line, f"non-finite return {ret}")
-            continue
-        if day in returns:
-            raise DataError(f"{path}:{line}: duplicate market index date {day}")
-        returns[day] = ret
-        report.keep()
+    days: dict[str | None, int] = {}
+    seen: set[int] = set()
+    returns: dict[int, float] = {}  # by ordinal
+    for lines, (raw_days, raw_rets) in read_columns(path, "market index", ("date", "return")):
+        day = ordinals(raw_days, days)
+        ret, parsed = floats(raw_rets)
+        keep = report.skip_failing(lines, [
+            (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
+            (parsed, lambda k: f"bad return {raw_rets[k]!r}"),
+            (np.isfinite(ret), lambda k: f"non-finite return {float(ret[k])}"),
+        ])
+        lines, day, ret = [*compress(lines, keep)], day[keep].tolist(), ret[keep].tolist()
+        if not (new := fresh(day, seen)).all():
+            k = int(np.argmin(new))
+            raise DataError(f"{path}:{lines[k]}: duplicate market index date {date.fromordinal(day[k])}")
+        returns.update(zip(day, ret))
+        report.keep(len(lines))
     report.log_skips()
     dates = sorted(returns)
-    return (dates, np.array([returns[day] for day in dates])), report
+    return ([*map(date.fromordinal, dates)], np.array([*map(returns.get, dates)], float)), report
 
 
-def read_calendar_events(
-    path: str | Path, kind: EventKind
-) -> tuple[list[CalendarEventRow], IngestReport]:
-    """Read firm,date confound events of one kind; empty files are fine."""
+def read_calendar_events(path: str | Path, kind: EventKind) -> tuple[list[CalendarEventRow], IngestReport]:
+    """Read firm,date confound events of one kind, sorted by (firm, date); empty files are fine.
+
+    A row with a blank firm or a bad date is skipped with the first reason it meets.
+    """
     report = IngestReport(path=str(path))
+    days: dict[str | None, int] = {}
     rows: list[CalendarEventRow] = []
-    for line, (firm, raw_day) in read_rows(path, "calendar", ("firm", "date")):
-        firm = (firm or "").strip()
-        if not firm:
-            report.skip(line, "missing firm")
-            continue
-        try:
-            day = _parse_date(raw_day or "")
-        except ValueError:
-            report.skip(line, f"bad date {raw_day!r}")
-            continue
-        report.keep()
-        rows.append(CalendarEventRow(firm=firm, day=day, kind=kind))
+    for lines, (raw_firms, raw_days) in read_columns(path, "calendar", ("firm", "date")):
+        day = ordinals(raw_days, days)
+        keep = report.skip_failing(lines, [
+            (filled(raw_firms), lambda k: "missing firm"),
+            (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
+        ])
+        firms = [firm.strip() for firm in compress(raw_firms, keep)]
+        report.keep(len(firms))
+        rows += map(CalendarEventRow, firms, map(date.fromordinal, day[keep].tolist()), repeat(kind))
     report.log_skips()
     rows.sort(key=lambda r: (r.firm, r.day))
     return rows, report

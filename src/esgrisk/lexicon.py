@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .ingest import read_rows
+from .ingest import failures, filled, fresh, read_columns
 from .taxonomy import Node, parse_node
 
 MAX_TERM_TOKENS = 5
@@ -101,6 +103,23 @@ class TokenMatcher:
         return hits
 
 
+def read_terms(path: str | Path, what: str, value: str):
+    """Yield (lines, terms as written, tokenized terms, values, checks) per block of a term,<value> CSV.
+
+    Cells are stripped; `checks` opens the loader's check table: a blank cell, no tokens, too many.
+    """
+    for lines, (raw_terms, raw_values) in read_columns(path, what, ("term", value)):
+        raw_terms = [(raw or "").strip() for raw in raw_terms]
+        values = [(raw or "").strip() for raw in raw_values]
+        terms = [tuple(tokenize(raw)) for raw in raw_terms]
+        size = np.fromiter(map(len, terms), np.int64, len(terms))
+        yield lines, raw_terms, terms, values, [
+            (filled(raw_terms) & filled(values), lambda k: f"term and {value} are both required"),
+            (size > 0, lambda k: f"term {raw_terms[k]!r} has no tokens"),
+            (size <= MAX_TERM_TOKENS, lambda k: f"term {raw_terms[k]!r} exceeds {MAX_TERM_TOKENS} tokens"),
+        ]
+
+
 def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     """Read a term,node CSV into lexicon entries.
 
@@ -108,26 +127,22 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     indicate a broken lexicon rather than a skippable row.
     """
     entries: list[LexiconEntry] = []
-    seen: set[tuple[tuple[str, ...], Node]] = set()
-    for line, (raw_term, raw_node) in read_rows(path, "lexicon", ("term", "node")):
-        raw_term = (raw_term or "").strip()
-        raw_node = (raw_node or "").strip()
-        if not raw_term or not raw_node:
-            raise DataError(f"{path}:{line}: term and node are both required")
-        term = tuple(tokenize(raw_term))
-        if not term:
-            raise DataError(f"{path}:{line}: term {raw_term!r} has no tokens")
-        if len(term) > MAX_TERM_TOKENS:
-            raise DataError(f"{path}:{line}: term {raw_term!r} exceeds {MAX_TERM_TOKENS} tokens")
-        try:
-            node = parse_node(raw_node)
-        except DataError as exc:
-            raise DataError(f"{path}:{line}: {exc}") from None
-        key = (term, node)
-        if key in seen:
-            raise DataError(f"{path}:{line}: duplicate entry {raw_term!r} -> {node}")
-        seen.add(key)
-        entries.append(LexiconEntry(term=term, node=node))
+    seen: set[tuple[tuple[str, ...], Node | DataError]] = set()
+    nodes: dict[str, Node | DataError] = {}  # parse_node's error for an unknown node name
+    for lines, raw_terms, terms, raw_nodes, checks in read_terms(path, "lexicon", "node"):
+        for raw in set(raw_nodes).difference(nodes):
+            try:
+                nodes[raw] = parse_node(raw)
+            except DataError as exc:
+                nodes[raw] = exc
+        node = [*map(nodes.__getitem__, raw_nodes)]
+        for k, reason in failures([
+            *checks,
+            (np.array([isinstance(n, Node) for n in node], bool), lambda k: str(node[k])),
+            (fresh([*zip(terms, node)], seen), lambda k: f"duplicate entry {raw_terms[k]!r} -> {node[k]}"),
+        ]):
+            raise DataError(f"{path}:{lines[k]}: {reason}")
+        entries += map(LexiconEntry, terms, node)
     return entries
 
 

@@ -52,7 +52,9 @@ from .ingest import (
     failures,
     filled,
     floats,
+    fresh,
     iter_messages,
+    ordinals,
     parse_stamps,
     read_calendar_events,
     read_market_index,
@@ -541,13 +543,6 @@ class KeptEvents(typing.NamedTuple):
     node: np.ndarray
     day: np.ndarray
 
-    def keys(self, calendar: TradingCalendar) -> list[tuple[str, Node, date]]:
-        """(firm, node, date) per event, in file order."""
-        return [
-            (self.names[f], REPORT_ORDER[n], calendar.dates[d])
-            for f, n, d in zip(self.firm.tolist(), self.node.tolist(), self.day.tolist())
-        ]
-
 
 def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
     """Read kept events from an events.csv; each must fall on a trading day, once.
@@ -558,7 +553,7 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
     (firm, node, date), in that order. DataError names the first failing row.
     """
     codes: dict[str, int] = {}
-    day_index: dict[str | None, int] = {}  # -2 for a bad date, -1 for a day off the calendar
+    days: dict[str | None, int] = {}
     node_index: dict[str | None, int] = {}  # -1 for a bad node string
     node_errors: dict[str | None, str] = {}
     # (firm * nodes + node) * days + day of every event so far; a failing row
@@ -573,12 +568,6 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
         cells = (lines, firms, raw_nodes, raw_days)
         lines, firms, raw_nodes, raw_days = ([*compress(column, kept)] for column in cells)
         n = len(lines)
-        for raw in set(raw_days).difference(day_index):
-            try:
-                day = date.fromisoformat((raw or "").strip())
-                day_index[raw] = calendar.index_of(day) if day in calendar else -1
-            except ValueError:
-                day_index[raw] = -2
         for raw in set(raw_nodes).difference(node_index):
             try:
                 node_index[raw] = node_sort_key(parse_node(raw or ""))
@@ -586,18 +575,16 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
                 node_index[raw], node_errors[raw] = -1, str(exc)
         firm = code_firms(firms, codes)
         node = np.fromiter(map(node_index.__getitem__, raw_nodes), np.int64, n)
-        day = np.fromiter(map(day_index.__getitem__, raw_days), np.int64, n)
-        fresh = np.ones(n, bool)
-        for k, key in enumerate(((firm * len(REPORT_ORDER) + node) * len(calendar) + day).tolist()):
-            fresh[k] = key not in seen
-            seen.add(key)
+        ordinal = ordinals(raw_days, days)
+        day = calendar.lookup(ordinal)
         for k, reason in failures([
-            (day > -2, lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
+            (ordinal > 0, lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
             (day >= 0, lambda k: "{} is not a trading day in this calendar".format(
-                date.fromisoformat(raw_days[k].strip()))),
+                date.fromordinal(int(ordinal[k])))),
             (node >= 0, lambda k: node_errors[raw_nodes[k]]),
             (filled(firms), lambda k: "missing firm"),
-            (fresh, lambda k: "duplicate kept event {} {} {}".format(
+            (fresh(((firm * len(REPORT_ORDER) + node) * len(calendar) + day).tolist(), seen),
+             lambda k: "duplicate kept event {} {} {}".format(
                 firms[k].strip(), REPORT_ORDER[node[k]], calendar.dates[day[k]])),
         ]):
             raise DataError(f"{path}:{lines[k]}: {reason}")

@@ -9,14 +9,15 @@ so weak or ambiguous days are treated as risk-relevant.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .ingest import read_rows
-from .lexicon import MAX_TERM_TOKENS, Hit, TokenMatcher, tokenize
+from .ingest import failures, floats, fresh
+from .lexicon import Hit, TokenMatcher, read_terms
 
 DEFAULT_SIGN_THRESHOLD = 0.05
 
@@ -39,24 +40,16 @@ def load_sentiment_lexicon(path: str | Path) -> list[SentimentEntry]:
     """Read a term,weight CSV; weights must be finite and within [-1, 1]."""
     entries: list[SentimentEntry] = []
     seen: set[tuple[str, ...]] = set()
-    for line, (raw_term, raw_weight) in read_rows(path, "sentiment lexicon", ("term", "weight")):
-        raw_term = (raw_term or "").strip()
-        raw_weight = (raw_weight or "").strip()
-        if not raw_term or not raw_weight:
-            raise DataError(f"{path}:{line}: term and weight are both required")
-        term = tuple(tokenize(raw_term))
-        if not term or len(term) > MAX_TERM_TOKENS:
-            raise DataError(f"{path}:{line}: unusable term {raw_term!r}")
-        try:
-            weight = float(raw_weight)
-        except ValueError:
-            raise DataError(f"{path}:{line}: weight {raw_weight!r} is not a number") from None
-        if not math.isfinite(weight) or not -1.0 <= weight <= 1.0:
-            raise DataError(f"{path}:{line}: weight {weight} outside [-1, 1]")
-        if term in seen:
-            raise DataError(f"{path}:{line}: duplicate sentiment term {raw_term!r}")
-        seen.add(term)
-        entries.append(SentimentEntry(term=term, weight=weight))
+    for lines, raw_terms, terms, raw_weights, checks in read_terms(path, "sentiment lexicon", "weight"):
+        weight, parsed = floats(raw_weights)
+        for k, reason in failures([
+            *checks,
+            (parsed, lambda k: f"weight {raw_weights[k]!r} is not a number"),
+            (np.abs(weight) <= 1.0, lambda k: f"weight {float(weight[k])} outside [-1, 1]"),  # nan fails too
+            (fresh(terms, seen), lambda k: f"duplicate sentiment term {raw_terms[k]!r}"),
+        ]):
+            raise DataError(f"{path}:{lines[k]}: {reason}")
+        entries += map(SentimentEntry, terms, weight.tolist())
     return entries
 
 

@@ -102,9 +102,8 @@ def align_firm_returns(
     firms, firm_code, ordinal, ret = prices
     has_ret = ~np.isnan(ret)
     firm_code, ordinal, ret = firm_code[has_ret], ordinal[has_ret], ret[has_ret]
-    grid = np.array([day.toordinal() for day in calendar.dates], dtype=np.int64)
-    idx = np.searchsorted(grid, ordinal)
-    inside = grid[np.minimum(idx, len(grid) - 1)] == ordinal
+    idx = calendar.lookup(ordinal)
+    inside = idx >= 0
     out = np.full((len(firms), len(calendar)), np.nan)
     out[firm_code[inside], idx[inside]] = ret[inside]
     outside = np.bincount(firm_code[~inside], minlength=len(firms))
@@ -117,10 +116,9 @@ def align_firm_returns(
 def align_market_returns(
     dates: Sequence[date], returns: np.ndarray, calendar: TradingCalendar
 ) -> np.ndarray:
+    idx = calendar.lookup(np.fromiter(map(date.toordinal, dates), np.int64, len(dates)))
     arr = np.full(len(calendar), np.nan)
-    for day, ret in zip(dates, returns):
-        if day in calendar:
-            arr[calendar.index_of(day)] = ret
+    arr[idx[idx >= 0]] = np.asarray(returns)[idx >= 0]
     return arr
 
 

@@ -37,7 +37,7 @@ from .lexicon import load_esg_lexicon
 from .pipeline import build_config
 from .sentiment import Sign, load_sentiment_lexicon
 from .taxonomy import SUBCATEGORIES, Node, expand_to_ancestors, node_sort_key
-from .trading import DEFAULT_EXCHANGE_TZ, TradingCalendar, check_zone, close_instants
+from .trading import DEFAULT_EXCHANGE_TZ, check_zone, close_instants
 
 # Vocabulary for messages that should match nothing; kept disjoint from
 # both demo lexicons so synthetic texts classify exactly as planted.
@@ -404,12 +404,11 @@ class DetectionScore:
 
 
 def evaluate_detection(
-    detected: Iterable[tuple[str, Node, date]],
-    truth: Iterable[tuple[str, Node, date]],
-    calendar: TradingCalendar,
+    detected: Iterable[tuple[str, Node, int]],
+    truth: Iterable[tuple[str, Node, int]],
     tolerance: int = 1,
 ) -> DetectionScore:
-    """Set matching of (firm, node, day) keys with +/- tolerance trading days.
+    """Set matching of (firm, node, trading-day index) keys with +/- tolerance days.
 
     Each detected event can satisfy at most one truth entry; ties go to
     the nearest day, then the earlier one.
@@ -418,11 +417,10 @@ def evaluate_detection(
     truth = sorted(set(truth), key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
     unmatched: dict[tuple[str, Node], list[int]] = {}  # detected day indices per (firm, node)
     for firm, node, day in detected:
-        unmatched.setdefault((firm, node), []).append(calendar.index_of(day))
+        unmatched.setdefault((firm, node), []).append(day)
 
     matched = 0
-    for firm, node, day in truth:
-        idx = calendar.index_of(day)
+    for firm, node, idx in truth:
         days = unmatched.get((firm, node), [])
         near = [pos for pos in days if abs(pos - idx) <= tolerance]
         if near:

@@ -8,7 +8,6 @@ weekend and holiday posts roll forward to the next trading day.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -31,33 +30,34 @@ def check_zone(key: str, name: str) -> None:
 
 
 class TradingCalendar:
-    """Strictly increasing sequence of trading dates with index lookups."""
+    """Strictly increasing trading dates; every index lookup reads one sorted array of their ordinals."""
 
     def __init__(self, dates: Sequence[date]):
         if not dates:
             raise DataError("trading calendar is empty")
         dates = tuple(dates)
-        for prev, cur in zip(dates, dates[1:]):
-            if cur <= prev:
-                raise DataError(f"calendar dates not strictly increasing at {cur}")
+        ordinals = np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
+        if (steps := np.flatnonzero(ordinals[1:] <= ordinals[:-1])).size:
+            raise DataError(f"calendar dates not strictly increasing at {dates[steps[0] + 1]}")
         self.dates: tuple[date, ...] = dates
-        self._index = {d: i for i, d in enumerate(dates)}
+        self.ordinals = ordinals
 
     def __len__(self) -> int:
         return len(self.dates)
 
     def __contains__(self, day: date) -> bool:
-        return day in self._index
+        return self.lookup(day.toordinal()) >= 0
 
-    def date_at(self, idx: int) -> date:
-        return self.dates[idx]
+    def lookup(self, ordinals) -> np.ndarray:
+        """Index of each date ordinal on the calendar, -1 for one off it."""
+        idx = np.searchsorted(self.ordinals, ordinals)
+        return np.where(self.ordinals[np.minimum(idx, len(self) - 1)] == ordinals, idx, -1)
 
     def index_of(self, day: date) -> int:
         """Exact index of a trading date; DataError when not in the calendar."""
-        try:
-            return self._index[day]
-        except KeyError:
-            raise DataError(f"{day} is not a trading day in this calendar") from None
+        if (idx := int(self.lookup(day.toordinal()))) < 0:
+            raise DataError(f"{day} is not a trading day in this calendar")
+        return idx
 
     def position(self, day: date) -> int:
         """Virtual index: count of trading days strictly before `day`.
@@ -65,7 +65,7 @@ class TradingCalendar:
         For a trading date this equals index_of; for other dates it is the
         index of the next trading day on/after, or len(self) past the end.
         """
-        return bisect_left(self.dates, day)
+        return int(np.searchsorted(self.ordinals, day.toordinal()))
 
 
 def assign_trading_index(

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from esgrisk.ingest import read_columns
 from esgrisk.pipeline import run_config_from_dict, run_pipeline
 from esgrisk.study import abnormal_return, fit_market_model, standardize
 from esgrisk.synth import PlantedEvent, SynthConfig, generate
@@ -46,6 +47,12 @@ def event_day_abnormals(panel, config):
     assert (fit.dropped == "").all()
     ar = abnormal_return(fit, firm[rows, idx], market[rows, idx])
     return ar, standardize(fit, ar, market[rows, idx])
+
+
+def read_rows(path, what, required, optional=()):
+    """read_columns one row at a time, (line, cells) per non-blank row: the row-loop oracles' reader."""
+    for lines, columns in read_columns(path, what, required, optional):
+        yield from zip(lines, zip(*columns))
 
 
 def naive_esd(counts, config):

@@ -230,8 +230,9 @@ def test_criterion_5_detection_power_on_planted_spikes(tmp_path):
             esd_outliers(stack.counts, detection), stack, list(firms), calendar, detection
         )
         negatives, _ = select_risk_events(events)
-        detected = [(e.firm, e.node, e.day) for e in negatives]
-        score = evaluate_detection(detected, truth.negative_keys(), calendar, tolerance=1)
+        detected = [(e.firm, e.node, e.day_index) for e in negatives]
+        truth_keys = [(firm, node, calendar.index_of(day)) for firm, node, day in truth.negative_keys()]
+        score = evaluate_detection(detected, truth_keys, tolerance=1)
         matched += score.matched
         detected_total += score.n_detected
         truth_total += score.n_truth

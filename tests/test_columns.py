@@ -1,13 +1,15 @@
 """Block column readers against the row loops they replaced.
 
-oracle_iter_messages, oracle_read_prices, oracle_read_classified and
+oracle_iter_messages, oracle_read_prices, oracle_read_market_index,
+oracle_read_calendar_events, oracle_read_classified and
 oracle_load_kept_events are the former row-loop ingest.iter_messages,
-ingest.read_prices, pipeline._read_classified and
-pipeline.load_kept_events, kept here as the reference. At read block
-sizes 1, 3 and the default, the column readers must give the same
-messages or column bytes, the same IngestReport and the same first
-DataError; the former load_kept_events' (firm, node, date) keys are
-compared as the columns its successor returns. The differences are on
+ingest.read_prices, ingest.read_market_index, ingest.read_calendar_events,
+pipeline._read_classified and pipeline.load_kept_events, kept here as
+the reference. At read block sizes 1, 3 and the default, the column
+readers must give the same messages, rows or column bytes, the same
+IngestReport and the same first DataError; the former
+load_kept_events' (firm, node, date) keys are compared as the columns
+its successor returns. The differences are on
 purpose: a blank firm in classified.csv, and a blank firm or a repeated
 (firm, node, date) on a kept events.csv row, are now DataErrors that
 the oracles let through; and a message stamp whose UTC instant is past
@@ -28,16 +30,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_rows
 from esgrisk import ingest, pipeline
 from esgrisk.aggregate import label_mask
 from esgrisk.errors import DataError
 from esgrisk.ingest import (
+    EventKind,
     IngestReport,
     epoch_us,
     iter_messages,
     parse_timestamp,
+    read_calendar_events,
+    read_market_index,
     read_prices,
-    read_rows,
 )
 from esgrisk.pipeline import CLASSIFIED_COLUMNS, EVENT_COLUMNS, load_kept_events
 from esgrisk.taxonomy import node_sort_key, parse_node
@@ -139,6 +144,52 @@ def oracle_read_prices(path):
     derive = np.flatnonzero(same_firm & np.isnan(ret[1:])) + 1
     ret[derive] = close[derive] / close[derive - 1] - 1.0
     return (list(codes), firm_code, ordinal, ret), report
+
+
+def oracle_read_market_index(path):
+    """The former read_market_index: a row loop, a dict of date -> return."""
+    report = IngestReport(path=str(path))
+    returns = {}
+    for line, (raw_day, raw_ret) in read_rows(path, "market index", ("date", "return")):
+        try:
+            day = date.fromisoformat((raw_day or "").strip())
+        except ValueError:
+            report.skip(line, f"bad date {raw_day!r}")
+            continue
+        try:
+            ret = float(raw_ret or "")
+        except ValueError:
+            report.skip(line, f"bad return {raw_ret!r}")
+            continue
+        if not math.isfinite(ret):
+            report.skip(line, f"non-finite return {ret}")
+            continue
+        if day in returns:
+            raise DataError(f"{path}:{line}: duplicate market index date {day}")
+        returns[day] = ret
+        report.keep()
+    dates = sorted(returns)
+    return (dates, np.array([returns[day] for day in dates])), report
+
+
+def oracle_read_calendar_events(path, kind):
+    """The former read_calendar_events: a row loop, one CalendarEventRow per valid row."""
+    report = IngestReport(path=str(path))
+    rows = []
+    for line, (firm, raw_day) in read_rows(path, "calendar", ("firm", "date")):
+        firm = (firm or "").strip()
+        if not firm:
+            report.skip(line, "missing firm")
+            continue
+        try:
+            day = date.fromisoformat((raw_day or "").strip())
+        except ValueError:
+            report.skip(line, f"bad date {raw_day!r}")
+            continue
+        report.keep()
+        rows.append(ingest.CalendarEventRow(firm=firm, day=day, kind=kind))
+    rows.sort(key=lambda r: (r.firm, r.day))
+    return rows, report
 
 
 def oracle_read_classified(path):
@@ -262,6 +313,15 @@ PRICE_CELLS = (
     pool(["100", "101.5", "99", "1e2", " 50 "], ["abc", "", "0", "-5", "inf", "nan"]),
     pool(["", " ", "0.01", "-0.02", "0"], ["abc", "inf", "-inf", "nan"]),
 )
+INDEX_CELLS = (
+    pool([(START + timedelta(days=d)).isoformat() for d in range(400)] + [f" {DAYS[9]} "],
+         ["nope", "", "2020-02-30"]),
+    pool(["0.01", "-0.02", "0", " 0.003 ", "1e-3"], ["abc", "", " ", "nan", "inf", "-inf"]),
+)
+CALENDAR_CELLS = (
+    pool(["A", " A", "B", "C\nD"], ["", " "]),
+    pool(DAYS + [f" {DAYS[9]} "], ["nope", "", "2020-02-30"]),
+)
 STAMPS = ["2020-01-06T15:30:00+00:00", "2020-01-07T20:01:02+00:00", "2020-01-08T15:30:00Z",
           "2020-01-08 09:00:00", "2020-01-09T15:30:00.250000+00:00"]
 CLASSIFIED_CELLS = (
@@ -300,6 +360,16 @@ def write(tmp_path_factory, name, text):
 def prices_result(path, read=read_prices):
     (names, firm, ordinal, ret), report = read(path)
     return names, firm.tobytes(), ordinal.tobytes(), ret.tobytes(), report.as_dict()
+
+
+def index_result(path, read=read_market_index):
+    (dates, returns), report = read(path)
+    return dates, returns.tobytes(), report.as_dict()
+
+
+def calendar_result(path, read=read_calendar_events):
+    rows, report = read(path, EventKind.EARNINGS)
+    return rows, report.as_dict()
 
 
 def classified_result(path, read=pipeline._read_classified):
@@ -379,6 +449,33 @@ def test_prices_match_row_oracle(tmp_path_factory, text, drop_return):
     path = write(tmp_path_factory, "prices.csv", text)
     expected = outcome(prices_result, path, oracle_read_prices)
     assert at_blocks(prices_result, path) == expected
+
+
+INDEX_HEADER = "date,return\n"
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=csv_files(["date", "return"], INDEX_CELLS))
+@example(  # a date reused by a skipped row, nan and inf returns, a short row
+    text=INDEX_HEADER + "2020-01-06,nan\n2020-01-06,0.01\n2020-01-07,inf\n2020-01-08\n"
+    "2020-01-07,abc\n2020-01-07, -0.02 \n",
+)
+@example(  # a duplicate date in the next block at block size 3
+    text=INDEX_HEADER + "2020-01-06,0.01\nnope,0.01\n2020-01-07,0.02\n2020-01-06,0.03\n",
+)
+def test_market_index_matches_row_oracle(tmp_path_factory, text):
+    path = write(tmp_path_factory, "market_index.csv", text)
+    expected = outcome(index_result, path, oracle_read_market_index)
+    assert at_blocks(index_result, path) == expected
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=csv_files(["firm", "date"], CALENDAR_CELLS))
+@example(text="firm,date\nA\n,2020-01-06\n B ,2020-01-07\nA,nope\nA, 2020-01-06 \n")
+def test_calendar_events_match_row_oracle(tmp_path_factory, text):
+    path = write(tmp_path_factory, "earnings.csv", text)
+    expected = outcome(calendar_result, path, oracle_read_calendar_events)
+    assert at_blocks(calendar_result, path) == expected
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])

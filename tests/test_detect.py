@@ -215,9 +215,9 @@ def test_merge_within_gap():
     assert len(events) == 1
     ev = events[0]
     assert (ev.firm, ev.node) == ("A", Node.CLIMATE_CHANGE)
-    assert ev.day == cal.date_at(260)
+    assert ev.day == cal.dates[260]
     assert ev.day_index == 260
-    assert ev.merged_outlier_days == (cal.date_at(260), cal.date_at(263))
+    assert ev.merged_outlier_days == (cal.dates[260], cal.dates[263])
 
 
 def test_no_merge_beyond_gap():
@@ -328,10 +328,10 @@ def row_events(r, days, stack, firms, cal, config):
     for first, *rest in groups:
         score = float(sums[first] / counts[first])
         events.append(RiskEvent(
-            firm=firms[r // n], node=REPORT_ORDER[r % n], day=cal.date_at(first),
+            firm=firms[r // n], node=REPORT_ORDER[r % n], day=cal.dates[first],
             day_index=first, count=int(counts[first]),
             share=float(counts[first] / totals[first]), score=score, sign=classify_sign(score),
-            merged_outlier_days=tuple(cal.date_at(t) for t in (first, *rest)),
+            merged_outlier_days=tuple(cal.dates[t] for t in (first, *rest)),
         ))
     return events
 
@@ -374,9 +374,9 @@ def test_stack_merge_equals_per_row_runs(seed, n_firms, n_days, gap_days, min_tw
 
 def make_event(cal, day_index, firm="A", sign=Sign.NEGATIVE):
     return RiskEvent(
-        firm=firm, node=Node.CLIMATE_CHANGE, day=cal.date_at(day_index),
+        firm=firm, node=Node.CLIMATE_CHANGE, day=cal.dates[day_index],
         day_index=day_index, count=60, share=0.9, score=-0.5, sign=sign,
-        merged_outlier_days=(cal.date_at(day_index),),
+        merged_outlier_days=(cal.dates[day_index],),
     )
 
 
@@ -399,7 +399,7 @@ def test_exclusion_distance_example():
 def test_exclusion_outside_window_keeps_event():
     cal = weekday_calendar(40)
     event = make_event(cal, 10)
-    confound = CalendarEventRow(firm="A", day=cal.date_at(17), kind=EventKind.CONTROVERSY)
+    confound = CalendarEventRow(firm="A", day=cal.dates[17], kind=EventKind.CONTROVERSY)
     kept, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
     assert len(kept) == 1 and removed == []
 
@@ -407,7 +407,7 @@ def test_exclusion_outside_window_keeps_event():
 def test_exclusion_ignores_other_firms():
     cal = weekday_calendar(40)
     event = make_event(cal, 10, firm="A")
-    confound = CalendarEventRow(firm="B", day=cal.date_at(10), kind=EventKind.EARNINGS)
+    confound = CalendarEventRow(firm="B", day=cal.dates[10], kind=EventKind.EARNINGS)
     kept, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
     assert len(kept) == 1 and removed == []
 
@@ -423,8 +423,8 @@ def test_exclusion_picks_nearest_confound():
     cal = weekday_calendar(40)
     event = make_event(cal, 10)
     confounds = [
-        CalendarEventRow(firm="A", day=cal.date_at(14), kind=EventKind.EARNINGS),
-        CalendarEventRow(firm="A", day=cal.date_at(9), kind=EventKind.CONTROVERSY),
+        CalendarEventRow(firm="A", day=cal.dates[14], kind=EventKind.EARNINGS),
+        CalendarEventRow(firm="A", day=cal.dates[9], kind=EventKind.CONTROVERSY),
     ]
     _, removed = exclude_confounded([event], confounds, cal, DetectionConfig())
     assert removed[0].distance == -1
@@ -446,7 +446,7 @@ def test_exclusion_window_grows_monotonically():
     cal = weekday_calendar(120)
     events = [make_event(cal, int(i)) for i in rng.integers(10, 110, 15)]
     confounds = [
-        CalendarEventRow(firm="A", day=cal.date_at(int(i)), kind=EventKind.EARNINGS)
+        CalendarEventRow(firm="A", day=cal.dates[int(i)], kind=EventKind.EARNINGS)
         for i in rng.integers(0, 120, 6)
     ]
     removed_keys_prev: set = set()

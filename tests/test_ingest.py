@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import math
+import re
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -23,7 +24,6 @@ from esgrisk.ingest import (
     read_market_index,
     read_columns,
     read_prices,
-    read_rows,
     utc_stamps,
 )
 from esgrisk import ingest
@@ -327,8 +327,8 @@ def csv_text(header, rows):
     rows=[None, ["1"], ["1", "2", "3", "4"], [], ["x\ny", ""], None],
     picks=None,
 )
-def test_read_rows_matches_dictreader(tmp_path_factory, header, rows, picks):
-    """read_rows, and read_columns flattened at several block sizes, read as DictReader does."""
+def test_read_columns_matches_dictreader(tmp_path_factory, header, rows, picks):
+    """read_columns, flattened at several block sizes, reads as DictReader does."""
     if picks is None:
         required, optional = ["b", "a"], ["c", "a"]
     else:
@@ -341,7 +341,6 @@ def test_read_rows_matches_dictreader(tmp_path_factory, header, rows, picks):
         expected = [
             (oracle.line_num, tuple(row.get(c) for c in (*required, *optional))) for row in oracle
         ]
-    assert list(read_rows(path, "test", required, optional)) == expected
     for block in (1, 3, ingest._BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK", block)
@@ -363,10 +362,10 @@ def test_rows_before_a_malformed_record_are_read(tmp_path):
     assert seen == [(2, "1", "2"), (4, "3", "4")]
 
 
-def test_read_rows_names_missing_columns(tmp_path):
+def test_read_columns_names_missing_columns(tmp_path):
     path = write_csv(tmp_path / "m.csv", ["id", "text"], [["1", "x"]])
     with pytest.raises(DataError, match=r"missing messages columns \['firm'\], found \['id', 'text'\]"):
-        list(read_rows(path, "messages", ("id", "firm")))
+        list(read_columns(path, "messages", ("id", "firm")))
 
 
 def test_only_read_columns_parses_csv():
@@ -381,5 +380,20 @@ def test_only_read_columns_parses_csv():
             if path == ingest_py and helper.lineno <= num <= helper.end_lineno:
                 continue
             if "DictReader" in line or "csv.reader(" in line:
+                offenders.append(f"{path.relative_to(package)}:{num}: {line.strip()}")
+    assert offenders == []
+
+
+def test_only_ordinals_and_typed_parse_dates():
+    """A date cell becomes a day through ingest.ordinals; pipeline._typed reads config dates."""
+    package = Path(esgrisk.__file__).parent
+    allowed = {"ingest.py": "ordinals", "pipeline.py": "_typed"}
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = [(n.lineno, n.end_lineno) for n in ast.parse(text).body
+                 if isinstance(n, ast.FunctionDef) and n.name == allowed.get(path.name)]
+        for num, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"\bdate\.fromisoformat", line) and not any(a <= num <= b for a, b in spans):
                 offenders.append(f"{path.relative_to(package)}:{num}: {line.strip()}")
     assert offenders == []

@@ -95,6 +95,22 @@ def test_load_rejects_duplicates_and_long_terms(tmp_path):
         load_esg_lexicon(long)
 
 
+@pytest.mark.parametrize("rows, error", [
+    ([["oil spill", " "]], "2: term and node are both required"),
+    ([["oil spill", "PollutionAndWaste"], ["", "ClimateChange"]], "3: term and node are both required"),
+    ([["$ #", "ClimateChange"]], "2: term '$ #' has no tokens"),
+    ([["a b c d e f", "ClimateChange"]], "2: term 'a b c d e f' exceeds 5 tokens"),
+    ([["oil spill", "Pollution"], ["", ""]], "2: unknown taxonomy node: 'Pollution'"),
+    ([["oil spill", "PollutionAndWaste"], ["Oil  Spill", "pollution_and_waste"]],
+     "3: duplicate entry 'Oil  Spill' -> PollutionAndWaste"),
+])
+def test_load_esg_lexicon_names_first_bad_row(tmp_path, rows, error):
+    """Each row's first failed check, at the first failing row; later rows are not read."""
+    path = write_lexicon(tmp_path / "lex.csv", rows)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{error}')}$"):
+        load_esg_lexicon(path)
+
+
 def demo_classifier():
     return EsgClassifier(load_esg_lexicon(demo_esg_lexicon_path()))
 

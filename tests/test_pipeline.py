@@ -206,8 +206,9 @@ def test_classify_counts_roll_up(std_run):
 def test_detect_finds_planted_events(std_run):
     detect = std_run["detect"]
     truth = std_run["truth"]
-    kept_keys = [(e.firm, e.node, e.day) for e in detect.kept]
-    score = evaluate_detection(kept_keys, truth.negative_keys(), detect.calendar, tolerance=1)
+    kept_keys = [(e.firm, e.node, e.day_index) for e in detect.kept]
+    truth_keys = [(firm, node, detect.calendar.index_of(day)) for firm, node, day in truth.negative_keys()]
+    score = evaluate_detection(kept_keys, truth_keys, tolerance=1)
     assert score.n_truth == 12  # 4 planted subcategory spikes, each with 2 ancestors
     assert score.recall == 1.0
     assert score.precision == 1.0
@@ -248,7 +249,6 @@ def test_load_kept_events_matches_outputs(std_run):
     assert [events.names[f] for f in events.firm.tolist()] == [e.firm for e in kept]
     assert events.node.tolist() == [node_sort_key(e.node) for e in kept]
     assert events.day.tolist() == [calendar.index_of(e.day) for e in kept]
-    assert events.keys(calendar) == [(e.firm, e.node, e.day) for e in kept]
 
 
 def oracle_study_events(event_keys, firm_returns, market_returns, calendar, config):

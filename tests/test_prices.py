@@ -19,8 +19,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_rows
 from esgrisk.errors import DataError
-from esgrisk.ingest import IngestReport, read_prices, read_rows
+from esgrisk.ingest import IngestReport, read_prices
 from esgrisk.study import align_firm_returns
 from esgrisk.trading import TradingCalendar
 

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 from datetime import date
 
 import pytest
@@ -141,3 +142,22 @@ def test_load_sentiment_lexicon_validation(tmp_path):
         load_sentiment_lexicon(write([["bad", "x"]], "nan.csv"))
     with pytest.raises(DataError):
         load_sentiment_lexicon(write([["bad", "-0.5"], ["bad", "-0.4"]], "dup.csv"))
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([["bad", " "]], "2: term and weight are both required"),
+    ([["$", "0.5"]], "2: term '$' has no tokens"),
+    ([["a b c d e f", "0.5"]], "2: term 'a b c d e f' exceeds 5 tokens"),
+    ([["bad", "x"], ["", ""]], "2: weight 'x' is not a number"),
+    ([["good", "0.5"], ["bad", "nan"]], "3: weight nan outside [-1, 1]"),
+    ([["bad", " -1.5 "]], "2: weight -1.5 outside [-1, 1]"),
+    ([["good", "1"], ["bad", "-1"], ["worse", "-1.0001"]], "4: weight -1.0001 outside [-1, 1]"),
+    ([["bad", "-0.5"], ["Bad", "-0.4"]], "3: duplicate sentiment term 'Bad'"),
+])
+def test_load_sentiment_lexicon_names_first_bad_row(tmp_path, rows, error):
+    """Each row's first failed check, at the first failing row; the term checks are the ESG lexicon's."""
+    path = tmp_path / "sent.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["term", "weight"], *rows])
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{error}')}$"):
+        load_sentiment_lexicon(path)

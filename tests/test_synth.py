@@ -3,7 +3,7 @@ import dataclasses
 import filecmp
 import io
 import json
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -450,81 +450,65 @@ def test_simulate_event_panel_null_has_no_drift():
     assert abs(float(np.mean(ars))) < 4 * 0.02 / np.sqrt(300)
 
 
-def weekday_calendar(n, start=date(2020, 1, 6)):
-    days, d = [], start
-    while len(days) < n:
-        if d.weekday() < 5:
-            days.append(d)
-        d += timedelta(days=1)
-    return TradingCalendar(days)
-
-
 def test_evaluate_detection_exact_match():
-    cal = weekday_calendar(40)
-    keys = [("A", Node.ESG_ALL, cal.date_at(i)) for i in (5, 15, 25)]
-    score = evaluate_detection(keys, keys, cal)
+    keys = [("A", Node.ESG_ALL, i) for i in (5, 15, 25)]
+    score = evaluate_detection(keys, keys)
     assert score == DetectionScore(precision=1.0, recall=1.0, matched=3, n_detected=3, n_truth=3)
 
 
 def test_evaluate_detection_nothing_detected():
-    cal = weekday_calendar(40)
-    truth = [("A", Node.ESG_ALL, cal.date_at(5))]
-    score = evaluate_detection([], truth, cal)
+    truth = [("A", Node.ESG_ALL, 5)]
+    score = evaluate_detection([], truth)
     assert score.precision is None
     assert score.recall == 0.0
     assert score.matched == 0
 
 
 def test_evaluate_detection_empty_truth():
-    cal = weekday_calendar(40)
-    detected = [("A", Node.ESG_ALL, cal.date_at(5))]
-    score = evaluate_detection(detected, [], cal)
+    detected = [("A", Node.ESG_ALL, 5)]
+    score = evaluate_detection(detected, [])
     assert score.recall is None
     assert score.precision == 0.0
 
 
 def test_evaluate_detection_tolerance():
-    cal = weekday_calendar(40)
-    truth = [("A", Node.ESG_ALL, cal.date_at(10))]
-    off_by_one = [("A", Node.ESG_ALL, cal.date_at(11))]
-    assert evaluate_detection(off_by_one, truth, cal, tolerance=1).matched == 1
-    assert evaluate_detection(off_by_one, truth, cal, tolerance=0).matched == 0
+    truth = [("A", Node.ESG_ALL, 10)]
+    off_by_one = [("A", Node.ESG_ALL, 11)]
+    assert evaluate_detection(off_by_one, truth, tolerance=1).matched == 1
+    assert evaluate_detection(off_by_one, truth, tolerance=0).matched == 0
     # node must match exactly, tolerance applies to days only
-    wrong_node = [("A", Node.ENVIRONMENT, cal.date_at(10))]
-    assert evaluate_detection(wrong_node, truth, cal).matched == 0
+    wrong_node = [("A", Node.ENVIRONMENT, 10)]
+    assert evaluate_detection(wrong_node, truth).matched == 0
 
 
 def test_evaluate_detection_partial():
-    cal = weekday_calendar(60)
-    truth = [("A", Node.ESG_ALL, cal.date_at(5 * i)) for i in range(1, 11)]
-    detected = truth[:9] + [("A", Node.ESG_ALL, cal.date_at(57))]
-    score = evaluate_detection(detected, truth, cal)
+    truth = [("A", Node.ESG_ALL, 5 * i) for i in range(1, 11)]
+    detected = truth[:9] + [("A", Node.ESG_ALL, 57)]
+    score = evaluate_detection(detected, truth)
     assert score.matched == 9
     assert score.precision == pytest.approx(0.9)
     assert score.recall == pytest.approx(0.9)
 
 
 def test_evaluate_detection_no_double_counting():
-    cal = weekday_calendar(40)
-    truth = [("A", Node.ESG_ALL, cal.date_at(10)), ("A", Node.ESG_ALL, cal.date_at(11))]
-    detected = [("A", Node.ESG_ALL, cal.date_at(10))]
-    score = evaluate_detection(detected, truth, cal)
+    truth = [("A", Node.ESG_ALL, 10), ("A", Node.ESG_ALL, 11)]
+    detected = [("A", Node.ESG_ALL, 10)]
+    score = evaluate_detection(detected, truth)
     assert score.matched == 1
     assert score.recall == pytest.approx(0.5)
 
 
-def evaluate_detection_oracle(detected, truth, calendar, tolerance=1):
+def evaluate_detection_oracle(detected, truth, tolerance=1):
     """The (position, used) candidate scan evaluate_detection replaced, kept as its oracle."""
     detected = list(detected)
     truth = sorted(set(truth), key=lambda k: (k[0], node_sort_key(k[1]), k[2]))
     pool = {}
     for firm, node, day in detected:
-        pool.setdefault((firm, node), []).append((calendar.index_of(day), False))
+        pool.setdefault((firm, node), []).append((day, False))
     for candidates in pool.values():
         candidates.sort()
     matched = 0
-    for firm, node, day in truth:
-        idx = calendar.index_of(day)
+    for firm, node, idx in truth:
         candidates = pool.get((firm, node), [])
         best = None
         for j, (pos, used) in enumerate(candidates):
@@ -554,8 +538,5 @@ _KEYS = st.tuples(st.sampled_from(["A", "B"]), st.sampled_from([Node.ESG_ALL, No
 @example([("A", Node.ESG_ALL, 4), ("A", Node.ESG_ALL, 6)], [("A", Node.ESG_ALL, 5), ("A", Node.ESG_ALL, 7)], 1)
 def test_evaluate_detection_matches_candidate_scan(detected, truth, tolerance):
     """Repeated keys and ties in distance included, every score field agrees."""
-    cal = weekday_calendar(12)
-    detected = [(firm, node, cal.date_at(i)) for firm, node, i in detected]
-    truth = [(firm, node, cal.date_at(i)) for firm, node, i in truth]
-    expected = evaluate_detection_oracle(detected, truth, cal, tolerance)
-    assert evaluate_detection(detected, truth, cal, tolerance=tolerance) == expected
+    expected = evaluate_detection_oracle(detected, truth, tolerance)
+    assert evaluate_detection(detected, truth, tolerance=tolerance) == expected

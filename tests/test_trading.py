@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left
 from datetime import date, datetime, time, timedelta, timezone
+from itertools import accumulate
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -37,7 +39,7 @@ def ny(y, m, d, hh, mm, ss=0):
 def assign_day(ts_utc, calendar, *exchange_tz):
     """The trading date a timestamp is assigned to, None when it is not assigned."""
     idx = assign_trading_index(ts_utc, calendar, *exchange_tz)
-    return None if idx is None else calendar.date_at(idx)
+    return None if idx is None else calendar.dates[idx]
 
 
 def test_calendar_requires_increasing_dates():
@@ -50,7 +52,7 @@ def test_calendar_requires_increasing_dates():
 def test_calendar_lookup():
     c = cal()
     assert len(c) == 10
-    assert c.date_at(0) == date(2020, 3, 2)
+    assert c.dates[0] == date(2020, 3, 2)
     assert c.index_of(date(2020, 3, 10)) == 6
     assert date(2020, 3, 10) in c
     assert date(2020, 3, 7) not in c
@@ -63,6 +65,27 @@ def test_position_of_non_trading_date_is_next_trading_day():
     # Saturday 2020-03-07 sits between index 4 (Fri) and 5 (Mon)
     assert c.position(date(2020, 3, 7)) == 5
     assert c.position(date(2020, 3, 9)) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(1, 5), min_size=1, max_size=30),
+       probes=st.lists(st.integers(-3, 160), max_size=40))
+def test_calendar_lookups_match_dict_and_bisect(gaps, probes):
+    """lookup, index_of, `in` and position against a dict and bisect, on and off a calendar with gaps."""
+    ordinals = list(accumulate(gaps, initial=date(2020, 1, 1).toordinal()))[1:]
+    c = TradingCalendar([date.fromordinal(o) for o in ordinals])
+    index = {o: i for i, o in enumerate(ordinals)}
+    probe = [ordinals[0] + p for p in probes]  # before, on, between and after its days
+    assert c.lookup(probe).tolist() == [index.get(o, -1) for o in probe]
+    for o in probe:
+        day = date.fromordinal(o)
+        assert (day in c) == (o in index)
+        assert c.position(day) == bisect_left(ordinals, o)
+        if o in index:
+            assert c.index_of(day) == index[o]
+        else:
+            with pytest.raises(DataError, match=f"^{day} is not a trading day in this calendar$"):
+                c.index_of(day)
 
 
 def test_assign_before_close_is_same_day():
