@@ -69,14 +69,11 @@ detection = run_detect(cfg)
 
 planted = truth.planted[0]
 print(f"\nplanted: {planted.firm}, {planted.node.value}, {planted.date}")
-print(f"detected {len(detection.detected)} events before confound exclusion:")
+# each event carries its events.csv fate: an empty removal_reason means
+# kept; the earnings release two trading days later knocks everything out
+print(f"detected {len(detection.detected)} events, kept {len(detection.kept)}:")
 for ev in detection.detected:
-    print(f"  {ev.firm}  {ev.node.value:22s} {ev.day}  sentiment {ev.score:+.3f}")
-
-# the earnings release two trading days later knocks everything out
-print(f"\nkept after exclusion: {len(detection.kept)}")
-for rem in detection.removed:
-    print(
-        f"  removed {rem.event.node.value:22s} {rem.event.day}"
-        f"  ({rem.kind.value} at distance {rem.distance:+d})"
-    )
+    fate = ev.removal_reason or "kept"
+    if ev.distance_to_confound is not None:
+        fate += f" at distance {ev.distance_to_confound:+d}"
+    print(f"  {ev.firm}  {ev.node.value:22s} {ev.day}  sentiment {ev.score:+.3f}  {fate}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregate import SeriesStack
 from .errors import ConfigError, NumericError
-from .ingest import CalendarEventRow, EventKind
+from .ingest import CalendarEvents, EventKind
 from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, classify_sign
 from .taxonomy import REPORT_ORDER, Node
 from .trading import TradingCalendar
@@ -65,7 +65,11 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class RiskEvent:
-    """One detected abnormal-volume event for a (firm, node) pair."""
+    """One detected abnormal-volume event for a (firm, node) pair, with its events.csv fate.
+
+    removal_reason is "" for a kept event, else positive_sign or
+    confounded_<kind>; distance_to_confound is set on a confounded event only.
+    """
 
     firm: str
     node: Node
@@ -76,15 +80,8 @@ class RiskEvent:
     score: float
     sign: Sign
     merged_outlier_days: tuple[date, ...]
-
-
-@dataclass(frozen=True)
-class RemovedEvent:
-    """An event discarded because a confound sat within the exclusion window."""
-
-    event: RiskEvent
-    distance: int  # confound index minus event index, in trading days
-    kind: EventKind
+    removal_reason: str = ""
+    distance_to_confound: int | None = None  # confound index minus event index, in trading days
 
 
 # window_len * (largest count) at or below this keeps w*sum(x^2) and sum^2 in int64
@@ -196,23 +193,27 @@ def filter_and_merge(
 
 def exclude_confounded(
     events: Iterable[RiskEvent],
-    confounds: Iterable[CalendarEventRow],
+    confounds: Iterable[CalendarEvents],
     calendar: TradingCalendar,
     config: DetectionConfig,
-) -> tuple[list[RiskEvent], list[RemovedEvent]]:
-    """Drop events with a firm calendar confound within the exclusion window.
+) -> tuple[list[RiskEvent], list[RiskEvent]]:
+    """Set each event's fate: (unconfounded, removed), each in input order.
 
-    Distances are measured in trading days via the calendar; a confound on
-    a non-trading date counts from the next trading day. Removed events
-    carry the signed distance of the nearest confound (positive means the
-    confound came after the event).
+    An event with a firm calendar confound within the exclusion window is
+    removed as confounded_<kind>, with the signed distance of the nearest
+    confound (positive means the confound came after the event). Of a -d/+d
+    pair the earlier confound wins, and of equal distances the calendar
+    given first. Distances are measured in trading days via the calendar;
+    a confound on a non-trading date counts from the next trading day. An
+    unconfounded event of positive sign is marked positive_sign.
     """
     by_firm: dict[str, list[tuple[int, EventKind]]] = {}
-    for row in confounds:
-        by_firm.setdefault(row.firm, []).append((calendar.position(row.day), row.kind))
+    for cal in confounds:
+        for firm, pos in zip(cal.firms, calendar.position(cal.days).tolist()):
+            by_firm.setdefault(firm, []).append((pos, cal.kind))
 
-    kept: list[RiskEvent] = []
-    removed: list[RemovedEvent] = []
+    unconfounded: list[RiskEvent] = []
+    removed: list[RiskEvent] = []
     for event in events:
         nearby: list[tuple[int, EventKind]] = []
         for pos, kind in by_firm.get(event.firm, ()):
@@ -220,25 +221,16 @@ def exclude_confounded(
             if abs(distance) <= config.exclusion_halfwidth:
                 nearby.append((distance, kind))
         if not nearby:
-            kept.append(event)
+            if event.sign is Sign.POSITIVE:
+                event = replace(event, removal_reason="positive_sign")
+            unconfounded.append(event)
             continue
         distance, kind = min(nearby, key=lambda item: (abs(item[0]), item[0]))
-        removed.append(RemovedEvent(event=event, distance=distance, kind=kind))
+        reason = f"confounded_{kind.name.lower()}"
+        removed.append(replace(event, removal_reason=reason, distance_to_confound=distance))
         log.info(
             "excluded %s/%s event on %s: %s at %+d trading days",
             event.firm, event.node, event.day, kind, distance,
         )
-    return kept, removed
+    return unconfounded, removed
 
-
-def select_risk_events(events: Iterable[RiskEvent]) -> tuple[list[RiskEvent], list[RiskEvent]]:
-    """Split events into (negative, positive) by sentiment sign.
-
-    Negative events are the reputational-risk set the study runs on;
-    positive ones are kept for diagnostics.
-    """
-    negatives: list[RiskEvent] = []
-    positives: list[RiskEvent] = []
-    for event in events:
-        (negatives if event.sign is Sign.NEGATIVE else positives).append(event)
-    return negatives, positives

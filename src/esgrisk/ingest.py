@@ -25,7 +25,7 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate, compress, islice, repeat
 from operator import is_not, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -52,10 +52,11 @@ class EventKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CalendarEventRow:
-    firm: str
-    day: date
+class CalendarEvents(NamedTuple):
+    """One confound calendar as columns sorted by (firm, date): each row's firm name and date ordinal."""
+
+    firms: list[str]
+    days: np.ndarray
     kind: EventKind
 
 
@@ -446,23 +447,24 @@ def read_market_index(path: str | Path) -> tuple[tuple[list[date], np.ndarray], 
     return ([*map(date.fromordinal, dates)], np.array([*map(returns.get, dates)], float)), report
 
 
-def read_calendar_events(path: str | Path, kind: EventKind) -> tuple[list[CalendarEventRow], IngestReport]:
-    """Read firm,date confound events of one kind, sorted by (firm, date); empty files are fine.
+def read_calendar_events(path: str | Path, kind: EventKind) -> tuple[CalendarEvents, IngestReport]:
+    """Read firm,date confound events of one kind as columns sorted by (firm, date); empty files are fine.
 
     A row with a blank firm or a bad date is skipped with the first reason it meets.
     """
     report = IngestReport(path=str(path))
-    days: dict[str | None, int] = {}
-    rows: list[CalendarEventRow] = []
+    cache: dict[str | None, int] = {}
+    firms: list[str] = []
+    days: list[int] = []
     for lines, (raw_firms, raw_days) in read_columns(path, "calendar", ("firm", "date")):
-        day = ordinals(raw_days, days)
+        day = ordinals(raw_days, cache)
         keep = report.skip_failing(lines, [
             (filled(raw_firms), lambda k: "missing firm"),
             (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
         ])
-        firms = [firm.strip() for firm in compress(raw_firms, keep)]
-        report.keep(len(firms))
-        rows += map(CalendarEventRow, firms, map(date.fromordinal, day[keep].tolist()), repeat(kind))
+        report.keep(int(keep.sum()))
+        firms += [firm.strip() for firm in compress(raw_firms, keep)]
+        days += day[keep].tolist()
     report.log_skips()
-    rows.sort(key=lambda r: (r.firm, r.day))
-    return rows, report
+    order = sorted(range(len(firms)), key=lambda k: (firms[k], days[k]))
+    return CalendarEvents([firms[k] for k in order], np.array([days[k] for k in order], np.int64), kind), report

@@ -37,12 +37,10 @@ import yaml
 from .aggregate import build_series, label_mask
 from .detect import (
     DetectionConfig,
-    RemovedEvent,
     RiskEvent,
     esd_outliers,
     exclude_confounded,
     filter_and_merge,
-    select_risk_events,
 )
 from .errors import ConfigError, DataError, config_errors
 from .ingest import (
@@ -70,7 +68,7 @@ from .report import (
     render_results_text,
     render_scaar_curve_csv,
 )
-from .sentiment import DEFAULT_SIGN_THRESHOLD, Sign, load_sentiment_lexicon
+from .sentiment import DEFAULT_SIGN_THRESHOLD, load_sentiment_lexicon
 from .study import (
     EstimationConfig,
     NodeStudyResult,
@@ -229,12 +227,21 @@ _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, when 
 
 
 def read_yaml_mapping(path: str | Path) -> dict:
-    """The top-level mapping of a YAML config file; empty for an empty file."""
+    """The top-level mapping of a YAML config file; empty for an empty file.
+
+    An empty value tagged `!` is refused: libyaml reads it as '' and the
+    pure loader as null.
+    """
     try:
         with config_errors(f"read config {path}"), open(path, encoding="utf-8") as fh:
+            events = list(yaml.parse(fh, Loader=_SAFE_LOADER))
+            fh.seek(0)
             loaded = yaml.load(fh, Loader=_SAFE_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date-like scalar that is no date
         raise ConfigError(f"bad YAML in {path}: {exc}") from exc
+    for event in events:
+        if isinstance(event, yaml.ScalarEvent) and event.tag == "!" and not event.value:
+            raise ConfigError(f"{path}:{event.start_mark.line + 1}: empty value tagged '!'; write null or ''")
     if loaded is None:
         return {}
     if not isinstance(loaded, dict):
@@ -410,10 +417,10 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
 class DetectOutputs:
     events_path: Path
     calendar: TradingCalendar
-    detected: list[RiskEvent]  # everything that survived filters and merging
+    detected: list[RiskEvent]  # everything that survived filters and merging, with its fate
     kept: list[RiskEvent]  # negative sign, not confounded
     positives: list[RiskEvent]
-    removed: list[RemovedEvent]
+    removed: list[RiskEvent]  # confounded
     dropped_messages: int  # timestamps outside the calendar
 
 
@@ -468,13 +475,11 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     (dates, _), _ = read_market_index(index_path)
     calendar = TradingCalendar(dates)
 
-    confounds = []
-    if cfg.paths.earnings:
-        rows, _ = read_calendar_events(cfg.require_path("earnings"), EventKind.EARNINGS)
-        confounds.extend(rows)
-    if cfg.paths.controversy:
-        rows, _ = read_calendar_events(cfg.require_path("controversy"), EventKind.CONTROVERSY)
-        confounds.extend(rows)
+    confounds = [  # earnings first: it wins a tie of firm and distance
+        read_calendar_events(cfg.require_path(name), kind)[0]
+        for name, kind in (("earnings", EventKind.EARNINGS), ("controversy", EventKind.CONTROVERSY))
+        if getattr(cfg.paths, name)
+    ]
 
     names, firms, stamps, masks, scores = _read_classified(classified)
     days = assign_trading_indices(stamps, calendar, cfg.exchange_tz)
@@ -484,26 +489,19 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     detected = filter_and_merge(
         outliers, stack, names, calendar, cfg.detection, cfg.sentiment_threshold
     )
-    detected.sort(key=lambda e: (e.firm, node_sort_key(e.node), e.day))
+    in_file_order = partial(sorted, key=lambda e: (e.firm, node_sort_key(e.node), e.day))
+    unconfounded, removed = exclude_confounded(
+        in_file_order(detected), confounds, calendar, cfg.detection
+    )
+    detected = in_file_order(unconfounded + removed)
+    kept = [e for e in unconfounded if not e.removal_reason]
+    positives = [e for e in unconfounded if e.removal_reason]
 
-    unconfounded, removed = exclude_confounded(detected, confounds, calendar, cfg.detection)
-    kept, positives = select_risk_events(unconfounded)
-
-    removal_by_event = {rem.event: rem for rem in removed}
     events_path = cfg.events_path()
     with _open_artifact(events_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
         for event in detected:
-            rem = removal_by_event.get(event)
-            if rem is not None:
-                kept_flag = "false"
-                reason = f"confounded_{rem.kind.name.lower()}"
-                distance = str(rem.distance)
-            elif event.sign is Sign.POSITIVE:
-                kept_flag, reason, distance = "false", "positive_sign", ""
-            else:
-                kept_flag, reason, distance = "true", "", ""
             writer.writerow([
                 event.firm,
                 event.node.value,
@@ -512,9 +510,9 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
                 str(event.share),
                 str(event.score),
                 event.sign.value,
-                kept_flag,
-                reason,
-                distance,
+                "false" if event.removal_reason else "true",
+                event.removal_reason,
+                event.distance_to_confound,
             ])
 
     (outdir / "event_counts.csv").write_text(render_event_counts_csv(kept), encoding="utf-8")

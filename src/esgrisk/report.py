@@ -12,7 +12,7 @@ import io
 import math
 from typing import Iterable, Sequence
 
-from .detect import RemovedEvent, RiskEvent
+from .detect import RiskEvent
 from .study import NodeStudyResult, Window
 from .taxonomy import REPORT_ORDER, SUBCATEGORIES, Node
 
@@ -123,11 +123,11 @@ def render_event_counts_csv(events: Iterable[RiskEvent]) -> str:
     return _csv_text(["node", "count"], ([node.value, counts[node]] for node in REPORT_ORDER))
 
 
-def render_removal_histogram_csv(removed: Iterable[RemovedEvent], halfwidth: int) -> str:
+def render_removal_histogram_csv(removed: Iterable[RiskEvent], halfwidth: int) -> str:
     """Signed distance histogram of confound removals, zero-filled bins."""
     counts = {d: 0 for d in range(-halfwidth, halfwidth + 1)}
-    for rem in removed:
-        counts[rem.distance] += 1
+    for event in removed:
+        counts[event.distance_to_confound] += 1
     return _csv_text(["distance", "count"], counts.items())
 
 

@@ -59,13 +59,14 @@ class TradingCalendar:
             raise DataError(f"{day} is not a trading day in this calendar")
         return idx
 
-    def position(self, day: date) -> int:
-        """Virtual index: count of trading days strictly before `day`.
+    def position(self, ordinals) -> np.ndarray:
+        """Count of trading days strictly before each date ordinal, a scalar or an array.
 
-        For a trading date this equals index_of; for other dates it is the
-        index of the next trading day on/after, or len(self) past the end.
+        A trading date's position is its index, and any other date's is the
+        index of the next trading day. Dates outside the calendar clamp: one
+        before the first trading day is at 0, one after the last at len(self).
         """
-        return int(np.searchsorted(self.ordinals, day.toordinal()))
+        return np.searchsorted(self.ordinals, ordinals)
 
 
 def assign_trading_index(
@@ -81,7 +82,7 @@ def assign_trading_index(
         candidate = candidate + timedelta(days=1)
     if candidate < calendar.dates[0]:
         return None
-    idx = calendar.position(candidate)
+    idx = int(calendar.position(candidate.toordinal()))
     if idx >= len(calendar):
         return None
     return idx

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esgrisk.ingest import read_columns
+from esgrisk.ingest import CalendarEvents, read_columns
 from esgrisk.pipeline import run_config_from_dict, run_pipeline
 from esgrisk.study import abnormal_return, fit_market_model, standardize
 from esgrisk.synth import PlantedEvent, SynthConfig, generate
@@ -53,6 +53,12 @@ def read_rows(path, what, required, optional=()):
     """read_columns one row at a time, (line, cells) per non-blank row: the row-loop oracles' reader."""
     for lines, columns in read_columns(path, what, required, optional):
         yield from zip(lines, zip(*columns))
+
+
+def confound_columns(kind, *rows):
+    """One CalendarEvents of `kind` from (firm, date) rows, sorted as read_calendar_events sorts them."""
+    rows = sorted(rows)
+    return CalendarEvents([f for f, _ in rows], np.array([d.toordinal() for _, d in rows], np.int64), kind)
 
 
 def naive_esd(counts, config):

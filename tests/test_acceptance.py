@@ -14,16 +14,11 @@ import numpy as np
 from conftest import corpus_paths, event_day_abnormals, make_run_config
 
 from esgrisk.aggregate import build_series, label_mask
-from esgrisk.detect import (
-    DetectionConfig,
-    esd_outliers,
-    filter_and_merge,
-    select_risk_events,
-)
+from esgrisk.detect import DetectionConfig, esd_outliers, filter_and_merge
 from esgrisk.ingest import EPOCH, iter_messages
 from esgrisk.lexicon import EsgClassifier, load_esg_lexicon, tokenize
 from esgrisk.pipeline import run_config_from_dict, run_detect, run_pipeline
-from esgrisk.sentiment import SentimentScorer, load_sentiment_lexicon
+from esgrisk.sentiment import SentimentScorer, Sign, load_sentiment_lexicon
 from esgrisk.study import (
     EstimationConfig,
     EventAbnormals,
@@ -229,8 +224,7 @@ def test_criterion_5_detection_power_on_planted_spikes(tmp_path):
         events = filter_and_merge(
             esd_outliers(stack.counts, detection), stack, list(firms), calendar, detection
         )
-        negatives, _ = select_risk_events(events)
-        detected = [(e.firm, e.node, e.day_index) for e in negatives]
+        detected = [(e.firm, e.node, e.day_index) for e in events if e.sign is Sign.NEGATIVE]
         truth_keys = [(firm, node, calendar.index_of(day)) for firm, node, day in truth.negative_keys()]
         score = evaluate_detection(detected, truth_keys, tolerance=1)
         matched += score.matched

@@ -8,8 +8,9 @@ pipeline._read_classified and pipeline.load_kept_events, kept here as
 the reference. At read block sizes 1, 3 and the default, the column
 readers must give the same messages, rows or column bytes, the same
 IngestReport and the same first DataError; the former
-load_kept_events' (firm, node, date) keys are compared as the columns
-its successor returns. The differences are on
+load_kept_events' (firm, node, date) keys and the former
+read_calendar_events' (firm, date) rows are compared as the columns
+their successors return. The differences are on
 purpose: a blank firm in classified.csv, and a blank firm or a repeated
 (firm, node, date) on a kept events.csv row, are now DataErrors that
 the oracles let through; and a message stamp whose UTC instant is past
@@ -173,7 +174,7 @@ def oracle_read_market_index(path):
 
 
 def oracle_read_calendar_events(path, kind):
-    """The former read_calendar_events: a row loop, one CalendarEventRow per valid row."""
+    """The former read_calendar_events: a row loop, one (firm, date, kind) row per valid row."""
     report = IngestReport(path=str(path))
     rows = []
     for line, (firm, raw_day) in read_rows(path, "calendar", ("firm", "date")):
@@ -187,8 +188,8 @@ def oracle_read_calendar_events(path, kind):
             report.skip(line, f"bad date {raw_day!r}")
             continue
         report.keep()
-        rows.append(ingest.CalendarEventRow(firm=firm, day=day, kind=kind))
-    rows.sort(key=lambda r: (r.firm, r.day))
+        rows.append((firm, day, kind))
+    rows.sort(key=lambda r: r[:2])
     return rows, report
 
 
@@ -368,8 +369,15 @@ def index_result(path, read=read_market_index):
 
 
 def calendar_result(path, read=read_calendar_events):
-    rows, report = read(path, EventKind.EARNINGS)
-    return rows, report.as_dict()
+    (firms, days, kind), report = read(path, EventKind.EARNINGS)
+    return firms, days.tobytes(), kind, report.as_dict()
+
+
+def oracle_calendar_columns(path, kind):
+    """oracle_read_calendar_events' rows as read_calendar_events' columns."""
+    rows, report = oracle_read_calendar_events(path, kind)
+    days = np.array([day.toordinal() for _, day, _ in rows], np.int64)
+    return ([firm for firm, _, _ in rows], days, kind), report
 
 
 def classified_result(path, read=pipeline._read_classified):
@@ -474,7 +482,7 @@ def test_market_index_matches_row_oracle(tmp_path_factory, text):
 @example(text="firm,date\nA\n,2020-01-06\n B ,2020-01-07\nA,nope\nA, 2020-01-06 \n")
 def test_calendar_events_match_row_oracle(tmp_path_factory, text):
     path = write(tmp_path_factory, "earnings.csv", text)
-    expected = outcome(calendar_result, path, oracle_read_calendar_events)
+    expected = outcome(calendar_result, path, oracle_calendar_columns)
     assert at_blocks(calendar_result, path) == expected
 
 

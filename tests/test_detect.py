@@ -1,10 +1,11 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import naive_esd
+from conftest import confound_columns, naive_esd
 
 import esgrisk.detect as detect
 from esgrisk.aggregate import SeriesStack
@@ -14,10 +15,9 @@ from esgrisk.detect import (
     esd_outliers,
     exclude_confounded,
     filter_and_merge,
-    select_risk_events,
 )
 from esgrisk.errors import ConfigError, NumericError
-from esgrisk.ingest import CalendarEventRow, EventKind
+from esgrisk.ingest import EventKind
 from esgrisk.sentiment import Sign, classify_sign
 from esgrisk.taxonomy import REPORT_ORDER, Node, node_sort_key
 from esgrisk.trading import TradingCalendar
@@ -388,28 +388,26 @@ def test_exclusion_distance_example():
         count=60, share=0.9, score=-0.5, sign=Sign.NEGATIVE,
         merged_outlier_days=(date(2020, 3, 10),),
     )
-    confound = CalendarEventRow(firm="A", day=date(2020, 3, 12), kind=EventKind.EARNINGS)
+    confound = confound_columns(EventKind.EARNINGS, ("A", date(2020, 3, 12)))
     kept, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
     assert kept == []
-    assert len(removed) == 1
-    assert removed[0].distance == 2
-    assert removed[0].kind is EventKind.EARNINGS
+    assert removed == [replace(event, removal_reason="confounded_earnings", distance_to_confound=2)]
 
 
 def test_exclusion_outside_window_keeps_event():
     cal = weekday_calendar(40)
     event = make_event(cal, 10)
-    confound = CalendarEventRow(firm="A", day=cal.dates[17], kind=EventKind.CONTROVERSY)
+    confound = confound_columns(EventKind.CONTROVERSY, ("A", cal.dates[17]))
     kept, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
-    assert len(kept) == 1 and removed == []
+    assert kept == [event] and removed == []
 
 
 def test_exclusion_ignores_other_firms():
     cal = weekday_calendar(40)
     event = make_event(cal, 10, firm="A")
-    confound = CalendarEventRow(firm="B", day=cal.dates[10], kind=EventKind.EARNINGS)
+    confound = confound_columns(EventKind.EARNINGS, ("B", cal.dates[10]))
     kept, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
-    assert len(kept) == 1 and removed == []
+    assert kept == [event] and removed == []
 
 
 def test_exclusion_no_confounds_keeps_all():
@@ -423,12 +421,12 @@ def test_exclusion_picks_nearest_confound():
     cal = weekday_calendar(40)
     event = make_event(cal, 10)
     confounds = [
-        CalendarEventRow(firm="A", day=cal.dates[14], kind=EventKind.EARNINGS),
-        CalendarEventRow(firm="A", day=cal.dates[9], kind=EventKind.CONTROVERSY),
+        confound_columns(EventKind.EARNINGS, ("A", cal.dates[14])),
+        confound_columns(EventKind.CONTROVERSY, ("A", cal.dates[9])),
     ]
     _, removed = exclude_confounded([event], confounds, cal, DetectionConfig())
-    assert removed[0].distance == -1
-    assert removed[0].kind is EventKind.CONTROVERSY
+    assert removed[0].distance_to_confound == -1
+    assert removed[0].removal_reason == "confounded_controversy"
 
 
 def test_exclusion_non_trading_confound_counts_from_next_trading_day():
@@ -436,9 +434,9 @@ def test_exclusion_non_trading_confound_counts_from_next_trading_day():
     cal = weekday_calendar(10, start=date(2020, 3, 2))
     event = make_event(cal, 4)  # Fri 2020-03-06
     saturday = date(2020, 3, 7)
-    confound = CalendarEventRow(firm="A", day=saturday, kind=EventKind.EARNINGS)
+    confound = confound_columns(EventKind.EARNINGS, ("A", saturday))
     _, removed = exclude_confounded([event], [confound], cal, DetectionConfig())
-    assert removed[0].distance == 1
+    assert removed[0].distance_to_confound == 1
 
 
 def test_exclusion_window_grows_monotonically():
@@ -446,25 +444,26 @@ def test_exclusion_window_grows_monotonically():
     cal = weekday_calendar(120)
     events = [make_event(cal, int(i)) for i in rng.integers(10, 110, 15)]
     confounds = [
-        CalendarEventRow(firm="A", day=cal.dates[int(i)], kind=EventKind.EARNINGS)
-        for i in rng.integers(0, 120, 6)
+        confound_columns(EventKind.EARNINGS, *(("A", cal.dates[int(i)]) for i in rng.integers(0, 120, 6)))
     ]
     removed_keys_prev: set = set()
     for halfwidth in (1, 3, 5, 9):
         config = DetectionConfig(exclusion_halfwidth=halfwidth)
         _, removed = exclude_confounded(events, confounds, cal, config)
-        keys = {(r.event.firm, r.event.day_index) for r in removed}
+        keys = {(e.firm, e.day_index) for e in removed}
         assert removed_keys_prev <= keys
         removed_keys_prev = keys
 
 
 def test_select_risk_events():
+    # the risk events are the unconfounded ones of negative sign: an empty removal_reason
     cal = weekday_calendar(40)
     neg1 = make_event(cal, 10)
     pos = make_event(cal, 15, sign=Sign.POSITIVE)
     neg2 = make_event(cal, 22)
-    negatives, positives = select_risk_events([neg1, pos, neg2])
-    assert negatives == [neg1, neg2]
-    assert positives == [pos]
-    assert select_risk_events([]) == ([], [])
-    assert select_risk_events([pos]) == ([], [pos])
+    config = DetectionConfig()
+    unconfounded, removed = exclude_confounded([neg1, pos, neg2], [], cal, config)
+    assert unconfounded == [neg1, replace(pos, removal_reason="positive_sign"), neg2] and removed == []
+    assert [e for e in unconfounded if not e.removal_reason] == [neg1, neg2]
+    assert exclude_confounded([], [], cal, config) == ([], [])
+    assert exclude_confounded([pos], [], cal, config) == ([replace(pos, removal_reason="positive_sign")], [])

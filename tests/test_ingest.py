@@ -7,6 +7,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,17 +279,19 @@ def test_read_calendar_events(tmp_path):
         ["firm", "date"],
         [["AAPL", "2020-01-28"], ["AAPL", "bogus"], ["MSFT", "2020-02-03"]],
     )
-    rows, report = read_calendar_events(path, EventKind.EARNINGS)
-    assert len(rows) == 2
-    assert all(r.kind is EventKind.EARNINGS for r in rows)
-    assert rows[0].day == date(2020, 1, 28)
+    events, report = read_calendar_events(path, EventKind.EARNINGS)
+    assert events.kind is EventKind.EARNINGS
+    assert events.firms == ["AAPL", "MSFT"]
+    assert events.days.dtype == np.int64
+    assert events.days.tolist() == [date(2020, 1, 28).toordinal(), date(2020, 2, 3).toordinal()]
     assert report.skips_total == 1
 
 
 def test_read_calendar_events_empty_file(tmp_path):
     path = write_csv(tmp_path / "e.csv", ["firm", "date"], [])
-    rows, _ = read_calendar_events(path, EventKind.CONTROVERSY)
-    assert rows == []
+    events, _ = read_calendar_events(path, EventKind.CONTROVERSY)
+    assert events.firms == [] and events.days.tolist() == []
+    assert events.days.dtype == np.int64 and events.kind is EventKind.CONTROVERSY
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -132,6 +132,9 @@ def yaml_texts():
 
 def load_or_error(text, loader):
     try:
+        if any(isinstance(e, yaml.ScalarEvent) and e.tag == "!" and not e.value
+               for e in yaml.parse(text, Loader=loader)):
+            return "empty value tagged '!'"  # which read_yaml_mapping refuses
         return repr(yaml.load(text, Loader=loader))  # repr: nan compares equal to itself
     except (yaml.YAMLError, ValueError):  # what read_yaml_mapping reports as bad YAML
         return "bad YAML"
@@ -157,6 +160,19 @@ def test_read_yaml_mapping_with_the_pure_loader(tmp_path, monkeypatch):
     assert pipeline.read_yaml_mapping(path) == expected
     path.write_text("detection: [unclosed\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad YAML"):
+        pipeline.read_yaml_mapping(path)
+
+
+@pytest.mark.parametrize("loader", sorted({getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader},
+                                           key=lambda cls: cls.__name__))
+@pytest.mark.parametrize("text, line", [("seed: 3\nplanted: !\n", 2), ("!", 1)],
+                         ids=["planted", "whole-file"])
+def test_empty_value_tagged_bang_is_refused(tmp_path, monkeypatch, loader, text, line):
+    """libyaml reads an empty `!` value as '' and the pure loader as null, so both refuse it."""
+    path = tmp_path / "synth.yaml"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(pipeline, "_SAFE_LOADER", loader)
+    with pytest.raises(ConfigError, match=rf"synth\.yaml:{line}: empty value tagged '!'"):
         pipeline.read_yaml_mapping(path)
 
 
@@ -531,8 +547,9 @@ def test_confounded_event_excluded_end_to_end(tmp_path):
     out = run_detect(cfg)
     assert out.kept == []
     # the spike fires at the subcategory, its pillar and the root
-    assert {r.event.node for r in out.removed} == {Node.CLIMATE_CHANGE, Node.ENVIRONMENT, Node.ESG_ALL}
-    assert all(r.distance == 1 for r in out.removed)
+    assert {e.node for e in out.removed} == {Node.CLIMATE_CHANGE, Node.ENVIRONMENT, Node.ESG_ALL}
+    assert all(e.distance_to_confound == 1 for e in out.removed)
+    assert all(e.removal_reason == "confounded_earnings" for e in out.removed)
     with open(out.events_path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh) if r["removal_reason"] == "confounded_earnings"]
     assert len(rows) == 3

@@ -4,8 +4,7 @@ from datetime import date
 
 import numpy as np
 
-from esgrisk.detect import RemovedEvent, RiskEvent
-from esgrisk.ingest import EventKind
+from esgrisk.detect import RiskEvent
 from esgrisk.report import (
     fmt_offset,
     fmt_window,
@@ -203,11 +202,11 @@ def test_results_text_empty():
     assert "(no events to study)" in text
 
 
-def make_event(node, day_index=260):
+def make_event(node, day_index=260, **fate):
     return RiskEvent(
         firm="A", node=node, day=date(2020, 1, 2), day_index=day_index,
         count=30, share=0.5, score=-0.4, sign=Sign.NEGATIVE,
-        merged_outlier_days=(date(2020, 1, 2),),
+        merged_outlier_days=(date(2020, 1, 2),), **fate,
     )
 
 
@@ -230,9 +229,9 @@ def test_event_counts_csv_counts_per_node():
 
 def test_removal_histogram_bins():
     removed = [
-        RemovedEvent(event=make_event(Node.ESG_ALL), distance=-4, kind=EventKind.EARNINGS),
-        RemovedEvent(event=make_event(Node.ESG_ALL), distance=2, kind=EventKind.CONTROVERSY),
-        RemovedEvent(event=make_event(Node.ESG_ALL), distance=2, kind=EventKind.EARNINGS),
+        make_event(Node.ESG_ALL, removal_reason="confounded_earnings", distance_to_confound=-4),
+        make_event(Node.ESG_ALL, removal_reason="confounded_controversy", distance_to_confound=2),
+        make_event(Node.ESG_ALL, removal_reason="confounded_earnings", distance_to_confound=2),
     ]
     rows = list(csv.DictReader(io.StringIO(render_removal_histogram_csv(removed, 5))))
     assert [int(r["distance"]) for r in rows] == list(range(-5, 6))

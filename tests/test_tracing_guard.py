@@ -8,6 +8,7 @@ both show in the traced split. Detect scans every series in one ESD call, so
 its outlier-day count is checked against a per-row recomputation.
 """
 
+import ast
 import csv
 import importlib.util
 import os
@@ -40,6 +41,10 @@ PATCHED = {
     lexicon.EsgClassifier: ("classify_tokens",),
     sentiment.SentimentScorer: ("score_tokens",),
 }
+
+
+# a tracer patch point that the package itself no longer calls
+TRACER_ONLY = {("pipeline", "assign_trading_index")}
 
 
 def load_tracing():
@@ -153,3 +158,47 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.strip() == "[]"
+
+
+def tracer_module_patches():
+    """(module, attribute) for every name bench/tracing.py patches on a module of the package."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    loops = {  # for name in ("a", "b"): p.timed(pipeline, name, ...)
+        node.target.id: [elt.value for elt in node.iter.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Tuple)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("timed", "counted", "producer", "consumer")):
+            continue
+        owner, attr = node.args[:2]
+        if isinstance(owner, ast.Name):  # a module, not a class
+            names = loops[attr.id] if isinstance(attr, ast.Name) else [attr.value]
+            found += [(owner.id, name) for name in names]
+    return found
+
+
+def called_names(tree, attributes=False):
+    """Names a module calls as f(...), and with `attributes` also as x.f(...)."""
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return ({f.id for f in calls if isinstance(f, ast.Name)}
+            | {f.attr for f in calls if attributes and isinstance(f, ast.Attribute)})
+
+
+def test_every_patched_module_name_is_used_by_the_package():
+    """A name the tracer patches on a module is called in that module, or is
+    defined there and called from another module (an entry point such as
+    synth.generate), so no src name lives on only for the tracer."""
+    src = Path(pipeline.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    patches = tracer_module_patches()
+    assert ("pipeline", "exclude_confounded") in patches and ("synth", "generate") in patches
+    for module, name in patches:
+        tree = trees[module]
+        defined = any(isinstance(node, ast.FunctionDef) and node.name == name for node in tree.body)
+        elsewhere = any(name in called_names(other, attributes=True)
+                        for stem, other in trees.items() if stem != module)
+        used = name in called_names(tree) or (defined and elsewhere)
+        assert used != ((module, name) in TRACER_ONLY), (module, name)

@@ -63,8 +63,12 @@ def test_calendar_lookup():
 def test_position_of_non_trading_date_is_next_trading_day():
     c = cal()
     # Saturday 2020-03-07 sits between index 4 (Fri) and 5 (Mon)
-    assert c.position(date(2020, 3, 7)) == 5
-    assert c.position(date(2020, 3, 9)) == 5
+    saturday, monday = date(2020, 3, 7).toordinal(), date(2020, 3, 9).toordinal()
+    assert c.position(saturday) == c.position(monday) == 5
+    assert c.position([saturday, monday]).tolist() == [5, 5]
+    # dates outside the calendar clamp to its ends
+    before, after = date(2020, 1, 1).toordinal(), date(2021, 1, 1).toordinal()
+    assert c.position([before, after]).tolist() == [0, len(c)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,10 +81,11 @@ def test_calendar_lookups_match_dict_and_bisect(gaps, probes):
     index = {o: i for i, o in enumerate(ordinals)}
     probe = [ordinals[0] + p for p in probes]  # before, on, between and after its days
     assert c.lookup(probe).tolist() == [index.get(o, -1) for o in probe]
+    assert c.position(probe).tolist() == [bisect_left(ordinals, o) for o in probe]
     for o in probe:
         day = date.fromordinal(o)
         assert (day in c) == (o in index)
-        assert c.position(day) == bisect_left(ordinals, o)
+        assert c.position(o) == bisect_left(ordinals, o)
         if o in index:
             assert c.index_of(day) == index[o]
         else:
