@@ -8,10 +8,10 @@ structural problems that would corrupt downstream arithmetic (duplicate
 price rows, duplicate index dates, unreadable or undecodable files,
 malformed CSV records) are fatal.
 
-Every CSV reader is a check table: it states its rule once, as an
-ordered table of (mask, reason) checks over a block's converted columns;
-`failures` names each failing row's first failed check, which the input
-readers here skip and the artifact and lexicon readers raise.
+Every CSV reader is a check table: an ordered table of (mask, reason)
+checks over a block's columns, each distinct cell `decoded` once, which
+ends in IngestReport.skip_failing for the input readers here and in
+`require` for the artifact and lexicon readers.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ class IngestReport:
                         self.path, self.skips_total, self.total_rows, line, reason)
 
     def skip_failing(self, lines: Sequence[int], checks) -> np.ndarray:
-        """Skip each row that fails a check (see `failures`); the mask of the rows that pass."""
+        """Skip each row that fails a check (see `failures`) and keep the rest; the mask of the rows kept."""
         keep = np.ones(len(lines), bool)
         for k, reason in failures(checks):
             self.skip(lines[k], reason)
             keep[k] = False
+        self.keep(int(keep.sum()))
         return keep
 
     def keep(self, rows: int = 1) -> None:
@@ -287,7 +288,6 @@ def iter_messages(path: str | Path, source_tz: str = "UTC", report: IngestReport
             ids, firms, texts = ([*compress(c, keep)] for c in (ids, firms, texts))
             us = us[keep]
         seen.update(ids)
-        report.keep(len(ids))
         yield from zip(ids, firms, us.tolist(), texts)
     report.log_skips()
 
@@ -320,15 +320,22 @@ def floats(cells: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
         return values, parsed
 
 
-def ordinals(cells: Sequence[str | None], cache: dict[str | None, int]) -> np.ndarray:
-    """date.fromisoformat(cell.strip()).toordinal() of each cell, 0 for a bad date or None;
-    `cache` keeps each distinct cell's ordinal, so a file's readers parse it once."""
+def decoded(cells: Sequence[str | None], cache: dict, convert: Callable[[str | None], int],
+            errors: dict | None = None) -> np.ndarray:
+    """convert(cell) of each cell, each distinct cell converted once through `cache`; -1 where
+    convert raises ValueError or DataError, whose text `errors`, when given, keeps."""
+    errors = {} if errors is None else errors
     for raw in set(cells).difference(cache):
         try:
-            cache[raw] = date.fromisoformat((raw or "").strip()).toordinal()
-        except ValueError:
-            cache[raw] = 0
+            cache[raw] = convert(raw)
+        except (ValueError, DataError) as exc:
+            cache[raw], errors[raw] = -1, str(exc)
     return np.fromiter(map(cache.__getitem__, cells), np.int64, len(cells))
+
+
+def ordinals(cells: Sequence[str | None], cache: dict[str | None, int]) -> np.ndarray:
+    """date.fromisoformat(cell.strip()).toordinal() of each cell, -1 for a bad date or None; see `decoded`."""
+    return decoded(cells, cache, lambda raw: date.fromisoformat((raw or "").strip()).toordinal())
 
 
 def fresh(keys: Sequence, seen: set) -> np.ndarray:
@@ -349,6 +356,12 @@ def failures(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]):
     passes = np.array([mask for mask, _ in checks])
     for row in np.flatnonzero(~passes.all(axis=0)):
         yield int(row), checks[np.argmin(passes[:, row])][1](row)
+
+
+def require(path: str | Path, lines: Sequence[int], checks) -> None:
+    """Raise DataError as path:line: reason at the first row that fails a check (see `failures`)."""
+    for k, reason in failures(checks):
+        raise DataError(f"{path}:{lines[k]}: {reason}")
 
 
 def code_firms(cells: Sequence[str | None], codes: dict[str, int]) -> np.ndarray:
@@ -396,7 +409,6 @@ def read_prices(path: str | Path) -> tuple[PriceColumns, IngestReport]:
         if not keep.all():
             lines, firms = [*compress(lines, keep)], [*compress(firms, keep)]
             day, close, ret = day[keep], close[keep], ret[keep]
-        report.keep(len(lines))
         lines = np.fromiter(lines, np.int64, len(lines))
         for column, part in zip(columns, (code_firms(firms, codes), day, lines, close, ret)):
             column.frombytes(part.tobytes())
@@ -437,11 +449,10 @@ def read_market_index(path: str | Path) -> tuple[tuple[list[date], np.ndarray], 
             (np.isfinite(ret), lambda k: f"non-finite return {float(ret[k])}"),
         ])
         lines, day, ret = [*compress(lines, keep)], day[keep].tolist(), ret[keep].tolist()
-        if not (new := fresh(day, seen)).all():
-            k = int(np.argmin(new))
-            raise DataError(f"{path}:{lines[k]}: duplicate market index date {date.fromordinal(day[k])}")
+        require(path, lines, [
+            (fresh(day, seen), lambda k: f"duplicate market index date {date.fromordinal(day[k])}"),
+        ])
         returns.update(zip(day, ret))
-        report.keep(len(lines))
     report.log_skips()
     dates = sorted(returns)
     return ([*map(date.fromordinal, dates)], np.array([*map(returns.get, dates)], float)), report
@@ -462,7 +473,6 @@ def read_calendar_events(path: str | Path, kind: EventKind) -> tuple[CalendarEve
             (filled(raw_firms), lambda k: "missing firm"),
             (day > 0, lambda k: f"bad date {raw_days[k]!r}"),
         ])
-        report.keep(int(keep.sum()))
         firms += [firm.strip() for firm in compress(raw_firms, keep)]
         days += day[keep].tolist()
     report.log_skips()

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import failures, filled, fresh, read_columns
-from .taxonomy import Node, parse_node
+from .ingest import decoded, filled, fresh, read_columns, require
+from .taxonomy import REPORT_ORDER, Node, node_sort_key, parse_node
 
 MAX_TERM_TOKENS = 5
 
@@ -127,22 +127,18 @@ def load_esg_lexicon(path: str | Path) -> list[LexiconEntry]:
     indicate a broken lexicon rather than a skippable row.
     """
     entries: list[LexiconEntry] = []
-    seen: set[tuple[tuple[str, ...], Node | DataError]] = set()
-    nodes: dict[str, Node | DataError] = {}  # parse_node's error for an unknown node name
+    seen: set[tuple[tuple[str, ...], int]] = set()
+    codes: dict[str, int] = {}  # node_sort_key per node name, -1 for an unknown one
+    errors: dict[str, str] = {}
     for lines, raw_terms, terms, raw_nodes, checks in read_terms(path, "lexicon", "node"):
-        for raw in set(raw_nodes).difference(nodes):
-            try:
-                nodes[raw] = parse_node(raw)
-            except DataError as exc:
-                nodes[raw] = exc
-        node = [*map(nodes.__getitem__, raw_nodes)]
-        for k, reason in failures([
+        node = decoded(raw_nodes, codes, lambda raw: node_sort_key(parse_node(raw)), errors)
+        require(path, lines, [
             *checks,
-            (np.array([isinstance(n, Node) for n in node], bool), lambda k: str(node[k])),
-            (fresh([*zip(terms, node)], seen), lambda k: f"duplicate entry {raw_terms[k]!r} -> {node[k]}"),
-        ]):
-            raise DataError(f"{path}:{lines[k]}: {reason}")
-        entries += map(LexiconEntry, terms, node)
+            (node >= 0, lambda k: errors[raw_nodes[k]]),
+            (fresh([*zip(terms, node.tolist())], seen),
+             lambda k: f"duplicate entry {raw_terms[k]!r} -> {REPORT_ORDER[node[k]]}"),
+        ])
+        entries += map(LexiconEntry, terms, map(REPORT_ORDER.__getitem__, node.tolist()))
     return entries
 
 

@@ -42,12 +42,12 @@ from .detect import (
     exclude_confounded,
     filter_and_merge,
 )
-from .errors import ConfigError, DataError, config_errors
+from .errors import ConfigError, config_errors
 from .ingest import (
     EventKind,
     IngestReport,
     code_firms,
-    failures,
+    decoded,
     filled,
     floats,
     fresh,
@@ -58,6 +58,7 @@ from .ingest import (
     read_market_index,
     read_columns,
     read_prices,
+    require,
     utc_stamps,
 )
 from .lexicon import TokenMatcher, load_esg_lexicon, tokenize
@@ -440,23 +441,18 @@ def _read_classified(path: Path):
     for lines, (_, firms, raw_ts, raw_nodes, _, raw_scores) in read_columns(
         path, "classified", CLASSIFIED_COLUMNS
     ):
-        for raw in set(raw_nodes).difference(label_masks):
-            try:
-                label_masks[raw] = label_mask({parse_node(n) for n in (raw or "").split("|") if n})
-            except DataError as exc:
-                label_masks[raw], node_errors[raw] = -1, str(exc)
-        masks = np.fromiter(map(label_masks.__getitem__, raw_nodes), np.int64, len(lines))
+        masks = decoded(raw_nodes, label_masks, lambda raw: label_mask(
+            {parse_node(n) for n in (raw or "").split("|") if n}), node_errors)
         scores, parsed = floats(raw_scores)
         if not parsed.all():  # a blank or absent score is 0
             scores[~filled(raw_scores)] = 0.0
         stamps, stamped = parse_stamps(raw_ts, "UTC")
-        for k, reason in failures([
+        require(path, lines, [
             (stamped, lambda k: "bad timestamp in classified file"),
             (masks >= 0, lambda k: node_errors[raw_nodes[k]]),
             (np.isfinite(scores), lambda k: f"bad score {raw_scores[k]!r}"),
             (filled(firms), lambda k: "missing firm"),
-        ]):
-            raise DataError(f"{path}:{lines[k]}: {reason}")
+        ])
         parts.append((code_firms(firms, codes), stamps, masks, scores))
     if not parts:
         return [], *(np.zeros(0, t) for t in "qqqd")
@@ -545,12 +541,14 @@ class KeptEvents(typing.NamedTuple):
 def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
     """Read kept events from an events.csv; each must fall on a trading day, once.
 
-    Each block's kept rows are converted a column at a time, each distinct
-    date and node string once, and checked against one table: a bad date,
-    a day off the calendar, an unknown node, a blank firm and a repeated
-    (firm, node, date), in that order. DataError names the first failing row.
+    Each block's rows not marked `false` are converted a column at a time,
+    each distinct kept, date and node string once, and checked against one
+    table: a kept cell other than true or false, a bad date, a day off the
+    calendar, an unknown node, a blank firm and a repeated (firm, node,
+    date), in that order. DataError names the first failing row.
     """
     codes: dict[str, int] = {}
+    flags: dict[str | None, int] = {}  # 1 for true, 0 for false, -1 for anything else
     days: dict[str | None, int] = {}
     node_index: dict[str | None, int] = {}  # -1 for a bad node string
     node_errors: dict[str | None, str] = {}
@@ -558,24 +556,19 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
     # raises before any later row counts, so its key cannot shadow a valid one
     seen: set[int] = set()
     parts: list[tuple[np.ndarray, ...]] = []  # per block: firm code, node index, day index
-    for lines, (firms, raw_nodes, raw_days, *_, flags, _, _) in read_columns(
+    for lines, (firms, raw_nodes, raw_days, *_, raw_kept, _, _) in read_columns(
         path, "event", EVENT_COLUMNS
     ):
-        true = {flag for flag in set(flags) if (flag or "").strip() == "true"}
-        kept = [*map(true.__contains__, flags)]
-        cells = (lines, firms, raw_nodes, raw_days)
-        lines, firms, raw_nodes, raw_days = ([*compress(column, kept)] for column in cells)
-        n = len(lines)
-        for raw in set(raw_nodes).difference(node_index):
-            try:
-                node_index[raw] = node_sort_key(parse_node(raw or ""))
-            except DataError as exc:
-                node_index[raw], node_errors[raw] = -1, str(exc)
+        kept = decoded(raw_kept, flags, lambda raw: ("false", "true").index((raw or "").strip()))
+        cells = (lines, firms, raw_nodes, raw_days, raw_kept)
+        lines, firms, raw_nodes, raw_days, raw_kept = ([*compress(column, kept)] for column in cells)
+        kept = kept[kept != 0]
         firm = code_firms(firms, codes)
-        node = np.fromiter(map(node_index.__getitem__, raw_nodes), np.int64, n)
+        node = decoded(raw_nodes, node_index, lambda raw: node_sort_key(parse_node(raw or "")), node_errors)
         ordinal = ordinals(raw_days, days)
         day = calendar.lookup(ordinal)
-        for k, reason in failures([
+        require(path, lines, [
+            (kept > 0, lambda k: f"kept must be true or false, got {(raw_kept[k] or '').strip()!r}"),
             (ordinal > 0, lambda k: f"bad date {(raw_days[k] or '').strip()!r}"),
             (day >= 0, lambda k: "{} is not a trading day in this calendar".format(
                 date.fromordinal(int(ordinal[k])))),
@@ -584,8 +577,7 @@ def load_kept_events(path: str | Path, calendar: TradingCalendar) -> KeptEvents:
             (fresh(((firm * len(REPORT_ORDER) + node) * len(calendar) + day).tolist(), seen),
              lambda k: "duplicate kept event {} {} {}".format(
                 firms[k].strip(), REPORT_ORDER[node[k]], calendar.dates[day[k]])),
-        ]):
-            raise DataError(f"{path}:{lines[k]}: {reason}")
+        ])
         parts.append((firm, node, day))
     columns = map(np.concatenate, zip(*parts)) if parts else (np.zeros(0, np.int64),) * 3
     return KeptEvents(list(codes), *columns)

@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .ingest import failures, floats, fresh
+from .ingest import floats, fresh, require
 from .lexicon import Hit, TokenMatcher, read_terms
 
 DEFAULT_SIGN_THRESHOLD = 0.05
@@ -42,13 +41,12 @@ def load_sentiment_lexicon(path: str | Path) -> list[SentimentEntry]:
     seen: set[tuple[str, ...]] = set()
     for lines, raw_terms, terms, raw_weights, checks in read_terms(path, "sentiment lexicon", "weight"):
         weight, parsed = floats(raw_weights)
-        for k, reason in failures([
+        require(path, lines, [
             *checks,
             (parsed, lambda k: f"weight {raw_weights[k]!r} is not a number"),
             (np.abs(weight) <= 1.0, lambda k: f"weight {float(weight[k])} outside [-1, 1]"),  # nan fails too
             (fresh(terms, seen), lambda k: f"duplicate sentiment term {raw_terms[k]!r}"),
-        ]):
-            raise DataError(f"{path}:{lines[k]}: {reason}")
+        ])
         entries += map(SentimentEntry, terms, weight.tolist())
     return entries
 

@@ -7,6 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from esgrisk.cli import main
+from esgrisk.errors import NumericError
 
 SYNTH_YAML = """\
 seed: 11
@@ -248,6 +249,9 @@ def test_missing_required_path_exits_2(tmp_path):
         ("detection: {z: .inf}\n", "z must be a finite positive number, got inf"),
         ("sentiment_threshold: .nan\n", "sentiment_threshold must be finite, got nan"),
         ("detection: {z: 2019-02-30}\n", "bad YAML in "),
+        ("detection: {min_tweets: 0}\n", "min_tweets must be positive, got 0"),
+        ("detection: {gap_days: -1}\n", "gap_days and exclusion_halfwidth must be non-negative"),
+        ("robustness_est_len: 2\n", "robustness_est_len must be null or an integer >= 3, got 2"),
     ],
     ids=[
         "yaml-syntax", "z-not-a-number", "section-not-a-mapping", "parallelism-not-a-number",
@@ -256,6 +260,7 @@ def test_missing_required_path_exits_2(tmp_path):
         "curve-span-not-an-integer", "window-len-not-an-integer", "two-sided-not-a-bool",
         "z-a-bool", "scar-normalize-a-string", "unknown-exchange-tz", "exchange-tz-not-a-string",
         "unknown-source-tz", "z-nan", "z-inf", "threshold-nan", "impossible-yaml-date",
+        "min-tweets-zero", "gap-days-negative", "robustness-est-len-2",
     ],
 )
 def test_bad_config_yaml_exits_2(cli_run, tmp_path, text, message):
@@ -431,6 +436,22 @@ def test_bad_date_on_kept_event_exits_3(cli_run, tmp_path):
     assert f"data error: {bad}:{line}: bad date '2020-13-45'" in all_output(result)
 
 
+@pytest.mark.parametrize("flag", ["True", "yes", ""])
+def test_bad_kept_cell_exits_3(cli_run, tmp_path, flag):
+    # a kept cell neither true nor false would drop its event from the study unseen
+    bad = tmp_path / "events.csv"
+    line = corrupt_csv(
+        cli_run["out"] / "events.csv", bad, "kept", flag, row_filter=lambda row: row["kept"] == "true"
+    )
+    result = CliRunner().invoke(
+        main,
+        ["study", "--outdir", str(tmp_path / "out"), "--events", str(bad)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 3, all_output(result)
+    assert f"data error: {bad}:{line}: kept must be true or false, got {flag!r}" in all_output(result)
+
+
 def test_blank_firm_in_classified_exits_3(cli_run, tmp_path):
     bad = tmp_path / "classified.csv"
     line = corrupt_csv(cli_run["out"] / "classified.csv", bad, "firm", " ")
@@ -590,6 +611,34 @@ def test_detect_before_classify_exits_2(cli_run, tmp_path):
     assert "run classify first" in all_output(result)
 
 
+def test_study_before_detect_exits_2(cli_run, tmp_path):
+    result = CliRunner().invoke(main, ["study", "--outdir", str(tmp_path)] + corpus_args(cli_run["corpus"]))
+    assert result.exit_code == 2, all_output(result)
+    assert f"events file {tmp_path / 'events.csv'} does not exist; run detect first" in all_output(result)
+
+
+def test_numeric_error_exits_4(tmp_path, monkeypatch):
+    def singular(cfg):
+        raise NumericError("singular market model")
+
+    monkeypatch.setattr("esgrisk.pipeline.run_detect", singular)
+    result = CliRunner().invoke(main, ["detect", "--outdir", str(tmp_path)])
+    assert result.exit_code == 4, all_output(result)
+    assert "numeric error: singular market model" in all_output(result)
+
+
+def test_detect_counts_messages_outside_the_calendar(cli_run, tmp_path):
+    classified = tmp_path / "classified.csv"
+    corrupt_csv(cli_run["out"] / "classified.csv", classified, "timestamp", "2099-01-05T15:00:00+00:00")
+    result = CliRunner().invoke(
+        main,
+        ["detect", "--outdir", str(tmp_path / "out"), "--classified", str(classified)]
+        + corpus_args(cli_run["corpus"]),
+    )
+    assert result.exit_code == 0, all_output(result)
+    assert "dropped 1 messages outside the calendar range" in result.output
+
+
 def test_eval_missing_file_exits_2(cli_run, tmp_path):
     result = CliRunner().invoke(
         main,
@@ -666,6 +715,10 @@ def test_synth_flag_overrides(tmp_path):
         ("confounds: {}\n", "bad synth config: confounds must be a list, got {}"),
         ("confounds: ''\n", "bad synth config: confounds must be a list, got ''"),
         ("start: 2020-13-45\n", "bad YAML in "),
+        ("base_rate: -1.0\n", "rates must be non-negative"),
+        ("idio_vol: 0.0\n", "volatilities must be positive"),
+        ("confounds:\n  - {firm: 5, day: 9, kind: earnings}\n", "confound firm index 5 out of range"),
+        ("confounds:\n  - {firm: 0, day: 300, kind: earnings}\n", "confound day index 300 out of range"),
     ],
     ids=["unknown-planted-firm", "list", "planted-not-a-list", "start-not-a-date",
          "beta-range-not-a-pair", "confound-without-day", "n-firms-not-a-number",
@@ -676,7 +729,8 @@ def test_synth_flag_overrides(tmp_path):
          "spike-inf", "filler-rate-above-poisson-limit", "base-rate-above-poisson-limit",
          "spike-above-poisson-limit", "unknown-planted-sign", "confound-a-list", "planted-zero",
          "planted-false", "planted-empty-mapping", "planted-empty-string", "confounds-zero",
-         "confounds-false", "confounds-empty-mapping", "confounds-empty-string", "start-impossible-date"],
+         "confounds-false", "confounds-empty-mapping", "confounds-empty-string", "start-impossible-date",
+         "base-rate-negative", "idio-vol-zero", "confound-firm-out-of-range", "confound-day-out-of-range"],
 )
 def test_synth_invalid_config_exits_2(tmp_path, text, message):
     config = tmp_path / "synth.yaml"

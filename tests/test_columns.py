@@ -15,7 +15,8 @@ purpose: a blank firm in classified.csv, and a blank firm or a repeated
 (firm, node, date) on a kept events.csv row, are now DataErrors that
 the oracles let through; and a message stamp whose UTC instant is past
 datetime's range is a bad timestamp, where the former reader stopped
-with OverflowError.
+with OverflowError. An events.csv kept cell other than true or false,
+which the former reader dropped, is a DataError in both.
 """
 
 import csv
@@ -231,6 +232,8 @@ def oracle_load_kept_events(path, calendar):
     out = []
     rows = read_rows(path, "event", EVENT_COLUMNS)
     for line, (firm, raw_node, raw_day, *_, kept, _, _) in rows:
+        if (kept or "").strip() not in ("true", "false"):
+            raise DataError(f"{path}:{line}: kept must be true or false, got {(kept or '').strip()!r}")
         if (kept or "").strip() != "true":
             continue
         raw_day = (raw_day or "").strip()

@@ -387,6 +387,28 @@ def test_only_read_columns_parses_csv():
     assert offenders == []
 
 
+def test_only_ingest_names_failing_rows():
+    """Every reader ends in IngestReport.skip_failing or ingest.require: no other module calls
+    `failures` or raises a DataError built from `path` and `lines[...]`."""
+    package = Path(esgrisk.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "failures" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                offenders.append(f"{path.name}:{node.lineno}: calls failures")
+            elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and getattr(node.exc.func, "id", None) == "DataError"):
+                names = {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+                indexed = {n.value.id for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)}
+                if "path" in names and "lines" in indexed:
+                    offenders.append(f"{path.name}:{node.lineno}: raises a row's DataError")
+    assert offenders == []
+
+
 def test_only_ordinals_and_typed_parse_dates():
     """A date cell becomes a day through ingest.ordinals; pipeline._typed reads config dates."""
     package = Path(esgrisk.__file__).parent
