@@ -86,7 +86,7 @@ _SETTINGS = [
     ("--exchange-tz", "exchange_tz", "exchange_tz", dict(help="exchange timezone for the 4 p.m. close rule")),
     ("--source-tz", "source_tz", "source_tz", dict(help="timezone of naive message timestamps")),
     ("--parallelism", "parallelism", "parallelism",
-     dict(type=int, help="worker processes for classification")),
+     dict(type=int, help="worker processes for classification, at most 10")),
     ("--robustness", "robustness_est_len", "robustness_est_len",
      dict(flag_value=90, help="also run the study with a 90-day estimation window")),
 ]

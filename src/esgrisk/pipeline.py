@@ -22,14 +22,14 @@ import json
 import logging
 import math
 import typing
-from collections import Counter
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
 from itertools import compress, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -281,8 +281,8 @@ def write_resolved_config(cfg: RunConfig, outdir: Path) -> Path:
 
 # --- classify stage ---------------------------------------------------------
 
-_BLOCK = 20_000  # messages read and written per block
-_TASK = 2_000  # messages per classify call, the unit a pool worker gets
+_TASK = 512  # messages per classify call: all a serial run holds, the unit a pool worker gets
+_MAX_WORKERS = 10  # classify pool processes, whatever parallelism asks for
 _WORKER_ENGINE: "_ClassifyEngine | None" = None
 
 
@@ -337,6 +337,17 @@ def _worker_rows(texts: Sequence[str]) -> list[tuple[int, str, str]]:
     return _WORKER_ENGINE.rows(texts)
 
 
+def _pooled(pool, tasks: Iterator[list], window: int) -> Iterator[tuple[list, list]]:
+    """(task, rows) per task in order, once it and all before it are done; at most `window` unyielded."""
+    pending: deque = deque()
+    for task in tasks:
+        pending.append((task, pool.submit(_worker_rows, [m[3] for m in task])))
+        while len(pending) == window or (pending and pending[0][1].done()):
+            head, future = pending.popleft()
+            yield head, future.result()
+    yield from ((head, future.result()) for head, future in pending)
+
+
 def _bit_nodes(bits: int) -> list[Node]:
     """The nodes of a label-bits int, in REPORT_ORDER."""
     return [node for i, node in enumerate(REPORT_ORDER) if bits >> i & 1]
@@ -353,8 +364,9 @@ class ClassifyOutputs:
 def run_classify(cfg: RunConfig) -> ClassifyOutputs:
     """Label and score every valid message; write the classified artifact.
 
-    The lexicons are read once, here; with parallelism > 1 the loaded
-    engine goes to each pool worker once, through its initializer.
+    The lexicons are read once, here, and reach each of at most _MAX_WORKERS (10)
+    pool workers once, through its initializer. A serial run holds one task of
+    messages, a pool two per worker: each task's rows are written before more are read.
     """
     messages_path = cfg.require_path("messages")
     engine = _ClassifyEngine(
@@ -366,35 +378,34 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
 
     report = IngestReport(path=str(messages_path))
     stream = iter_messages(messages_path, source_tz=cfg.source_tz, report=report)
+    tasks = iter(lambda: list(islice(stream, _TASK)), [])
     cells: dict[int, str] = {}  # label bits -> nodes column; few distinct values recur
     tally: Counter[int] = Counter()  # messages per label bits
 
     with ExitStack() as stack:
-        classify = partial(map, engine.rows)
         if cfg.parallelism > 1:
             from concurrent.futures import ProcessPoolExecutor
 
+            workers = min(cfg.parallelism, _MAX_WORKERS)
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(cfg.parallelism, math.ceil(_BLOCK / _TASK)),
-                initializer=_init_worker,
-                initargs=(engine,),
+                max_workers=workers, initializer=_init_worker, initargs=(engine,),
             ))
-            classify = partial(pool.map, _worker_rows)
+            classified = _pooled(pool, tasks, 2 * workers)
+        else:
+            classified = ((task, engine.rows([m[3] for m in task])) for task in tasks)
         fh = stack.enter_context(_open_artifact(out_path))
         writer = csv.writer(fh)
         writer.writerow(CLASSIFIED_COLUMNS)
-        while block := list(islice(stream, _BLOCK)):
-            tasks = [block[i : i + _TASK] for i in range(0, len(block), _TASK)]
-            for task, rows in zip(tasks, classify([[m[3] for m in task] for task in tasks])):
-                labels = [bits for bits, _, _ in rows]
-                tally.update(labels)
-                for bits in set(labels).difference(cells):
-                    cells[bits] = "|".join(n.value for n in _bit_nodes(bits))
-                writer.writerows(
-                    (msg_id, firm, stamp, cells[bits], terms, score)
-                    for (msg_id, firm, _, _), stamp, (bits, terms, score)
-                    in zip(task, utc_stamps([m[2] for m in task]), rows)
-                )
+        for task, rows in classified:
+            labels = [bits for bits, _, _ in rows]
+            tally.update(labels)
+            for bits in set(labels).difference(cells):
+                cells[bits] = "|".join(n.value for n in _bit_nodes(bits))
+            writer.writerows(
+                (msg_id, firm, stamp, cells[bits], terms, score)
+                for (msg_id, firm, _, _), stamp, (bits, terms, score)
+                in zip(task, utc_stamps([m[2] for m in task]), rows)
+            )
 
     # Summary counts include ancestors: a subcategory message is also a
     # pillar and ESG_ALL message.
@@ -405,10 +416,7 @@ def run_classify(cfg: RunConfig) -> ClassifyOutputs:
     with open(outdir / "ingest_report_messages.json", "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2)
         fh.write("\n")
-    return ClassifyOutputs(
-        classified_path=out_path, report=report, node_counts=node_counts,
-        n_messages=sum(tally.values()),
-    )
+    return ClassifyOutputs(out_path, report, node_counts, n_messages=sum(tally.values()))
 
 
 # --- detect stage ------------------------------------------------------------
@@ -497,19 +505,11 @@ def run_detect(cfg: RunConfig) -> DetectOutputs:
     with _open_artifact(events_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
-        for event in detected:
-            writer.writerow([
-                event.firm,
-                event.node.value,
-                event.day.isoformat(),
-                event.count,
-                str(event.share),
-                str(event.score),
-                event.sign.value,
-                "false" if event.removal_reason else "true",
-                event.removal_reason,
-                event.distance_to_confound,
-            ])
+        writer.writerows(
+            (e.firm, e.node.value, e.day.isoformat(), e.count, str(e.share), str(e.score), e.sign.value,
+             "false" if e.removal_reason else "true", e.removal_reason, e.distance_to_confound)
+            for e in detected
+        )
 
     (outdir / "event_counts.csv").write_text(render_event_counts_csv(kept), encoding="utf-8")
     (outdir / "removal_histogram.csv").write_text(

@@ -2,7 +2,9 @@ import ast
 import csv
 import filecmp
 import re
+import tracemalloc
 from datetime import date, timedelta
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -375,38 +377,70 @@ def test_classify_parallel_matches_serial(std_corpus, tmp_path):
     )
 
 
-def same_classify(out, base_run, outdir):
-    """The classify outputs `out` equal those of the shared default-size run."""
-    base = base_run["classify"]
+def same_classify(out, outdir, base, base_outdir):
+    """The classify outputs `out` in `outdir` equal those of `base` in `base_outdir`."""
     assert out.classified_path.read_bytes() == base.classified_path.read_bytes()
     assert (out.node_counts, out.n_messages) == (base.node_counts, base.n_messages)
     name = "ingest_report_messages.json"
-    assert (outdir / name).read_bytes() == (base_run["outdir"] / name).read_bytes()
+    assert (outdir / name).read_bytes() == (base_outdir / name).read_bytes()
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_classify_small_blocks_match_default_run(std_run, tmp_path, monkeypatch, parallelism):
-    # blocks of 7 messages in tasks of 3, so every block ends in a short task
-    monkeypatch.setattr(pipeline, "_BLOCK", 7)
+def write_messages(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["id", "firm", "timestamp", "text"], *rows])
+    return path
+
+
+def messages_run(corpus_dir, messages, outdir, **extra):
+    """A run config over `corpus_dir`'s lexicons and the `messages` file, writing to `outdir`."""
+    paths = {**corpus_paths(corpus_dir, outdir), "messages": str(messages)}
+    return run_config_from_dict({"paths": paths, **extra})
+
+
+def corpus_messages(corpus_dir, n):
+    """The first `n` rows of the corpus messages file, under no header."""
+    with open(corpus_dir / "messages.csv", newline="", encoding="utf-8") as fh:
+        return [*islice(csv.reader(fh), 1, n + 1)]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_classify_small_blocks_match_default_run(std_corpus, tmp_path, monkeypatch, parallelism):
+    # tasks of 3 messages: a bad timestamp sits between the first two tasks,
+    # and the second task holds a duplicate of the first task's middle row
+    corpus_dir, _ = std_corpus
+    rows = corpus_messages(corpus_dir, 40)
+    bad = ["bad1", rows[3][1], "not a time", rows[3][3]]
+    rows = rows[:3] + [bad, rows[3], rows[1]] + rows[4:]
+    messages = write_messages(tmp_path / "messages.csv", rows)
+    base = run_classify(messages_run(corpus_dir, messages, tmp_path / "base"))
+    assert [reason for _, reason in base.report.skips] == [
+        "bad timestamp 'not a time'", f"duplicate id {rows[1][0]!r}"]
     monkeypatch.setattr(pipeline, "_TASK", 3)
-    cfg = make_run_config(std_run["corpus_dir"], tmp_path, parallelism=parallelism)
-    same_classify(run_classify(cfg), std_run, tmp_path)
+    out = run_classify(messages_run(corpus_dir, messages, tmp_path / "small", parallelism=parallelism))
+    same_classify(out, tmp_path / "small", base, tmp_path / "base")
 
 
-@pytest.mark.parametrize(
-    "parallelism, block, task, workers",
-    [(2, None, None, 2), (64, None, None, 10), (5, 7, 3, 3)],
-)
-def test_classify_pool_is_capped_at_one_block_of_tasks(
-    std_run, tmp_path, monkeypatch, parallelism, block, task, workers
-):
-    # a stand-in pool records its size and maps in this process, so no process
-    # starts whatever parallelism asks for; a module-level pool import would
-    # bypass it and really fork
+def stand_in_pool(monkeypatch, ready):
+    """Swap in a pool that records its size and runs each task in this process,
+    so no process starts whatever parallelism asks for; a module-level pool
+    import would bypass it and really fork. Its tasks are done at once if
+    `ready`, else only once their result is asked for. Returns the recorded
+    pool sizes and, per submit, the tasks submitted and not yet collected."""
     import concurrent.futures
 
     assert not hasattr(pipeline, "ProcessPoolExecutor")
-    sizes = []
+    sizes, held, unwritten = [], [0], []
+
+    class Task:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def done(self):
+            return ready
+
+        def result(self):
+            held[0] -= 1
+            return self.fn(*self.args)
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -419,17 +453,64 @@ def test_classify_pool_is_capped_at_one_block_of_tasks(
         def __exit__(self, *exc):
             pass
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            held[0] += 1
+            unwritten.append(held[0])
+            return Task(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(pipeline, "_WORKER_ENGINE", None)
-    if block is not None:
-        monkeypatch.setattr(pipeline, "_BLOCK", block)
-        monkeypatch.setattr(pipeline, "_TASK", task)
+    return sizes, unwritten
+
+
+@pytest.mark.parametrize("parallelism, workers", [(2, 2), (5, 5), (64, 10)])
+def test_classify_pool_is_capped_at_ten_workers(std_run, tmp_path, monkeypatch, parallelism, workers):
+    # tasks of 3, so the window of 2 tasks per worker fills many times over
+    sizes, unwritten = stand_in_pool(monkeypatch, ready=False)
+    monkeypatch.setattr(pipeline, "_TASK", 3)
     cfg = make_run_config(std_run["corpus_dir"], tmp_path, parallelism=parallelism)
-    same_classify(run_classify(cfg), std_run, tmp_path)
+    same_classify(run_classify(cfg), tmp_path, std_run["classify"], std_run["outdir"])
     assert sizes == [workers]
+    assert max(unwritten) == 2 * workers
+
+
+def test_classify_pool_writes_each_done_task_at_once(std_run, tmp_path, monkeypatch):
+    sizes, unwritten = stand_in_pool(monkeypatch, ready=True)
+    monkeypatch.setattr(pipeline, "_TASK", 3)
+    cfg = make_run_config(std_run["corpus_dir"], tmp_path, parallelism=4)
+    same_classify(run_classify(cfg), tmp_path, std_run["classify"], std_run["outdir"])
+    assert sizes == [4] and set(unwritten) == {1}
+
+
+def test_classify_memory_grows_only_by_the_duplicate_id_set(std_corpus, tmp_path):
+    """Traced peak of run_classify at 1x and 8x the messages, each copy with fresh ids,
+    against the traced peak of the set of those ids alone."""
+    corpus_dir, _ = std_corpus
+    rows = corpus_messages(corpus_dir, 2500)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def id_set(copies):  # built as iter_messages builds it, a read block at a time
+        seen: set[str] = set()
+        for copy in range(copies):
+            for a in range(0, len(rows), ingest._BLOCK):
+                seen.update([f"{msg_id}-{copy}" for msg_id, *_ in rows[a:a + ingest._BLOCK]])
+
+    def classify(copies):
+        copied = [[f"{msg_id}-{copy}", *rest] for copy in range(copies) for msg_id, *rest in rows]
+        messages = write_messages(tmp_path / f"x{copies}.csv", copied)
+        cfg = messages_run(corpus_dir, messages, tmp_path / f"x{copies}")
+        return traced_peak(lambda: run_classify(cfg))
+
+    ids_rise = traced_peak(lambda: id_set(8)) - traced_peak(lambda: id_set(1))
+    small, large = classify(1), classify(8)
+    assert large - small < ids_rise + 256 * 1024, (small, large, ids_rise)
 
 
 def test_nodes_cell_of_every_label_bits(tmp_path):
